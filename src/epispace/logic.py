@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .runs import InterpretedSystem, Point, distributed_relation
+from .runs import InterpretedSystem, Point, distributed_relation, group_classes
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -92,10 +92,6 @@ class Eventually:
 Formula = Atom | Not | And | Know | DKnow | Eventually
 
 
-def lnot(f: Formula) -> Formula:
-    return Not(f)
-
-
 def conj(parts: Sequence[Formula]) -> Formula:
     """Balanced conjunction (keeps evaluation recursion shallow)."""
     parts = list(parts)
@@ -155,10 +151,6 @@ def init_pos_atom(robot: int, cell: int) -> Atom:
 def in_atom(cell: int, cells: frozenset[int], label: str | None = None) -> Atom:
     text = label or "in(c%d,{%s})" % (cell, ",".join(map(str, sorted(cells))))
     return Atom(("in", cell, frozenset(cells)), text)
-
-
-FOUND_ATOM = Atom(("FOUND",), "FOUND")
-SECURE_ATOM = Atom(("SECURE",), "SECURE")
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -299,12 +291,6 @@ class _Parser:
             name, cells = self.region()
             self.expect(")")
             return sp_atom(cells, f"sp({name})")
-        if re.match(r"FOUND\b", self.text[self.pos:]):
-            self.pos += 5
-            return FOUND_ATOM
-        if re.match(r"SECURE\b", self.text[self.pos:]):
-            self.pos += 6
-            return SECURE_ATOM
         if re.match(r"pos\b", self.text[self.pos:]):
             self.pos += 3
             self.expect("[")
@@ -358,24 +344,33 @@ class Verdict:
 
 
 class Evaluator:
-    """Evaluation session over one interpreted system; memoizes per subformula."""
+    """Evaluation session over one interpreted system; memoizes per subformula.
+
+    Memo keys use id() of formula nodes, so every root passed to check is kept
+    alive for the session: a freed formula's id could otherwise be reused by a
+    later one and hit its stale entries.
+    """
 
     def __init__(self, sys: InterpretedSystem):
         self.sys = sys
         self.memo: dict[tuple[int, Point], bool | None] = {}
         self.know_memo: dict[tuple[int, int, int], bool | None] = {}
-        self._group_parts: dict[tuple[int, ...], dict[Point, int]] = {}
+        self._roots: dict[int, Formula] = {}
+        self._groups: dict[tuple[int, ...], tuple[dict[Point, int], list[tuple[Point, ...]]]] = {}
 
     def check(self, point: Point, f: Formula) -> bool | None:
         run_idx, t = point
         if not (0 <= run_idx < len(self.sys.runs) and 0 <= t <= self.sys.runs[run_idx].horizon):
             raise ValueError(f"point {point} outside the system")
+        self._roots[id(f)] = f
         return self._eval(f, point)
 
-    def _group_partition(self, group: tuple[int, ...]) -> dict[Point, int]:
-        if group not in self._group_parts:
-            self._group_parts[group] = distributed_relation(self.sys, group)
-        return self._group_parts[group]
+    def _group(self, group: tuple[int, ...]) -> tuple[dict[Point, int], list[tuple[Point, ...]]]:
+        """The group's D-partition and its classes, computed once per session."""
+        if group not in self._groups:
+            part = distributed_relation(self.sys, group)
+            self._groups[group] = (part, group_classes(part))
+        return self._groups[group]
 
     def _eval(self, f: Formula, point: Point) -> bool | None:
         key = (id(f), point)
@@ -410,12 +405,11 @@ class Evaluator:
                 self.know_memo[mkey] = self._quantify(f.sub, self.sys.classes[f.robot][cid])
             return self.know_memo[mkey]
         if isinstance(f, DKnow):
-            part = self._group_partition(f.group)
+            part, classes = self._group(f.group)
             cid = part[point]
             mkey = (id(f), -1, cid)
             if mkey not in self.know_memo:
-                members = tuple(p for p in self.sys.points if part[p] == cid)
-                self.know_memo[mkey] = self._quantify(f.sub, members)
+                self.know_memo[mkey] = self._quantify(f.sub, classes[cid])
             return self.know_memo[mkey]
         if isinstance(f, Eventually):
             run_idx, t = point

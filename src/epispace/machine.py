@@ -16,11 +16,6 @@ from .space import DIST_TOL, Grid
 
 ENV_STATE_BOUND = 10 ** 6
 
-LOOK = "LOOK"
-COMPUTE = "COMPUTE"
-MOVE = "MOVE"
-WAIT = "WAIT"
-
 EXPLORE_SWEEP = "EXPLORE_SWEEP"
 FLOOD_EXPLORE = "FLOOD_EXPLORE"
 GATHER_MIN_REGION = "GATHER_MIN_REGION"
@@ -40,8 +35,6 @@ class Capabilities:
     movement: str = "rigid"             # rigid | non-rigid
     min_distance: float | None = None
     memory: str = "luminous"            # luminous | oblivious
-    synchrony: str = "FSYNC"
-    async_k: int = 1
 
     def __post_init__(self):
         if self.visibility not in ("full", "myopic"):
@@ -108,30 +101,6 @@ def table_fn(mapping: dict, what: str) -> Callable:
 
     lookup.table = mapping  # type: ignore[attr-defined]
     return lookup
-
-
-def lcm_phase(
-    robot: RobotMachine,
-    env: EnvMachine,
-    phase: str,
-    local_state: tuple,
-    env_state: Hashable,
-    adv_choice=None,
-):
-    """Apply one phase of the cycle to one robot; returns (local', env')."""
-    rid, epi, obs = local_state
-    if phase == WAIT:
-        return local_state, env_state
-    if phase == LOOK:
-        raw = env.emit_obs(env_state, adv_choice)[rid]
-        return (rid, epi, robot.observe(raw)), env_state
-    if phase == COMPUTE:
-        return (rid, robot.step(epi, obs), obs), env_state
-    if phase == MOVE:
-        actions = [None] * env.n_robots
-        actions[rid] = robot.control(epi)
-        return local_state, env.evolve(env_state, tuple(actions), adv_choice)
-    raise ValueError(f"unknown phase {phase!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ epistemic state across (run, step) points, regardless of run or step.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .machine import EnvMachine, RobotMachine
 from .scheduler import PHASES, CapExceededError, TimePath
@@ -46,7 +45,6 @@ class SystemRun:
     adv_seq: tuple
     init_cells: tuple[int, ...]
     states: tuple[StepState, ...]           # one per step edge, len = horizon_steps + 1
-    footprints: tuple[tuple[frozenset[int], ...], ...]  # per step, per robot, consumed at COMPUTE
     lasso: Lasso | None
 
     @property
@@ -63,11 +61,6 @@ class SystemRun:
             return range(t, self.horizon + 1)
         # inside the loop the forward orbit wraps around and covers the whole loop
         return range(min(t, self.lasso.start), self.horizon + 1)
-
-    def positions(self, env_machine: EnvMachine, t: int) -> tuple[int, ...] | None:
-        if env_machine.positions is None:
-            return None
-        return env_machine.positions(self.states[t].env)
 
 
 def simulate(
@@ -96,7 +89,6 @@ def simulate(
     explored: frozenset[int] = frozenset()
 
     states = [StepState(tuple(epis), tuple(obss), env_state, explored)]
-    all_footprints = []
     for t in range(steps):
         chunk = path.activations[t]
         adv = adv_seq[t]
@@ -114,18 +106,14 @@ def simulate(
             raws = env.emit_obs(pre_env if pre_move_look else env_state, adv)
             for r in lookers:
                 obss[r] = robot.observe(raws[r])
-        step_footprints: list[frozenset[int]] = [frozenset()] * n
         for r in computers:
             epis[r] = robot.step(epis[r], obss[r])
             if robot.footprint is not None:
-                fp = robot.footprint(r, obss[r])
-                step_footprints[r] = fp
-                explored = explored | fp
+                explored = explored | robot.footprint(r, obss[r])
         states.append(StepState(tuple(epis), tuple(obss), env_state, explored))
-        all_footprints.append(tuple(step_footprints))
 
     lasso = _detect_lasso(path, tuple(states))
-    return SystemRun(path, adv_seq, tuple(init_cells), tuple(states), tuple(all_footprints), lasso)
+    return SystemRun(path, adv_seq, tuple(init_cells), tuple(states), lasso)
 
 
 def _detect_lasso(path: TimePath, states: tuple[StepState, ...]) -> Lasso | None:
@@ -153,38 +141,30 @@ def enumerate_runs(
     *,
     adversary: Sequence | None = None,
     cap: int = 100_000,
-    jobs: int = 1,
     pre_move_look: bool = False,
 ) -> list[SystemRun]:
     """One run per (schedule, adversary sequence, initial placement), deterministic order."""
     if not schedules:
         return []
     adv_choices = tuple(adversary) if adversary is not None else env.adversary_choices
-    jobs_spec: list[tuple] = []
+    specs: list[tuple] = []
     for init in init_cells:
         for path in schedules:
             if len(adv_choices) == 1:
                 seqs: Iterable = [(adv_choices[0],) * path.horizon_steps]
             else:
                 n_seqs = len(adv_choices) ** path.horizon_steps
-                if len(jobs_spec) + n_seqs > cap:
+                if len(specs) + n_seqs > cap:
                     raise CapExceededError(
                         f"run enumeration exceeds cap {cap} (adversary branching)"
                     )
                 seqs = itertools.product(adv_choices, repeat=path.horizon_steps)
             for seq in seqs:
-                jobs_spec.append((path, tuple(init), seq))
-                if len(jobs_spec) > cap:
+                specs.append((path, tuple(init), seq))
+                if len(specs) > cap:
                     raise CapExceededError(f"run enumeration exceeds cap {cap}")
-
-    def work(spec):
-        path, init, seq = spec
-        return simulate(robot, env, path, init, seq, pre_move_look=pre_move_look)
-
-    if jobs <= 1:
-        return [work(s) for s in jobs_spec]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, jobs_spec))
+    return [simulate(robot, env, path, init, seq, pre_move_look=pre_move_look)
+            for path, init, seq in specs]
 
 
 Point = tuple[int, int]  # (run index, step)
@@ -287,11 +267,11 @@ def canon(value) -> str:
     return str(value)
 
 
-TRACE_FIELDS = "run t r<i>.e r<i>.o r<i>.light r<i>.pos"
-
-
 def export_traces(runs: Sequence[SystemRun], env_machine: EnvMachine) -> list[str]:
-    """Line-oriented trace: one configuration per line, fields in documented order."""
+    """Line-oriented trace: one configuration per line.
+
+    Fields, in order: run t, then per robot i: r<i>.e r<i>.o r<i>.light r<i>.pos.
+    """
     lines = []
     for i, run in enumerate(runs):
         for t, state in enumerate(run.states):

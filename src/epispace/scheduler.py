@@ -65,9 +65,6 @@ class TimePath:
         final = self.derived_clocks()[-1]
         return tuple(c // len(PHASES) for c in final)
 
-    def phase_of(self, robot: int, t: int) -> str | None:
-        return self.activations[t].get(robot)
-
     def _key(self):
         return tuple(tuple(sorted(a.items())) for a in self.activations)
 
@@ -199,10 +196,10 @@ def _gen_async(n_robots: int, horizon: int, fairness_bound: int, k: int, cap: in
         return max(cycles) - min(cycles) <= k
 
     def recurse(steps: list[frozenset[int]], counts: list[int]):
-        if len(family) > cap:
-            raise CapExceededError(f"k-ASYNC family exceeds cap {cap}")
         if len(steps) == n_steps:
             if all(c // len(PHASES) >= min_cycles for c in counts):
+                if len(family) == cap:
+                    raise CapExceededError(f"k-ASYNC family exceeds cap {cap}")
                 family.append(_steps_to_path(n_robots, steps, counts))
             return
         for subset in nonempty:

@@ -144,11 +144,6 @@ def region_join(u: Region, v: Region) -> Region:
     return Region(u.grid, u.cells | v.cells)
 
 
-def region_meet(u: Region, v: Region) -> Region:
-    _require_same_grid(u, v)
-    return Region(u.grid, u.cells & v.cells)
-
-
 def cover_is_full(grid: Grid, cover: Iterable[Region]) -> bool:
     """True iff the union of the cover equals the full region of the grid."""
     covered: set[int] = set()
@@ -170,46 +165,6 @@ def boundary(u: Region) -> Region:
                 cells.add(c)
                 break
     return Region(grid, frozenset(cells))
-
-
-def ball_around_boundary(u: Region, radius: float) -> Region:
-    """All cells whose center is within `radius` of some boundary cell of U."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    grid = u.grid
-    bnd = boundary(u).cells
-    if not bnd:
-        return grid.empty_region()
-    cells = {
-        c
-        for c in grid.all_cells()
-        if any(grid.distance(c, b) <= radius + DIST_TOL for b in bnd)
-    }
-    return Region(grid, frozenset(cells))
-
-
-@dataclass(frozen=True)
-class CylinderRegion:
-    """A region of the surveillance cylinder: (cell, level) pairs over T_s levels."""
-
-    grid: Grid
-    time_levels: int
-    cells: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.time_levels < 1:
-            raise ValueError("time_levels must be >= 1")
-        for cell, level in self.cells:
-            if not 0 <= cell < self.grid.n_cells:
-                raise IndexError(f"cylinder cell {cell} outside the grid")
-            if not 0 <= level < self.time_levels:
-                raise IndexError(f"cylinder level {level} outside [0,{self.time_levels})")
-
-    def level_slice(self, level: int) -> Region:
-        return Region(self.grid, frozenset(c for c, l in self.cells if l == level))
-
-    def contains(self, cell: int, level: int) -> bool:
-        return (cell, level) in self.cells
 
 
 def all_regions(grid: Grid) -> list[Region]:

@@ -10,6 +10,7 @@ from epispace.logic import (
     UNKNOWN,
     And,
     Atom,
+    Evaluator,
     Eventually,
     FormulaError,
     Know,
@@ -185,6 +186,16 @@ class TestEval:
         _, sys = sweep_system()
         with pytest.raises(UnknownAtomError):
             eval_at(sys, (0, 0), Atom(("nonsense",), "nonsense"))
+
+    def test_reused_evaluator_with_temporary_formulas(self):
+        _, sys = sweep_system()
+        a = sp_atom(frozenset(range(4)))
+        session = Evaluator(sys)
+        # a freed temporary's id can be handed to the next formula; its memo
+        # entries must not leak into that formula's answer
+        for _ in range(200):
+            assert session.check((0, 0), Not(a)) is True
+            assert session.check((0, 0), And(a, a)) is False
 
 
 class TestValid:

@@ -1,23 +1,22 @@
+from dataclasses import replace
+
 import pytest
 
 from epispace.machine import (
-    COMPUTE,
     EXPLORE_SWEEP,
     FLOOD_EXPLORE,
     GATHER_MIN_REGION,
-    LOOK,
-    MOVE,
-    WAIT,
     Capabilities,
     EnvMachine,
     ModelDefinitionError,
     RobotMachine,
     StateSpace,
-    lcm_phase,
     make_grid_walker,
     table_fn,
     validate_machine,
 )
+from epispace.runs import simulate
+from epispace.scheduler import TimePath
 from epispace.space import Grid
 
 FULL = Capabilities()
@@ -56,12 +55,7 @@ class TestCapabilities:
 
 
 class TestLcmPhase:
-    def test_wait_is_noop(self):
-        grid = Grid(1, 4)
-        robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP)
-        state = env.make_initial_env([2])
-        local = (0, robot.initial_epi(0), None)
-        assert lcm_phase(robot, env, WAIT, local, state) == (local, state)
+    """Each phase as applied by simulate on a hand-built one- or two-step path."""
 
     def test_compute_is_table_lookup(self):
         step = table_fn({(("e0",), ("o0",)): ("e1",)}, "step")
@@ -80,19 +74,21 @@ class TestLcmPhase:
             env_space=StateSpace(1),
             evolve=lambda s, a, adv: s,
             emit_obs=lambda s, adv: (("o0",),),
+            make_initial_env=lambda cells: "env0",
         )
-        local, env_state = lcm_phase(robot, env, COMPUTE, (0, ("e0",), ("o0",)), "env0")
-        assert local == (0, ("e1",), ("o0",))
-        assert env_state == "env0"
+        run = simulate(robot, env, TimePath(1, ({0: "L"}, {0: "C"})), [0])
+        after = run.states[2]
+        assert (after.epis, after.obss) == ((("e1",),), (("o0",),))
+        assert after.env == "env0"
 
     def test_move_walker_right(self):
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, MYOPIC0, EXPLORE_SWEEP)
-        state = env.make_initial_env([2])
         # epi that has seen cells 0..2 and sits at 2: next target is 3 -> move right
         epi = (0, 2, frozenset({0, 1, 2}), 0, frozenset())
-        local, state2 = lcm_phase(robot, env, MOVE, (0, epi, None), state)
-        assert env.positions(state2) == (3,)
+        robot = replace(robot, initial_epi=lambda rid: epi)
+        run = simulate(robot, env, TimePath(1, ({0: "M"},)), [2])
+        assert env.positions(run.states[1].env) == (3,)
 
     def test_missing_table_entry_raises(self):
         step = table_fn({}, "step")
@@ -102,9 +98,8 @@ class TestLcmPhase:
     def test_look_stores_observation(self):
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
-        state = env.make_initial_env([0, 3])
-        local, _ = lcm_phase(robot, env, LOOK, (0, robot.initial_epi(0), None), state)
-        obs = local[2]
+        run = simulate(robot, env, TimePath(2, ({0: "L"},)), [0, 3])
+        obs = run.states[1].obss[0]
         assert obs[0][0] == 0 and obs[1][0] == 3
 
 

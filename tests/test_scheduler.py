@@ -52,6 +52,12 @@ class TestGeneration:
         with pytest.raises(CapExceededError):
             gen_schedules(3, 6, SSYNC, fairness_bound=7, cap=100)
 
+    def test_async_cap_is_exact(self):
+        # this family has 583 paths: a cap of 583 admits it, one less does not
+        with pytest.raises(CapExceededError):
+            gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1, cap=582)
+        assert len(gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1, cap=583)) == 583
+
     def test_all_generated_paths_valid(self):
         for syn, kwargs in ((FSYNC, {}), (SSYNC, {}), (ASYNC_K, {"k": 2})):
             for path in gen_schedules(2, 2, syn, fairness_bound=3, **kwargs):
