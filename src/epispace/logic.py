@@ -1,10 +1,13 @@
 """Temporal-epistemic formulas over interpreted systems.
 
-The evaluator core handles six constructs: atoms, negation, conjunction,
+The semantics handles six constructs: atoms, negation, conjunction,
 individual knowledge, distributed knowledge, and "eventually". Disjunction,
 implication, "always" and mutual knowledge are expanded at construction time.
-Verdicts are three-valued: temporal operators on runs without a closed lasso
-may come back UNKNOWN rather than guessing.
+A formula is checked by labelling every point with the value of every
+subformula, bottom-up: knowledge reduces its subformula's labels over each
+indistinguishability class, and "eventually" takes a reverse OR along each run.
+Verdicts are three-valued (Kleene): temporal operators on runs without a closed
+lasso may come back UNKNOWN rather than guessing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .runs import InterpretedSystem, Point, distributed_relation, group_classes
+from .runs import InterpretedSystem, Point, distributed_relation
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -165,14 +168,6 @@ class Symbols:
 
     def all_robots(self) -> list[int]:
         return sorted(self.robots.values())
-
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<not>!)|(?P<and>&)|(?P<or>\|)"
-    r"|(?P<implies>->)|(?P<ev><>)|(?P<box>\[\])"
-    r"|(?P<katom>K\[)|(?P<datom>D\[\{)|(?P<eall>E\b)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[\]\}\(\),]))"
-)
 
 
 class _Parser:
@@ -343,135 +338,83 @@ class Verdict:
         return self.value == TRUE
 
 
-class Evaluator:
-    """Evaluation session over one interpreted system; memoizes per subformula.
+_NAMES = {True: TRUE, False: FALSE, None: UNKNOWN}
 
-    Memo keys use id() of formula nodes, so every root passed to check is kept
-    alive for the session: a freed formula's id could otherwise be reused by a
-    later one and hit its stale entries.
+
+def _label(sys: InterpretedSystem, f: Formula, memo: dict[Formula, list]) -> list[bool | None]:
+    """Kleene value of f at every point, in sys.points order (run by run, t ascending).
+
+    Subformulas are labelled bottom-up, once each: memo maps a formula, compared by
+    structure, to its labels.
     """
-
-    def __init__(self, sys: InterpretedSystem):
-        self.sys = sys
-        self.memo: dict[tuple[int, Point], bool | None] = {}
-        self.know_memo: dict[tuple[int, int, int], bool | None] = {}
-        self._roots: dict[int, Formula] = {}
-        self._groups: dict[tuple[int, ...], tuple[dict[Point, int], list[tuple[Point, ...]]]] = {}
-
-    def check(self, point: Point, f: Formula) -> bool | None:
-        run_idx, t = point
-        if not (0 <= run_idx < len(self.sys.runs) and 0 <= t <= self.sys.runs[run_idx].horizon):
-            raise ValueError(f"point {point} outside the system")
-        self._roots[id(f)] = f
-        return self._eval(f, point)
-
-    def _group(self, group: tuple[int, ...]) -> tuple[dict[Point, int], list[tuple[Point, ...]]]:
-        """The group's D-partition and its classes, computed once per session."""
-        if group not in self._groups:
-            part = distributed_relation(self.sys, group)
-            self._groups[group] = (part, group_classes(part))
-        return self._groups[group]
-
-    def _eval(self, f: Formula, point: Point) -> bool | None:
-        key = (id(f), point)
-        if key in self.memo:
-            return self.memo[key]
-        result = self._eval_raw(f, point)
-        self.memo[key] = result
-        return result
-
-    def _eval_raw(self, f: Formula, point: Point) -> bool | None:
-        if isinstance(f, Atom):
-            if f.key not in self.sys.atoms:
-                raise UnknownAtomError(f"no valuation installed for atom {f.label}")
-            return point in self.sys.atoms[f.key]
-        if isinstance(f, Not):
-            v = self._eval(f.sub, point)
-            return None if v is None else not v
-        if isinstance(f, And):
-            left = self._eval(f.left, point)
-            if left is False:
-                return False
-            right = self._eval(f.right, point)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if isinstance(f, Know):
-            cid = self.sys.class_of[f.robot][point]
-            mkey = (id(f), f.robot, cid)
-            if mkey not in self.know_memo:
-                self.know_memo[mkey] = self._quantify(f.sub, self.sys.classes[f.robot][cid])
-            return self.know_memo[mkey]
-        if isinstance(f, DKnow):
-            part, classes = self._group(f.group)
-            cid = part[point]
-            mkey = (id(f), -1, cid)
-            if mkey not in self.know_memo:
-                self.know_memo[mkey] = self._quantify(f.sub, classes[cid])
-            return self.know_memo[mkey]
-        if isinstance(f, Eventually):
-            run_idx, t = point
-            run = self.sys.runs[run_idx]
-            saw_unknown = False
-            for t2 in run.future_times(t):
-                v = self._eval(f.sub, (run_idx, t2))
-                if v is True:
-                    return True
-                if v is None:
-                    saw_unknown = True
-            if run.is_open or saw_unknown:
-                return None
-            return False
+    if f in memo:
+        return memo[f]
+    if isinstance(f, Atom):
+        if f.key not in sys.atoms:
+            raise UnknownAtomError(f"no valuation installed for atom {f.label}")
+        holds = sys.atoms[f.key]
+        out = [p in holds for p in sys.points]
+    elif isinstance(f, Not):
+        out = [None if v is None else not v for v in _label(sys, f.sub, memo)]
+    elif isinstance(f, And):
+        left, right = _label(sys, f.left, memo), _label(sys, f.right, memo)
+        # FALSE if either side is FALSE, else UNKNOWN if either is UNKNOWN
+        out = [False if a is False or b is False else b if a else None
+               for a, b in zip(left, right)]
+    elif isinstance(f, (Know, DKnow)):
+        # K[r] is D of the singleton group: reduce over each class, then broadcast
+        sub = _label(sys, f.sub, memo)
+        part = distributed_relation(sys, (f.robot,) if isinstance(f, Know) else f.group)
+        cids = [part[p] for p in sys.points]
+        per_class: list[bool | None] = [True] * (max(cids) + 1)
+        for cid, v in zip(cids, sub):
+            if v is False or (v is None and per_class[cid]):
+                per_class[cid] = v
+        out = [per_class[cid] for cid in cids]
+    elif isinstance(f, Eventually):
+        # per run, a reverse Kleene OR over its points; an open run may still reach f later
+        sub = _label(sys, f.sub, memo)
+        out = []
+        for run in sys.runs:
+            base = len(out)
+            suffix: list[bool | None] = [None] * (run.horizon + 1)
+            acc = None if run.is_open else False
+            for t in range(run.horizon, -1, -1):
+                v = sub[base + t]
+                if v or (v is None and acc is False):
+                    acc = v
+                suffix[t] = acc
+            out.extend(suffix[run.future_times(t).start] for t in range(run.horizon + 1))
+    else:
         raise TypeError(f"not a formula: {f!r}")
-
-    def _quantify(self, sub: Formula, members) -> bool | None:
-        saw_unknown = False
-        for p in members:
-            v = self._eval(sub, p)
-            if v is False:
-                return False
-            if v is None:
-                saw_unknown = True
-        return None if saw_unknown else True
-
-
-def _verdict(value: bool | None, witnesses=()) -> Verdict:
-    if value is True:
-        return Verdict(TRUE, tuple(witnesses))
-    if value is False:
-        return Verdict(FALSE, tuple(witnesses))
-    return Verdict(UNKNOWN, tuple(witnesses))
+    memo[f] = out
+    return out
 
 
 def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
-    """Evaluate one formula at one point."""
-    ev_session = Evaluator(sys)
-    value = ev_session.check(point, f)
-    witnesses = []
+    """Evaluate one formula at one point; a TRUE <> names the first time it is met."""
+    try:
+        i = sys.points.index(point)
+    except ValueError:
+        raise ValueError(f"point {point} outside the system") from None
+    memo: dict[Formula, list] = {}
+    value = _label(sys, f, memo)[i]
     if value is True and isinstance(f, Eventually):
         run_idx, t = point
-        for t2 in sys.runs[run_idx].future_times(t):
-            if ev_session.check((run_idx, t2), f.sub) is True:
-                witnesses.append((run_idx, t2))
-                break
-    return _verdict(value, witnesses)
+        sub = memo[f.sub]
+        first = next(t2 for t2 in sys.runs[run_idx].future_times(t) if sub[i - t + t2])
+        return Verdict(TRUE, ((run_idx, first),))
+    return Verdict(_NAMES[value])
 
 
 def valid(sys: InterpretedSystem, f: Formula, *, max_witnesses: int = 20) -> Verdict:
-    """Validity: the formula holds at every point; counterexamples are witnesses."""
-    session = Evaluator(sys)
-    false_points = []
-    unknown_points = []
-    for p in sys.points:
-        v = session.check(p, f)
-        if v is False and len(false_points) < max_witnesses:
-            false_points.append(p)
-        elif v is None and len(unknown_points) < max_witnesses:
-            unknown_points.append(p)
-    if false_points:
-        return Verdict(FALSE, tuple(false_points))
-    if unknown_points:
-        return Verdict(UNKNOWN, tuple(unknown_points))
+    """Validity: the formula holds at every point; counterexamples are witnesses.
+
+    Witnesses are the first FALSE points in sys.points order, else the first UNKNOWN ones.
+    """
+    labels = _label(sys, f, {})
+    for value in (False, None):
+        points = [p for p, v in zip(sys.points, labels) if v is value]
+        if points:
+            return Verdict(_NAMES[value], tuple(points[:max_witnesses]))
     return Verdict(TRUE)

@@ -249,13 +249,6 @@ def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> dict[P
     return out
 
 
-def group_classes(partition: dict[Point, int]) -> list[tuple[Point, ...]]:
-    members: dict[int, list[Point]] = {}
-    for p, cid in partition.items():
-        members.setdefault(cid, []).append(p)
-    return [tuple(members[cid]) for cid in sorted(members)]
-
-
 def canon(value) -> str:
     """Deterministic text form for trace output (sorts set-like values)."""
     if isinstance(value, frozenset):

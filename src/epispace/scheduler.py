@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 PHASES = ("M", "L", "C")
 
@@ -170,7 +170,7 @@ def gen_schedules(
         for choice in itertools.product(subsets, repeat=horizon):
             if _window_fair(choice, n_robots, fairness_bound):
                 family.append(_rounds_to_path(n_robots, choice))
-        return _dedup(family)
+        return family
     if synchrony == ASYNC_K:
         return _gen_async(n_robots, horizon, fairness_bound, k, cap)
     raise ValueError(f"unknown synchrony class {synchrony!r}")
@@ -200,7 +200,7 @@ def _gen_async(n_robots: int, horizon: int, fairness_bound: int, k: int, cap: in
             if all(c // len(PHASES) >= min_cycles for c in counts):
                 if len(family) == cap:
                     raise CapExceededError(f"k-ASYNC family exceeds cap {cap}")
-                family.append(_steps_to_path(n_robots, steps, counts))
+                family.append(_steps_to_path(n_robots, steps))
             return
         for subset in nonempty:
             new_counts = list(counts)
@@ -219,7 +219,7 @@ def _gen_async(n_robots: int, horizon: int, fairness_bound: int, k: int, cap: in
             steps.pop()
 
     recurse([], [0] * n_robots)
-    return _dedup(family)
+    return family
 
 
 def _fair_prefix(steps: Sequence[frozenset[int]], n_robots: int, window: int) -> bool:
@@ -232,7 +232,7 @@ def _fair_prefix(steps: Sequence[frozenset[int]], n_robots: int, window: int) ->
     return len(seen) == n_robots
 
 
-def _steps_to_path(n_robots: int, subsets: Sequence[frozenset[int]], _counts) -> TimePath:
+def _steps_to_path(n_robots: int, subsets: Sequence[frozenset[int]]) -> TimePath:
     counts = [0] * n_robots
     acts = []
     for s in subsets:
@@ -242,14 +242,3 @@ def _steps_to_path(n_robots: int, subsets: Sequence[frozenset[int]], _counts) ->
             counts[r] += 1
         acts.append(step)
     return TimePath(n_robots, tuple(acts))
-
-
-def _dedup(paths: Iterable[TimePath]) -> list[TimePath]:
-    seen = set()
-    out = []
-    for p in paths:
-        key = p._key()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out

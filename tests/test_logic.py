@@ -10,13 +10,14 @@ from epispace.logic import (
     UNKNOWN,
     And,
     Atom,
-    Evaluator,
+    DKnow,
     Eventually,
     FormulaError,
     Know,
     Not,
     Symbols,
     UnknownAtomError,
+    Verdict,
     box,
     conj,
     dknow,
@@ -27,12 +28,19 @@ from epispace.logic import (
     know,
     lor,
     parse,
+    pos_atom,
     sp_atom,
     valid,
 )
-from epispace.machine import EXPLORE_SWEEP, FLOOD_EXPLORE, Capabilities, make_grid_walker
+from epispace.machine import (
+    EXPLORE_SWEEP,
+    FLOOD_EXPLORE,
+    GATHER_OSCILLATE,
+    Capabilities,
+    make_grid_walker,
+)
 from epispace.runs import build_interpreted_system, enumerate_runs
-from epispace.scheduler import FSYNC, SSYNC, gen_schedules
+from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
 from epispace.space import Grid, all_regions
 
 MYOPIC = Capabilities(visibility="myopic", view_radius=0.01)
@@ -187,15 +195,23 @@ class TestEval:
         with pytest.raises(UnknownAtomError):
             eval_at(sys, (0, 0), Atom(("nonsense",), "nonsense"))
 
-    def test_reused_evaluator_with_temporary_formulas(self):
+    def test_temporary_formulas_do_not_collide(self):
         _, sys = sweep_system()
         a = sp_atom(frozenset(range(4)))
-        session = Evaluator(sys)
-        # a freed temporary's id can be handed to the next formula; its memo
-        # entries must not leak into that formula's answer
+        # temporaries are freed and rebuilt in turn; one formula's labels must
+        # never answer for another
         for _ in range(200):
-            assert session.check((0, 0), Not(a)) is True
-            assert session.check((0, 0), And(a, a)) is False
+            assert eval_at(sys, (0, 0), Not(a)).value == TRUE
+            assert eval_at(sys, (0, 0), And(a, a)).value == FALSE
+
+    def test_unvalued_atom_raises_under_false_conjunct(self):
+        # the left conjunct is FALSE everywhere, yet the right one has no valuation
+        _, sys = sweep_system(regions=[frozenset()])
+        f = And(Not(sp_atom(frozenset())), pos_atom(0, 1))
+        with pytest.raises(UnknownAtomError):
+            valid(sys, f)
+        with pytest.raises(UnknownAtomError):
+            eval_at(sys, (0, 0), f)
 
 
 class TestValid:
@@ -221,9 +237,10 @@ class TestValid:
 
 
 class TestS5:
-    def random_formulas(self, sys, grid, count=50, depth=4, seed=7):
+    def random_formulas(self, sys, grid, count=50, depth=4, seed=7, extra_atoms=()):
         rng = random.Random(seed)
         atoms = [sp_atom(frozenset(c)) for c in [(0,), (0, 1), tuple(range(grid.n_cells)), ()]]
+        atoms += extra_atoms
         robots = list(range(sys.n_robots))
 
         def gen(d):
@@ -330,3 +347,124 @@ class TestThreeValued:
         # UNKNOWN & FALSE is FALSE; UNKNOWN & TRUE is UNKNOWN
         assert eval_at(sys, (0, 0), And(ev(full), sp_atom(frozenset(range(4))))).value == FALSE
         assert eval_at(sys, (0, 3), And(ev(full), seen0)).value == UNKNOWN
+
+
+class PointwiseOracle:
+    """Truth at one point straight from the definitions, memoized on (formula, point).
+
+    K and D scan every point for those whose class ids match for each robot of
+    the group; <> scans the run's future times. Nothing goes through
+    distributed_relation or the labelling in logic.
+    """
+
+    def __init__(self, sys):
+        self.sys = sys
+        self.memo = {}  # formula -> point -> value; hashing a formula walks all of it
+
+    def values(self, f, points):
+        table = self.memo.setdefault(f, {})
+        for p in points:
+            if p not in table:
+                table[p] = self._value(f, p)
+        return [table[p] for p in points]
+
+    def _value(self, f, p):
+        sys = self.sys
+        if isinstance(f, Atom):
+            return p in sys.atoms[f.key]
+        if isinstance(f, Not):
+            [v] = self.values(f.sub, [p])
+            return None if v is None else not v
+        if isinstance(f, And):
+            vs = set(self.values(f.left, [p]) + self.values(f.right, [p]))
+            return False if False in vs else None if None in vs else True
+        if isinstance(f, (Know, DKnow)):
+            group = (f.robot,) if isinstance(f, Know) else f.group
+            same = [q for q in sys.points
+                    if all(sys.class_of[r][q] == sys.class_of[r][p] for r in group)]
+            vs = set(self.values(f.sub, same))
+            v = False if False in vs else None if None in vs else True
+            # every member of the class scans the same points
+            self.memo[f].update(dict.fromkeys(same, v))
+            return v
+        if isinstance(f, Eventually):
+            run_idx, t = p
+            run = sys.runs[run_idx]
+            vs = set(self.values(f.sub, [(run_idx, t2) for t2 in run.future_times(t)]))
+            return True if True in vs else None if None in vs or run.is_open else False
+        raise TypeError(f)
+
+    def valid(self, f):
+        values = self.values(f, self.sys.points)
+        for name, value in ((FALSE, False), (UNKNOWN, None)):
+            hits = tuple(p for p, v in zip(self.sys.points, values) if v is value)
+            if hits:
+                return Verdict(name, hits[:20])
+        return Verdict(TRUE)
+
+    def eval_at(self, p, f):
+        [v] = self.values(f, [p])
+        if v is True and isinstance(f, Eventually):
+            run_idx, t = p
+            times = list(self.sys.runs[run_idx].future_times(t))
+            subs = self.values(f.sub, [(run_idx, t2) for t2 in times])
+            return Verdict(TRUE, ((run_idx, times[subs.index(True)]),))
+        return Verdict({True: TRUE, False: FALSE, None: UNKNOWN}[v])
+
+
+def pos_valuation(sys, grid):
+    """Hand-rolled valuation: pos[r](c) holds where robot r stands on cell c."""
+    where = {p: sys.env_machine.positions(sys.runs[p[0]].states[p[1]].env) for p in sys.points}
+    return {("pos", r, c): frozenset(p for p in sys.points if where[p][r] == c)
+            for r in range(sys.n_robots) for c in grid.all_cells()}
+
+
+def two_robot_system(grid, caps, protocol, schedules, init, **walker_kw):
+    robot, env = make_grid_walker(grid, caps, protocol, n_robots=2, **walker_kw)
+    runs = enumerate_runs(robot, env, [init], schedules)
+    return grid, build_interpreted_system(runs, env, robot)
+
+
+FLOOD_STRIPS = [(0, 1), (2, 3)]
+
+# name -> (system builder, formula count, eval_at points sampled per formula,
+# atoms beyond the sp ones). Only oscillate-lasso has a closed run whose loop
+# changes an atom, so only it tells <> on the lasso unrolling from <> on the prefix.
+DIFFERENTIAL = {
+    "sweep-open": (lambda: sweep_system(cycles=2), 50, 4, ()),
+    "sweep-closed": (sweep_system, 50, 4, ()),
+    "ssync-flood": (lambda: two_robot_system(
+        Grid(1, 4), FULL, FLOOD_EXPLORE, gen_schedules(2, 3, SSYNC, fairness_bound=4),
+        [0, 2], strips=FLOOD_STRIPS), 50, 2, ()),
+    "kasync-flood": (lambda: two_robot_system(
+        Grid(1, 4), FULL, FLOOD_EXPLORE, gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1),
+        [0, 2], strips=FLOOD_STRIPS), 6, 1, ()),
+    "nonrigid-gather": (lambda: two_robot_system(
+        Grid(2, 2), Capabilities(movement="non-rigid", min_distance=0.5), GATHER_OSCILLATE,
+        gen_schedules(2, 1, SSYNC, fairness_bound=2), [1, 2], rendezvous=[(0,), (3,)]), 50, 2, ()),
+    "oscillate-lasso": (lambda: two_robot_system(
+        Grid(1, 4), FULL, GATHER_OSCILLATE, gen_schedules(2, 5, FSYNC, fairness_bound=1),
+        [0, 3], rendezvous=[(1,), (2,)]), 50, 4, [pos_atom(r, c) for r in (0, 1) for c in (1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_labelling_matches_pointwise_oracle(name):
+    builder, count, samples, extra_atoms = DIFFERENTIAL[name]
+    grid, sys = TestS5().install_all_sp(builder())
+    sys = sys.with_atoms({**sys.atoms, **pos_valuation(sys, grid)})
+    oracle = PointwiseOracle(sys)
+    rng = random.Random(name)
+    seen = set()
+    for f in TestS5().random_formulas(sys, grid, count=count, extra_atoms=extra_atoms):
+        assert logic._label(sys, f, {}) == oracle.values(f, sys.points), f
+        verdict = valid(sys, f)
+        assert verdict == oracle.valid(f), f
+        seen.add(verdict.value)
+        for p in [(0, 0)] + rng.sample(sys.points, samples):
+            for g in (f, Eventually(f)):
+                assert eval_at(sys, p, g) == oracle.eval_at(p, g), (g, p)
+    if name == "sweep-open":
+        assert seen == {TRUE, FALSE, UNKNOWN}
+    if name == "oscillate-lasso":
+        assert not sys.runs[0].is_open

@@ -42,13 +42,17 @@ def test_package_data_globs_match_files():
             assert any(base.glob(pattern)), f"package-data {package}: {pattern!r} matches no file"
 
 
-def test_source_imports_are_stdlib_or_declared():
-    declared = {
+def declared_dependencies():
+    return {
         normalise(re.match(r"[A-Za-z0-9_.-]+", req).group())
         for req in project_config()["project"].get("dependencies", [])
     }
+
+
+def third_party_imports():
+    """(file, top-level module, distributions providing it) for each import under src/
+    that is neither stdlib nor epispace."""
     dists = packages_distributions()
-    undeclared = set()
     for path in SRC.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -59,8 +63,21 @@ def test_source_imports_are_stdlib_or_declared():
                 continue
             for name in names:
                 top = name.split(".")[0]
-                if top in sys.stdlib_module_names or top == "epispace":
-                    continue
-                if not {normalise(d) for d in dists.get(top, [top])} & declared:
-                    undeclared.add(f"{path.relative_to(ROOT)}: {top}")
+                if top not in sys.stdlib_module_names and top != "epispace":
+                    yield path, top, {normalise(d) for d in dists.get(top, [top])}
+
+
+def test_source_imports_are_stdlib_or_declared():
+    declared = declared_dependencies()
+    undeclared = {
+        f"{path.relative_to(ROOT)}: {top}"
+        for path, top, provided_by in third_party_imports()
+        if not provided_by & declared
+    }
     assert not undeclared, sorted(undeclared)
+
+
+def test_declared_dependencies_are_imported():
+    imported = set().union(*(provided_by for _, _, provided_by in third_party_imports()))
+    unused = declared_dependencies() - imported
+    assert not unused, sorted(unused)

@@ -16,7 +16,6 @@ from epispace.runs import (
     distributed_relation,
     enumerate_runs,
     export_traces,
-    group_classes,
     simulate,
 )
 from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
@@ -178,8 +177,7 @@ class TestDistributed:
     def test_singleton_group_equals_individual(self):
         _, robot, env, runs = sweep_runs()
         sys = build_interpreted_system(runs, env, robot)
-        part = distributed_relation(sys, [0])
-        assert group_classes(part) == sys.classes[0]
+        assert distributed_relation(sys, [0]) == sys.class_of[0]
 
     def test_group_refines_members(self):
         grid = Grid(1, 4)

@@ -64,10 +64,12 @@ class TestGeneration:
                 assert validate_path(path) == []
 
     def test_families_deduplicated_and_deterministic(self):
-        fam1 = gen_schedules(2, 2, SSYNC, fairness_bound=3)
-        fam2 = gen_schedules(2, 2, SSYNC, fairness_bound=3)
-        assert fam1 == fam2
-        assert len(set(fam1)) == len(fam1)
+        for syn, kwargs in ((SSYNC, {"fairness_bound": 3}),
+                            (ASYNC_K, {"fairness_bound": 2, "k": 1})):
+            fam1 = gen_schedules(2, 2, syn, **kwargs)
+            fam2 = gen_schedules(2, 2, syn, **kwargs)
+            assert fam1 == fam2
+            assert len(set(fam1)) == len(fam1)
 
 
 class TestInclusion:
