@@ -364,8 +364,7 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[Formula, list]) -> lis
     elif isinstance(f, (Know, DKnow)):
         # K[r] is D of the singleton group: reduce over each class, then broadcast
         sub = _label(sys, f.sub, memo)
-        part = distributed_relation(sys, (f.robot,) if isinstance(f, Know) else f.group)
-        cids = [part[p] for p in sys.points]
+        cids = distributed_relation(sys, (f.robot,) if isinstance(f, Know) else f.group)
         per_class: list[bool | None] = [True] * (max(cids) + 1)
         for cid, v in zip(cids, sub):
             if v is False or (v is None and per_class[cid]):

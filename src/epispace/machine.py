@@ -14,8 +14,6 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 from .space import DIST_TOL, Grid
 
-ENV_STATE_BOUND = 10 ** 6
-
 EXPLORE_SWEEP = "EXPLORE_SWEEP"
 FLOOD_EXPLORE = "FLOOD_EXPLORE"
 GATHER_MIN_REGION = "GATHER_MIN_REGION"
@@ -25,7 +23,7 @@ PROTOCOLS = (EXPLORE_SWEEP, FLOOD_EXPLORE, GATHER_MIN_REGION, GATHER_OSCILLATE)
 
 
 class ModelDefinitionError(ValueError):
-    """A machine table is not total or a machine bound is violated."""
+    """A machine table is not total."""
 
 
 @dataclass(frozen=True)
@@ -122,13 +120,6 @@ def _visible(grid: Grid, caps: Capabilities, here: int, there: int) -> bool:
 
 
 def _make_env(grid: Grid, caps: Capabilities, n_robots: int, light_count: int) -> EnvMachine:
-    n_cells = grid.n_cells
-    declared = (n_cells * max(light_count, 1)) ** n_robots
-    if declared > ENV_STATE_BOUND:
-        raise ModelDefinitionError(
-            f"declared environment state count {declared} exceeds bound {ENV_STATE_BOUND}"
-        )
-
     def evolve(env, actions, adv):
         slots = list(env)
         for rid, action in enumerate(actions):
@@ -165,7 +156,7 @@ def _make_env(grid: Grid, caps: Capabilities, n_robots: int, light_count: int) -
 
     return EnvMachine(
         n_robots=n_robots,
-        env_space=StateSpace(declared),
+        env_space=StateSpace((grid.n_cells * max(light_count, 1)) ** n_robots),
         evolve=evolve,
         emit_obs=emit_obs,
         adversary_choices=adversary,
@@ -413,8 +404,6 @@ def validate_machine(robot: RobotMachine, env: EnvMachine, *, bound: int = 50_00
                         ("action", robot.action_space), ("env", env.env_space)):
         if space.size < 1:
             report.append(f"{name} state set is empty")
-    if env.env_space.size > ENV_STATE_BOUND:
-        report.append(f"env state count {env.env_space.size} exceeds bound {ENV_STATE_BOUND}")
 
     if robot.epi_space.enumerable():
         epis = list(robot.epi_space.members())

@@ -9,11 +9,11 @@ epistemic state across (run, step) points, regardless of run or step.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable, Iterable, Sequence
 
 from .machine import EnvMachine, RobotMachine
-from .scheduler import PHASES, CapExceededError, TimePath
+from .scheduler import PHASES, CapExceededError, TimePath, validate_path
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,9 @@ def simulate(
     n = env.n_robots
     if path.n_robots != n:
         raise ValueError("path and environment disagree on the robot count")
+    report = validate_path(path)
+    if report:
+        raise ValueError("invalid time path: " + "; ".join(report))
     steps = path.horizon_steps
     if adv_seq is None:
         adv_seq = (None,) * steps
@@ -172,19 +175,36 @@ Point = tuple[int, int]  # (run index, step)
 
 @dataclass
 class InterpretedSystem:
-    """Runs, per-robot indistinguishability partitions, and the atom valuation."""
+    """Runs, per-robot indistinguishability partitions, and the atom valuation.
+
+    Points are numbered by their position in `points`: run by run, t ascending.
+    A partition is a list of class ids aligned with `points`; `class_of[r][i]` is
+    robot r's class at `points[i]`. Ids count from 0 in order of first occurrence,
+    so the class of `points[0]` is 0 and a new id is always one more than the
+    largest before it.
+    """
 
     runs: list[SystemRun]
     env_machine: EnvMachine
     robot_machine: RobotMachine
     points: list[Point]
-    class_of: list[dict[Point, int]]         # per robot: point -> class id
-    classes: list[list[tuple[Point, ...]]]   # per robot: class id -> members
+    class_of: list[list[int]]                # per robot: class id per position in points
     atoms: dict[Hashable, frozenset[Point]] = field(default_factory=dict)
 
     @property
     def n_robots(self) -> int:
         return self.env_machine.n_robots
+
+    @property
+    def classes(self) -> list[list[tuple[Point, ...]]]:
+        """Per robot: class id -> member points, in points order."""
+        out = []
+        for ids in self.class_of:
+            members: list[list[Point]] = [[] for _ in range(max(ids) + 1)]
+            for p, cid in zip(self.points, ids):
+                members[cid].append(p)
+            out.append([tuple(m) for m in members])
+        return out
 
     def epi_at(self, point: Point, robot: int):
         run_idx, t = point
@@ -196,10 +216,13 @@ class InterpretedSystem:
 
     def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
         """Same frame, different valuation (shares runs and partitions)."""
-        return InterpretedSystem(
-            self.runs, self.env_machine, self.robot_machine,
-            self.points, self.class_of, self.classes, atoms,
-        )
+        return replace(self, atoms=atoms)
+
+
+def _number(keys: Iterable[Hashable]) -> list[int]:
+    """Class ids for a sequence of keys: equal keys share an id, numbered by first occurrence."""
+    ids: dict[Hashable, int] = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
 
 
 def build_interpreted_system(
@@ -211,42 +234,22 @@ def build_interpreted_system(
     """Group points into ~_r classes by hashing epistemic states."""
     if not runs:
         raise ValueError("cannot build an interpreted system from zero runs")
-    n = env_machine.n_robots
     points = [(i, t) for i, run in enumerate(runs) for t in range(run.horizon + 1)]
-    class_of: list[dict[Point, int]] = []
-    classes: list[list[tuple[Point, ...]]] = []
-    for r in range(n):
-        buckets: dict[Hashable, list[Point]] = {}
-        for p in points:
-            run_idx, t = p
-            buckets.setdefault(runs[run_idx].states[t].epis[r], []).append(p)
-        ids: dict[Point, int] = {}
-        members: list[tuple[Point, ...]] = []
-        for key in sorted(buckets, key=lambda k: buckets[k][0]):
-            cid = len(members)
-            members.append(tuple(buckets[key]))
-            for p in buckets[key]:
-                ids[p] = cid
-        class_of.append(ids)
-        classes.append(members)
-    return InterpretedSystem(list(runs), env_machine, robot_machine, points, class_of, classes,
+    states = [state for run in runs for state in run.states]
+    class_of = [_number(state.epis[r] for state in states) for r in range(env_machine.n_robots)]
+    return InterpretedSystem(list(runs), env_machine, robot_machine, points, class_of,
                              dict(atoms or {}))
 
 
-def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> dict[Point, int]:
-    """Intersection of the group's indistinguishability relations, as a partition."""
+def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
+    """Intersection of the group's indistinguishability relations, as class ids per point."""
     group = sorted(set(group))
     if not group:
         raise ValueError("distributed knowledge needs a nonempty group")
     for r in group:
         if not 0 <= r < sys.n_robots:
             raise ValueError(f"robot {r} outside the system")
-    keys: dict[tuple, int] = {}
-    out: dict[Point, int] = {}
-    for p in sys.points:
-        key = tuple(sys.class_of[r][p] for r in group)
-        out[p] = keys.setdefault(key, len(keys))
-    return out
+    return _number(zip(*(sys.class_of[r] for r in group)))
 
 
 def canon(value) -> str:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 PHASES = ("M", "L", "C")
 
@@ -27,18 +28,20 @@ class CapExceededError(RuntimeError):
 class TimePath:
     """One discrete activation schedule.
 
-    activations[t] maps robot index -> the single phase it fires at step t.
+    activations[t] maps robot index -> the single phase it fires at step t; the
+    maps are read-only, since a path hashes by them.
     local_clocks, when given, must match the activation-derived phase counts;
     they exist as explicit data so that invalid paths can be constructed and
     rejected by validate_path.
     """
 
     n_robots: int
-    activations: tuple[dict[int, str], ...] = field(hash=False)
+    activations: tuple[Mapping[int, str], ...] = field(hash=False)
     local_clocks: tuple[tuple[int, ...], ...] | None = field(default=None, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "activations", tuple(dict(a) for a in self.activations))
+        object.__setattr__(self, "activations",
+                           tuple(MappingProxyType(dict(a)) for a in self.activations))
 
     @property
     def horizon_steps(self) -> int:
@@ -83,12 +86,14 @@ def validate_path(p: TimePath) -> list[str]:
     """Check the time-path invariants; an empty report means valid."""
     report: list[str] = []
     counts = [0] * p.n_robots
+    robots_known = True
     for t, step in enumerate(p.activations):
         if not step:
             report.append(f"step {t}: empty participating set")
         for r, phase in step.items():
             if not 0 <= r < p.n_robots:
                 report.append(f"step {t}: unknown robot {r}")
+                robots_known = False
                 continue
             expected = PHASES[counts[r] % len(PHASES)]
             if phase != expected:
@@ -96,8 +101,9 @@ def validate_path(p: TimePath) -> list[str]:
                     f"step {t}: robot {r} fires {phase} but its cycle position expects {expected}"
                 )
             counts[r] += 1
-    derived = p.derived_clocks()
-    if p.local_clocks is not None:
+    # the clocks an unknown robot would drive cannot be derived
+    if p.local_clocks is not None and robots_known:
+        derived = p.derived_clocks()
         clocks = p.local_clocks
         if len(clocks) != len(derived):
             report.append(

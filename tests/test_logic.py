@@ -352,9 +352,9 @@ class TestThreeValued:
 class PointwiseOracle:
     """Truth at one point straight from the definitions, memoized on (formula, point).
 
-    K and D scan every point for those whose class ids match for each robot of
-    the group; <> scans the run's future times. Nothing goes through
-    distributed_relation or the labelling in logic.
+    K and D scan every point for those where each robot of the group has the
+    same epistemic state; <> scans the run's future times. Nothing goes through
+    the partitions of the frame, distributed_relation or the labelling in logic.
     """
 
     def __init__(self, sys):
@@ -381,7 +381,7 @@ class PointwiseOracle:
         if isinstance(f, (Know, DKnow)):
             group = (f.robot,) if isinstance(f, Know) else f.group
             same = [q for q in sys.points
-                    if all(sys.class_of[r][q] == sys.class_of[r][p] for r in group)]
+                    if all(sys.epi_at(q, r) == sys.epi_at(p, r) for r in group)]
             vs = set(self.values(f.sub, same))
             v = False if False in vs else None if None in vs else True
             # every member of the class scans the same points

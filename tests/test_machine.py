@@ -15,8 +15,8 @@ from epispace.machine import (
     table_fn,
     validate_machine,
 )
-from epispace.runs import simulate
-from epispace.scheduler import TimePath
+from epispace.runs import enumerate_runs, simulate
+from epispace.scheduler import SSYNC, TimePath, gen_schedules
 from epispace.space import Grid
 
 FULL = Capabilities()
@@ -55,7 +55,7 @@ class TestCapabilities:
 
 
 class TestLcmPhase:
-    """Each phase as applied by simulate on a hand-built one- or two-step path."""
+    """Each phase as applied by simulate on a hand-built path of up to one cycle."""
 
     def test_compute_is_table_lookup(self):
         step = table_fn({(("e0",), ("o0",)): ("e1",)}, "step")
@@ -76,8 +76,8 @@ class TestLcmPhase:
             emit_obs=lambda s, adv: (("o0",),),
             make_initial_env=lambda cells: "env0",
         )
-        run = simulate(robot, env, TimePath(1, ({0: "L"}, {0: "C"})), [0])
-        after = run.states[2]
+        run = simulate(robot, env, TimePath(1, ({0: "M"}, {0: "L"}, {0: "C"})), [0])
+        after = run.states[3]
         assert (after.epis, after.obss) == ((("e1",),), (("o0",),))
         assert after.env == "env0"
 
@@ -98,8 +98,9 @@ class TestLcmPhase:
     def test_look_stores_observation(self):
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
-        run = simulate(robot, env, TimePath(2, ({0: "L"},)), [0, 3])
-        obs = run.states[1].obss[0]
+        # the initial epi knows no target, so robot 0's MOVE keeps it on cell 0
+        run = simulate(robot, env, TimePath(2, ({0: "M"}, {0: "L"})), [0, 3])
+        obs = run.states[2].obss[0]
         assert obs[0][0] == 0 and obs[1][0] == 3
 
 
@@ -132,6 +133,17 @@ class TestSweepWalker:
 
 
 class TestFloodExplore:
+    def test_3x3_flood_builds_despite_declared_env_product(self):
+        # declares (9 * 2**9)**2 = 21,233,664 env states; runs reach only a few
+        robot, env = make_grid_walker(Grid(2, 3), FULL, FLOOD_EXPLORE, n_robots=2)
+        assert env.env_space.size == 21_233_664
+        assert validate_machine(robot, env) == []
+        runs = enumerate_runs(robot, env, [[0, 8]], gen_schedules(2, 5, SSYNC, fairness_bound=6))
+        states = [state for run in runs for state in run.states]
+        assert len(runs) == 243
+        assert len({state.env for state in states}) == 78
+        assert len({state.key() for state in states}) == 605
+
     def test_lights_carry_joined_region(self):
         grid = Grid(1, 4)
         robot, env = make_grid_walker(
@@ -231,8 +243,3 @@ class TestObliviousProperty:
         e2 = (0, 1, frozenset({0, 1}), 0, frozenset())
         r1, r2 = robot.step(e1, obs), robot.step(e2, obs)
         assert r1 == r2  # same fresh observation wipes distinct histories
-
-    def test_env_state_bound_enforced(self):
-        grid = Grid(2, 8)  # 64 cells: flooding lights blow the declared bound
-        with pytest.raises(ModelDefinitionError, match="exceeds bound"):
-            make_grid_walker(grid, FULL, FLOOD_EXPLORE, n_robots=2)

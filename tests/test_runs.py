@@ -18,7 +18,7 @@ from epispace.runs import (
     export_traces,
     simulate,
 )
-from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
+from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, TimePath, gen_schedules
 from epispace.space import Grid
 
 MYOPIC = Capabilities(visibility="myopic", view_radius=0.01)
@@ -54,6 +54,19 @@ def brute_partition(sys, robot):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("path", [
+        TimePath(2, ({0: "X"},)),
+        TimePath(2, ({0: "L"}, {0: "L"})),
+        TimePath(2, ({},)),
+        TimePath(2, ({5: "M"},)),
+        TimePath(2, ({5: "M"},), local_clocks=((0, 0), (0, 0))),
+    ], ids=["unknown-phase", "out-of-cycle-order", "empty-step", "unknown-robot",
+            "unknown-robot-with-clocks"])
+    def test_invalid_path_rejected(self, path):
+        robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
+        with pytest.raises(ValueError, match="invalid time path"):
+            simulate(robot, env, path, [0, 3])
+
     def test_deterministic_walker_single_run(self):
         _, _, _, runs = sweep_runs()
         assert len(runs) == 1
@@ -97,8 +110,6 @@ class TestSimulate:
         assert runs[0].is_open
 
     def test_pre_move_look_changes_observation(self):
-        from epispace.scheduler import TimePath
-
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
         # at the final step robot 0 moves while robot 1 looks
@@ -168,9 +179,26 @@ class TestFrame:
         sys = build_interpreted_system(runs, env, robot)
         # robot 0 idles in schedules that only activate robot 1: those points
         # collapse into robot 0's initial class together across runs
-        init_class = sys.class_of[0][(0, 0)]
-        sharing = {p for p in sys.points if sys.class_of[0][p] == init_class}
+        init_class = sys.class_of[0][sys.points.index((0, 0))]
+        sharing = {p for p, cid in zip(sys.points, sys.class_of[0]) if cid == init_class}
         assert len({run_idx for run_idx, _ in sharing}) > 1
+
+    def test_class_ids_aligned_with_points_by_first_occurrence(self):
+        grid = Grid(1, 4)
+        robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP, n_robots=2,
+                                      strips=[(0, 1), (2, 3)])
+        runs = enumerate_runs(robot, env, [[0, 2]], gen_schedules(2, 2, SSYNC, fairness_bound=3))
+        sys = build_interpreted_system(runs, env, robot)
+        for r in range(2):
+            ids = sys.class_of[r]
+            assert isinstance(ids, list) and len(ids) == len(sys.points)
+            first = {}
+            for p, cid in zip(sys.points, ids):
+                first.setdefault(sys.epi_at(p, r), len(first))
+                assert cid == first[sys.epi_at(p, r)]
+            assert distributed_relation(sys, [r]) == ids
+            assert [list(c) for c in sys.classes[r]] == [
+                [p for p, cid in zip(sys.points, ids) if cid == k] for k in range(len(first))]
 
 
 class TestDistributed:
@@ -187,11 +215,12 @@ class TestDistributed:
         runs = enumerate_runs(robot, env, [[0, 2]], schedules)
         sys = build_interpreted_system(runs, env, robot)
         both = distributed_relation(sys, [0, 1])
+        n = len(sys.points)
         for r in range(2):
-            for p in sys.points:
-                for q in sys.points:
-                    if both[p] == both[q]:
-                        assert sys.class_of[r][p] == sys.class_of[r][q]
+            for i in range(n):
+                for j in range(n):
+                    if both[i] == both[j]:
+                        assert sys.class_of[r][i] == sys.class_of[r][j]
 
     def test_distributed_equals_intersection(self):
         grid = Grid(1, 4)
@@ -201,10 +230,11 @@ class TestDistributed:
         runs = enumerate_runs(robot, env, [[0, 2]], schedules)
         sys = build_interpreted_system(runs, env, robot)
         both = distributed_relation(sys, [0, 1])
-        for p in sys.points:
-            for q in sys.points:
-                same = all(sys.class_of[r][p] == sys.class_of[r][q] for r in range(2))
-                assert (both[p] == both[q]) == same
+        n = len(sys.points)
+        for i in range(n):
+            for j in range(n):
+                same = all(sys.class_of[r][i] == sys.class_of[r][j] for r in range(2))
+                assert (both[i] == both[j]) == same
 
     def test_empty_group_rejected(self):
         _, robot, env, runs = sweep_runs()

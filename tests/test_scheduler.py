@@ -92,6 +92,15 @@ class TestInclusion:
         assert set(fs) <= set(ss) <= set(ka)
 
 
+class TestTimePath:
+    def test_activations_are_read_only(self):
+        path = gen_schedules(2, 1, FSYNC, fairness_bound=1)[0]
+        before = hash(path)
+        with pytest.raises(TypeError):
+            path.activations[0][0] = "L"
+        assert path.activations[0][0] == "M" and hash(path) == before
+
+
 class TestInvariants:
     def test_rectification_exact(self):
         for path in gen_schedules(2, 2, SSYNC, fairness_bound=3):
