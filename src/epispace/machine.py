@@ -61,6 +61,14 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class RobotMachine:
+    """One robot's LCM program, shared by every robot of a homogeneous fleet.
+
+    Every callable must be deterministic and free of side effects: runs are
+    built from one table per `enumerate_runs` call, which computes each
+    distinct transition once, and configurations are compared by equality,
+    as the indistinguishability frame already does.
+    """
+
     epi_space: StateSpace
     obs_space: StateSpace
     action_space: StateSpace
@@ -77,6 +85,13 @@ class RobotMachine:
 
 @dataclass(frozen=True)
 class EnvMachine:
+    """The environment: robot cells and lights, how MOVEs change them, what LOOKs see.
+
+    As for `RobotMachine`, every callable must be deterministic and free of side
+    effects, since each distinct transition is computed once per `enumerate_runs`
+    call. States and adversary choices must be hashable.
+    """
+
     n_robots: int
     env_space: StateSpace
     evolve: Callable = field(hash=False)      # (env, actions per robot, adv) -> env

@@ -2,8 +2,10 @@
 
 A run records one semantic state per global step edge: per-robot epistemic
 states and last observations, the environment state, and the cumulative
-explored cell set. Indistinguishability for robot r is equality of r's
-epistemic state across (run, step) points, regardless of run or step.
+explored cell set. The runs of one `enumerate_runs` call share their state
+objects: each distinct configuration is one `StepState`, and each distinct
+transition is computed once. Indistinguishability for robot r is equality of
+r's epistemic state across (run, step) points, regardless of run or step.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class SystemRun:
     path: TimePath
     adv_seq: tuple
     init_cells: tuple[int, ...]
-    states: tuple[StepState, ...]           # one per step edge, len = horizon_steps + 1
+    # one per step edge, len = horizon_steps + 1; the StepState objects are shared
+    # with the other runs of the same simulate or enumerate_runs call
+    states: tuple[StepState, ...]
     lasso: Lasso | None
 
     @property
@@ -73,59 +77,107 @@ def simulate(
     pre_move_look: bool = False,
 ) -> SystemRun:
     """Deterministically execute one schedule; MOVEs commit before LOOKs per step."""
-    n = env.n_robots
-    if path.n_robots != n:
-        raise ValueError("path and environment disagree on the robot count")
-    report = validate_path(path)
-    if report:
-        raise ValueError("invalid time path: " + "; ".join(report))
+    _check_path(env, path)
     steps = path.horizon_steps
     if adv_seq is None:
         adv_seq = (None,) * steps
     adv_seq = tuple(adv_seq)
     if len(adv_seq) != steps:
         raise ValueError("adversary sequence length must match the path")
+    table = _Transitions(robot, env, pre_move_look)
+    init_cells = tuple(init_cells)
+    return table.run(path, path._key(), init_cells, table.initial(init_cells), adv_seq)
 
-    epis = [robot.initial_epi(r) for r in range(n)]
-    obss: list = [None] * n
-    env_state = env.make_initial_env(init_cells)
-    explored: frozenset[int] = frozenset()
 
-    states = [StepState(tuple(epis), tuple(obss), env_state, explored)]
-    for t in range(steps):
-        chunk = path.activations[t]
-        adv = adv_seq[t]
-        movers = sorted(r for r, ph in chunk.items() if ph == "M")
-        lookers = sorted(r for r, ph in chunk.items() if ph == "L")
-        computers = sorted(r for r, ph in chunk.items() if ph == "C")
+def _check_path(env: EnvMachine, path: TimePath) -> None:
+    if path.n_robots != env.n_robots:
+        raise ValueError("path and environment disagree on the robot count")
+    report = validate_path(path)
+    if report:
+        raise ValueError("invalid time path: " + "; ".join(report))
 
-        pre_env = env_state
+
+class _Transitions:
+    """The distinct states and transitions of one `simulate` or `enumerate_runs` call.
+
+    Each configuration is interned: the first `StepState` with a given `key()`
+    stands for all of them, so runs share state objects and compare them by
+    identity. Each distinct (state, step, adversary choice) is computed once.
+    """
+
+    def __init__(self, robot: RobotMachine, env: EnvMachine, pre_move_look: bool):
+        self.robot = robot
+        self.env = env
+        self.pre_move_look = pre_move_look
+        self.states: dict[tuple, StepState] = {}
+        # id() is stable: every state the memo names is kept alive by `states`
+        self.succ: dict[tuple, StepState] = {}
+
+    def intern(self, state: StepState) -> StepState:
+        return self.states.setdefault(state.key(), state)
+
+    def initial(self, init_cells: Sequence[int]) -> StepState:
+        n = self.env.n_robots
+        epis = tuple(self.robot.initial_epi(r) for r in range(n))
+        return self.intern(StepState(epis, (None,) * n, self.env.make_initial_env(init_cells),
+                                     frozenset()))
+
+    def step(self, state: StepState, step: tuple, adv) -> StepState:
+        """The transition function: one global step, `step` as sorted (robot, phase) pairs."""
+        robot, n = self.robot, self.env.n_robots
+        epis = list(state.epis)
+        obss = list(state.obss)
+        env_state = state.env
+        explored = state.explored
+        movers = [r for r, ph in step if ph == "M"]
+        lookers = [r for r, ph in step if ph == "L"]
+        computers = [r for r, ph in step if ph == "C"]
+
         if movers:
             actions: list = [None] * n
             for r in movers:
                 actions[r] = robot.control(epis[r])
-            env_state = env.evolve(env_state, tuple(actions), adv)
+            env_state = self.env.evolve(env_state, tuple(actions), adv)
         if lookers:
-            raws = env.emit_obs(pre_env if pre_move_look else env_state, adv)
+            raws = self.env.emit_obs(state.env if self.pre_move_look else env_state, adv)
             for r in lookers:
                 obss[r] = robot.observe(raws[r])
         for r in computers:
             epis[r] = robot.step(epis[r], obss[r])
             if robot.footprint is not None:
                 explored = explored | robot.footprint(r, obss[r])
-        states.append(StepState(tuple(epis), tuple(obss), env_state, explored))
+        return self.intern(StepState(tuple(epis), tuple(obss), env_state, explored))
 
-    lasso = _detect_lasso(path, tuple(states))
-    return SystemRun(path, adv_seq, tuple(init_cells), tuple(states), lasso)
+    def run(self, path: TimePath, steps: tuple, init_cells: tuple, start: StepState,
+            adv_seq: tuple) -> SystemRun:
+        """The run of a checked path from `start`, the interned initial state of `init_cells`.
+
+        `steps` is `path._key()`, so a caller with many runs per path computes it once.
+        """
+        succ = self.succ
+        state = start
+        states = [state]
+        for step, adv in zip(steps, adv_seq):
+            key = (id(state), step, adv)
+            nxt = succ.get(key)
+            if nxt is None:
+                nxt = succ[key] = self.step(state, step, adv)
+            state = nxt
+            states.append(state)
+        states_t = tuple(states)
+        return SystemRun(path, adv_seq, init_cells, states_t, _detect_lasso(path, states_t))
 
 
 def _detect_lasso(path: TimePath, states: tuple[StepState, ...]) -> Lasso | None:
-    """Tail lasso: smallest replayable window whose end state equals its start."""
+    """Tail lasso: smallest replayable window whose end state equals its start.
+
+    The states are interned, so equal configurations are the same object.
+    """
     horizon = len(states) - 1
-    last = states[horizon].key()
+    last = states[horizon]
     for length in range(1, horizon + 1):
         start = horizon - length
-        if states[start].key() != last:
+        if states[start] is not last:
             continue
         fired = [0] * path.n_robots
         for t in range(start, horizon):
@@ -146,28 +198,34 @@ def enumerate_runs(
     cap: int = 100_000,
     pre_move_look: bool = False,
 ) -> list[SystemRun]:
-    """One run per (schedule, adversary sequence, initial placement), deterministic order."""
+    """One run per (schedule, adversary sequence, initial placement), deterministic order.
+
+    All runs share one table of distinct states and transitions.
+    """
     if not schedules:
         return []
     adv_choices = tuple(adversary) if adversary is not None else env.adversary_choices
-    specs: list[tuple] = []
+    n_runs = 0
+    for path in schedules:
+        _check_path(env, path)
+        n_runs += len(adv_choices) ** path.horizon_steps
+    if n_runs * len(init_cells) > cap:
+        branching = " (adversary branching)" if len(adv_choices) > 1 else ""
+        raise CapExceededError(f"run enumeration exceeds cap {cap}{branching}")
+    paths = [(path, path._key()) for path in schedules]
+    table = _Transitions(robot, env, pre_move_look)
+    runs = []
     for init in init_cells:
-        for path in schedules:
+        init = tuple(init)
+        start = table.initial(init)
+        for path, steps in paths:
             if len(adv_choices) == 1:
                 seqs: Iterable = [(adv_choices[0],) * path.horizon_steps]
             else:
-                n_seqs = len(adv_choices) ** path.horizon_steps
-                if len(specs) + n_seqs > cap:
-                    raise CapExceededError(
-                        f"run enumeration exceeds cap {cap} (adversary branching)"
-                    )
                 seqs = itertools.product(adv_choices, repeat=path.horizon_steps)
             for seq in seqs:
-                specs.append((path, tuple(init), seq))
-                if len(specs) > cap:
-                    raise CapExceededError(f"run enumeration exceeds cap {cap}")
-    return [simulate(robot, env, path, init, seq, pre_move_look=pre_move_look)
-            for path, init, seq in specs]
+                runs.append(table.run(path, steps, init, start, seq))
+    return runs
 
 
 Point = tuple[int, int]  # (run index, step)

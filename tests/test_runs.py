@@ -1,16 +1,27 @@
 import hashlib
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from epispace.machine import (
     EXPLORE_SWEEP,
     FLOOD_EXPLORE,
     GATHER_OSCILLATE,
     Capabilities,
+    EnvMachine,
+    RobotMachine,
+    StateSpace,
     make_grid_walker,
+    table_fn,
 )
 from epispace.runs import (
+    Lasso,
+    StepState,
+    SystemRun,
     build_interpreted_system,
     canon,
     distributed_relation,
@@ -18,7 +29,7 @@ from epispace.runs import (
     export_traces,
     simulate,
 )
-from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, TimePath, gen_schedules
+from epispace.scheduler import ASYNC_K, FSYNC, PHASES, SSYNC, TimePath, gen_schedules
 from epispace.space import Grid
 
 MYOPIC = Capabilities(visibility="myopic", view_radius=0.01)
@@ -53,15 +64,18 @@ def brute_partition(sys, robot):
     return {frozenset(g) for g in groups.values()}
 
 
+INVALID_PATHS = pytest.mark.parametrize("path", [
+    TimePath(2, ({0: "X"},)),
+    TimePath(2, ({0: "L"}, {0: "L"})),
+    TimePath(2, ({},)),
+    TimePath(2, ({5: "M"},)),
+    TimePath(2, ({5: "M"},), local_clocks=((0, 0), (0, 0))),
+], ids=["unknown-phase", "out-of-cycle-order", "empty-step", "unknown-robot",
+        "unknown-robot-with-clocks"])
+
+
 class TestSimulate:
-    @pytest.mark.parametrize("path", [
-        TimePath(2, ({0: "X"},)),
-        TimePath(2, ({0: "L"}, {0: "L"})),
-        TimePath(2, ({},)),
-        TimePath(2, ({5: "M"},)),
-        TimePath(2, ({5: "M"},), local_clocks=((0, 0), (0, 0))),
-    ], ids=["unknown-phase", "out-of-cycle-order", "empty-step", "unknown-robot",
-            "unknown-robot-with-clocks"])
+    @INVALID_PATHS
     def test_invalid_path_rejected(self, path):
         robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
         with pytest.raises(ValueError, match="invalid time path"):
@@ -136,6 +150,44 @@ class TestEnumerate:
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
         assert enumerate_runs(robot, env, [[0]], []) == []
+
+    @INVALID_PATHS
+    def test_invalid_path_among_valid_schedules_rejected(self, path):
+        robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
+        schedules = gen_schedules(2, 2, SSYNC, fairness_bound=3)
+        schedules.insert(4, path)
+        with pytest.raises(ValueError, match="invalid time path"):
+            enumerate_runs(robot, env, [[0, 3], [1, 2]], schedules)
+
+    def test_robot_count_mismatch_rejected(self):
+        robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
+        schedules = gen_schedules(2, 2, SSYNC, fairness_bound=3)
+        schedules.append(gen_schedules(1, 2, FSYNC, fairness_bound=1)[0])
+        with pytest.raises(ValueError, match="robot count"):
+            enumerate_runs(robot, env, [[0, 3]], schedules)
+
+    def test_each_distinct_transition_computed_once(self):
+        # bench/workloads.py's S1 at H=5: 7,290 step edges, 2,430 of them with a MOVE,
+        # over 1,311 distinct transitions and 1,031 distinct configurations
+        robot, env = make_grid_walker(Grid(1, 6), FULL, FLOOD_EXPLORE, n_robots=2,
+                                      strips=[(0, 1, 2), (3, 4, 5)])
+        calls = []
+
+        def evolve(*args):
+            calls.append(args)
+            return env.evolve(*args)
+
+        counted = replace(env, evolve=evolve)
+        runs = enumerate_runs(robot, counted, [[0, 3], [1, 4]],
+                              gen_schedules(2, 5, SSYNC, fairness_bound=6))
+        transitions = {(run.states[t].key(), tuple(sorted(step.items())), run.adv_seq[t])
+                       for run in runs for t, step in enumerate(run.path.activations)}
+        moving = {tr for tr in transitions if any(ph == "M" for _, ph in tr[1])}
+        assert (len(transitions), len(moving)) == (1311, 474)
+        assert len(calls) == len(moving)
+        states = {id(state) for run in runs for state in run.states}
+        configs = {state.key() for run in runs for state in run.states}
+        assert len(states) == len(configs) == 1031
 
 
 class TestFrame:
@@ -260,29 +312,29 @@ def flood_pair():
                             strips=[(0, 1), (2, 3)])
 
 
+# Golden scenarios: (robot, env, placements, schedules, pre_move_look), the
+# arguments of enumerate_runs.
 def golden_sweep():
-    _, _, env, runs = sweep_runs(cycles=6)
-    return runs, env
+    robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
+    return robot, env, [[0]], gen_schedules(1, 6, FSYNC, fairness_bound=1), False
 
 
 def golden_ssync_flood():
     robot, env = flood_pair()
-    schedules = gen_schedules(2, 3, SSYNC, fairness_bound=4)
-    return enumerate_runs(robot, env, [[0, 2]], schedules), env
+    return robot, env, [[0, 2]], gen_schedules(2, 3, SSYNC, fairness_bound=4), False
 
 
 def golden_async_flood(pre_move_look):
     robot, env = flood_pair()
     schedules = gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1)
-    return enumerate_runs(robot, env, [[0, 2]], schedules, pre_move_look=pre_move_look), env
+    return robot, env, [[0, 2]], schedules, pre_move_look
 
 
 def golden_nonrigid_gather():
     caps = Capabilities(movement="non-rigid", min_distance=0.5)
     robot, env = make_grid_walker(Grid(2, 2), caps, GATHER_OSCILLATE, n_robots=2,
                                   rendezvous=[(0,), (3,)])
-    schedules = gen_schedules(2, 1, SSYNC, fairness_bound=2)
-    return enumerate_runs(robot, env, [[1, 2]], schedules), env
+    return robot, env, [[1, 2]], gen_schedules(2, 1, SSYNC, fairness_bound=2), False
 
 
 # sha256 of the export_traces lines, each followed by a newline. These pin the
@@ -301,12 +353,152 @@ GOLDEN = {
 }
 
 
+def golden_runs(name):
+    robot, env, placements, schedules, pre_move_look = GOLDEN[name][0]()
+    return enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look), env
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_traces(name):
-    build, n_runs, digest = GOLDEN[name]
-    runs, env = build()
+    _, n_runs, digest = GOLDEN[name]
+    runs, env = golden_runs(name)
     assert len(runs) == n_runs
     h = hashlib.sha256()
     for line in export_traces(runs, env):
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+def brute_lasso(run):
+    """Smallest tail window whose end configuration equals its start, by key, in which
+    every robot fires whole LCM cycles."""
+    keys = [state.key() for state in run.states]
+    clocks = run.path.derived_clocks()
+    horizon = run.horizon
+    windows = [start for start in range(horizon)
+               if keys[start] == keys[horizon]
+               and all((b - a) % len(PHASES) == 0 for a, b in zip(clocks[start], clocks[horizon]))]
+    return Lasso(max(windows), horizon - max(windows)) if windows else None
+
+
+def naive_simulate(robot, env, path, init_cells, adv_seq, pre_move_look):
+    """Reference simulator: every step of the run recomputed, no table shared with other runs."""
+    n = env.n_robots
+    epis = [robot.initial_epi(r) for r in range(n)]
+    obss: list = [None] * n
+    env_state = env.make_initial_env(tuple(init_cells))
+    explored: frozenset[int] = frozenset()
+
+    states = [StepState(tuple(epis), tuple(obss), env_state, explored)]
+    for t in range(path.horizon_steps):
+        chunk = path.activations[t]
+        adv = adv_seq[t]
+        movers = sorted(r for r, ph in chunk.items() if ph == "M")
+        lookers = sorted(r for r, ph in chunk.items() if ph == "L")
+        computers = sorted(r for r, ph in chunk.items() if ph == "C")
+
+        pre_env = env_state
+        if movers:
+            actions: list = [None] * n
+            for r in movers:
+                actions[r] = robot.control(epis[r])
+            env_state = env.evolve(env_state, tuple(actions), adv)
+        if lookers:
+            raws = env.emit_obs(pre_env if pre_move_look else env_state, adv)
+            for r in lookers:
+                obss[r] = robot.observe(raws[r])
+        for r in computers:
+            epis[r] = robot.step(epis[r], obss[r])
+            if robot.footprint is not None:
+                explored = explored | robot.footprint(r, obss[r])
+        states.append(StepState(tuple(epis), tuple(obss), env_state, explored))
+
+    run = SystemRun(path, tuple(adv_seq), tuple(init_cells), tuple(states), None)
+    return replace(run, lasso=brute_lasso(run))
+
+
+def naive_enumerate(robot, env, placements, schedules, pre_move_look):
+    """enumerate_runs' runs, in its order, one naive_simulate call each."""
+    return [naive_simulate(robot, env, path, init, seq, pre_move_look)
+            for init in placements
+            for path in schedules
+            for seq in itertools.product(env.adversary_choices, repeat=path.horizon_steps)]
+
+
+def assert_same_runs(runs, oracle, env):
+    assert len(runs) == len(oracle)
+    assert export_traces(runs, env) == export_traces(oracle, env)
+    for run, ref in zip(runs, oracle):
+        assert (run.path, run.adv_seq, run.init_cells) == (ref.path, ref.adv_seq, ref.init_cells)
+        assert [s.key() for s in run.states] == [s.key() for s in ref.states]
+        assert run.lasso == ref.lasso
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_runs_match_naive_simulation(name):
+    robot, env, placements, schedules, pre_move_look = GOLDEN[name][0]()
+    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+    assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules, pre_move_look), env)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_lassos_match_brute_force_search(name):
+    runs, _ = golden_runs(name)
+    for run in runs:
+        assert run.lasso == brute_lasso(run)
+
+
+# (robots, synchrony, rounds) of the drawn schedule family
+FAMILIES = [(1, SSYNC, 4), (1, SSYNC, 3), (2, SSYNC, 3), (2, SSYNC, 2), (2, ASYNC_K, 2),
+            (2, ASYNC_K, 1), (3, SSYNC, 2), (3, SSYNC, 1), (3, ASYNC_K, 1)]
+MAX_BRANCHING_RUNS = 600
+
+
+@st.composite
+def table_systems(draw):
+    """A small random table_fn robot and environment, schedules, placements and look mode."""
+    n, synchrony, rounds = draw(st.sampled_from(FAMILIES))
+    schedules = gen_schedules(n, rounds, synchrony, fairness_bound=draw(st.integers(1, rounds + 1)))
+    # adversary branching multiplies the runs of a path by 2**steps
+    branching_runs = len(schedules) * 2 ** (rounds * len(PHASES))
+    adversary = draw(st.sampled_from([(None,), (None, "slip")][:1 + (branching_runs
+                                                                      <= MAX_BRANCHING_RUNS)]))
+    n_epi, n_obs, n_act, n_env = (draw(st.integers(1, 3)) for _ in range(4))
+    epis, obss, envs = range(n_epi), range(n_obs), range(n_env)
+
+    def pick(values):
+        return draw(st.sampled_from(list(values)))
+
+    robot = RobotMachine(
+        epi_space=StateSpace(n_epi), obs_space=StateSpace(n_obs), action_space=StateSpace(n_act),
+        observe=table_fn({raw: pick(obss) for raw in range(3)}, "observe"),
+        step=table_fn({(e, o): pick(epis) for e in epis for o in obss}, "step"),
+        control=table_fn({e: pick(range(n_act)) for e in epis}, "control"),
+        light=table_fn({e: None for e in epis}, "light"),
+        initial_epi=table_fn({r: pick(epis) for r in range(n)}, "initial_epi"),
+        footprint=draw(st.sampled_from([
+            None, table_fn({(r, o): frozenset({r, o}) for r in range(n) for o in obss},
+                           "footprint")])),
+    )
+    placements = [(0,) * n, (1,) * n][:draw(st.integers(1, 2))]
+    env = EnvMachine(
+        n_robots=n,
+        env_space=StateSpace(n_env),
+        evolve=table_fn({(v, acts, adv): pick(envs) for v in envs
+                         for acts in itertools.product([None, *range(n_act)], repeat=n)
+                         for adv in adversary}, "evolve"),
+        emit_obs=table_fn({(v, adv): tuple(pick(range(3)) for _ in range(n))
+                           for v in envs for adv in adversary}, "emit_obs"),
+        adversary_choices=adversary,
+        make_initial_env=table_fn({cells: pick(envs) for cells in placements}, "initial env"),
+    )
+    return robot, env, placements, schedules, draw(st.booleans())
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(table_systems())
+def test_enumerate_runs_matches_naive_simulation(system):
+    robot, env, placements, schedules, pre_move_look = system
+    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+    assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules, pre_move_look), env)
