@@ -9,6 +9,7 @@ homogeneous fleet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Iterable, Iterator
 
@@ -63,10 +64,13 @@ class StateSpace:
 class RobotMachine:
     """One robot's LCM program, shared by every robot of a homogeneous fleet.
 
-    Every callable must be deterministic and free of side effects: runs are
-    built from one table per `enumerate_runs` call, which computes each
-    distinct transition once, and configurations are compared by equality,
-    as the indistinguishability frame already does.
+    Every callable must be deterministic and free of side effects: equal
+    arguments give equal results. Runs are built from one table per
+    `enumerate_runs` call, which runs `control` once per distinct epistemic
+    state, `step` once per distinct (epi, obs) pair and `footprint` once per
+    distinct (robot, obs) pair. Epistemic states and observations must be
+    hashable, since configurations are compared by equality, as the
+    indistinguishability frame already does. Actions need not be hashable.
     """
 
     epi_space: StateSpace
@@ -79,8 +83,7 @@ class RobotMachine:
     initial_epi: Callable = field(hash=False)      # robot id -> epi
     caps: Capabilities = Capabilities()
     name: str = "custom"
-    footprint: Callable | None = field(default=None, hash=False)     # (rid, obs) -> frozenset[int]
-    known_region: Callable | None = field(default=None, hash=False)  # epi -> frozenset[int]
+    footprint: Callable | None = field(default=None, hash=False)  # (rid, obs) -> frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,10 @@ class EnvMachine:
     """The environment: robot cells and lights, how MOVEs change them, what LOOKs see.
 
     As for `RobotMachine`, every callable must be deterministic and free of side
-    effects, since each distinct transition is computed once per `enumerate_runs`
-    call. States and adversary choices must be hashable.
+    effects: equal arguments give equal results. States and adversary choices
+    must be hashable. One `enumerate_runs` call runs `emit_obs` once per distinct
+    (env state, adversary choice) pair, and `evolve` once per distinct
+    transition with a MOVE, since the actions it takes need not be hashable.
     """
 
     n_robots: int
@@ -128,13 +133,10 @@ def _axis_step_toward(grid: Grid, src: int, dst: int):
     return None
 
 
-def _visible(grid: Grid, caps: Capabilities, here: int, there: int) -> bool:
-    if caps.visibility == "full":
-        return True
-    return grid.distance(here, there) <= caps.view_radius + DIST_TOL
-
-
 def _make_env(grid: Grid, caps: Capabilities, n_robots: int, light_count: int) -> EnvMachine:
+    # index distance between cells one apart along each axis (row-major, axis 0 most significant)
+    strides = [grid.cells_per_axis ** (grid.dim - 1 - axis) for axis in range(grid.dim)]
+
     def evolve(env, actions, adv):
         slots = list(env)
         for rid, action in enumerate(actions):
@@ -148,22 +150,19 @@ def _make_env(grid: Grid, caps: Capabilities, n_robots: int, light_count: int) -
                 new_cell = cell
             else:
                 axis, delta = move
-                coords = list(grid.cell_coords(cell))
-                coords[axis] = min(max(coords[axis] + delta, 0), grid.cells_per_axis - 1)
-                new_cell = grid.cell_index(coords)
+                c = grid.cell_coords(cell)[axis]
+                moved = min(max(c + delta, 0), grid.cells_per_axis - 1)
+                new_cell = cell + (moved - c) * strides[axis]
             slots[rid] = (new_cell, light)
         return tuple(slots)
 
+    reach = caps.view_radius + DIST_TOL if caps.visibility == "myopic" else math.inf
+
     def emit_obs(env, adv):
-        out = []
-        for rid in range(n_robots):
-            here = env[rid][0]
-            slots = tuple(
-                env[other] if other == rid or _visible(grid, caps, here, env[other][0]) else None
-                for other in range(n_robots)
-            )
-            out.append(slots)
-        return tuple(out)
+        return tuple(
+            tuple(slot if other == rid or grid.distance(here, slot[0]) <= reach else None
+                  for other, slot in enumerate(env))
+            for rid, (here, _) in enumerate(env))
 
     adversary: tuple = (None,)
     if caps.movement == "non-rigid":
@@ -310,7 +309,6 @@ def _build_sweep(grid, caps, n_robots, strips, flood, period):
         caps=caps,
         name=FLOOD_EXPLORE if flood else EXPLORE_SWEEP,
         footprint=_own_cell,
-        known_region=lambda epi: epi[2],
     )
     env = _finish_env(grid, caps, n_robots, light_count, robot)
     return robot, env
@@ -391,7 +389,6 @@ def _build_gather(grid, caps, n_robots, regions, oscillate):
         caps=caps,
         name=GATHER_OSCILLATE if oscillate else GATHER_MIN_REGION,
         footprint=_own_cell,
-        known_region=None,
     )
     env = _finish_env(grid, caps, n_robots, light_count, robot)
     return robot, env

@@ -4,7 +4,10 @@ A run records one semantic state per global step edge: per-robot epistemic
 states and last observations, the environment state, and the cumulative
 explored cell set. The runs of one `enumerate_runs` call share their state
 objects: each distinct configuration is one `StepState`, and each distinct
-transition is computed once. Indistinguishability for robot r is equality of
+transition is computed once. A new transition is assembled from per-component
+tables that live for the same call: `control` results by epi, `step` results
+by (epi, obs), `footprint` results by (robot, obs), and `emit_obs` results by
+(env state, adversary choice). Indistinguishability for robot r is equality of
 r's epistemic state across (run, step) points, regardless of run or step.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .machine import EnvMachine, RobotMachine
 from .scheduler import PHASES, CapExceededError, TimePath, validate_path
@@ -35,10 +38,6 @@ class StepState:
 class Lasso:
     start: int          # loop covers steps [start, horizon)
     length: int
-
-    @property
-    def cycles(self) -> float:
-        return self.length / len(PHASES)
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,31 @@ def _check_path(env: EnvMachine, path: TimePath) -> None:
         raise ValueError("invalid time path: " + "; ".join(report))
 
 
+def _memoized(fn: Callable) -> Callable:
+    """`fn` run once per distinct argument tuple, for as long as the wrapper lives."""
+    table: dict = {}
+    missing = object()
+
+    def call(*args):
+        value = table.get(args, missing)
+        if value is missing:
+            value = table[args] = fn(*args)
+        return value
+
+    return call
+
+
 class _Transitions:
     """The distinct states and transitions of one `simulate` or `enumerate_runs` call.
 
     Each configuration is interned: the first `StepState` with a given `key()`
     stands for all of them, so runs share state objects and compare them by
-    identity. Each distinct (state, step, adversary choice) is computed once.
+    identity. Each distinct (state, step, adversary choice) is computed once,
+    from machine components that are each memoized by their own arguments:
+    `control` by epi, `step` by (epi, obs), `footprint` by (robot, obs), and
+    `emit_obs` by the (env state, adversary choice) that the LOOK reads, which
+    is the pre-move env under `pre_move_look`. `evolve` is not memoized,
+    because actions need not be hashable.
     """
 
     def __init__(self, robot: RobotMachine, env: EnvMachine, pre_move_look: bool):
@@ -112,6 +130,10 @@ class _Transitions:
         self.states: dict[tuple, StepState] = {}
         # id() is stable: every state the memo names is kept alive by `states`
         self.succ: dict[tuple, StepState] = {}
+        self.control = _memoized(robot.control)
+        self.compute = _memoized(robot.step)
+        self.footprint = _memoized(robot.footprint) if robot.footprint is not None else None
+        self.emit_obs = _memoized(env.emit_obs)
 
     def intern(self, state: StepState) -> StepState:
         return self.states.setdefault(state.key(), state)
@@ -124,7 +146,7 @@ class _Transitions:
 
     def step(self, state: StepState, step: tuple, adv) -> StepState:
         """The transition function: one global step, `step` as sorted (robot, phase) pairs."""
-        robot, n = self.robot, self.env.n_robots
+        n = self.env.n_robots
         epis = list(state.epis)
         obss = list(state.obss)
         env_state = state.env
@@ -136,16 +158,16 @@ class _Transitions:
         if movers:
             actions: list = [None] * n
             for r in movers:
-                actions[r] = robot.control(epis[r])
+                actions[r] = self.control(epis[r])
             env_state = self.env.evolve(env_state, tuple(actions), adv)
         if lookers:
-            raws = self.env.emit_obs(state.env if self.pre_move_look else env_state, adv)
+            raws = self.emit_obs(state.env if self.pre_move_look else env_state, adv)
             for r in lookers:
-                obss[r] = robot.observe(raws[r])
+                obss[r] = self.robot.observe(raws[r])
         for r in computers:
-            epis[r] = robot.step(epis[r], obss[r])
-            if robot.footprint is not None:
-                explored = explored | robot.footprint(r, obss[r])
+            epis[r] = self.compute(epis[r], obss[r])
+            if self.footprint is not None:
+                explored = explored | self.footprint(r, obss[r])
         return self.intern(StepState(tuple(epis), tuple(obss), env_state, explored))
 
     def run(self, path: TimePath, steps: tuple, init_cells: tuple, start: StepState,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 DIST_TOL = 1e-9
@@ -39,14 +40,24 @@ class Grid:
     def cell_width(self) -> float:
         return 1.0 / self.cells_per_axis
 
-    def cell_coords(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.n_cells:
+    @cached_property
+    def _coords(self) -> tuple[tuple[int, ...], ...]:
+        """Coordinates of every cell by index, built on first use."""
+        return tuple(itertools.product(range(self.cells_per_axis), repeat=self.dim))
+
+    @cached_property
+    def _centers(self) -> tuple[tuple[float, ...], ...]:
+        width = self.cell_width
+        return tuple(tuple((c + 0.5) * width for c in coords) for coords in self._coords)
+
+    def _check_cell(self, index: int) -> None:
+        # the tables would silently wrap a negative index
+        if not 0 <= index < len(self._coords):
             raise IndexError(f"cell index {index} out of range for {self.n_cells} cells")
-        coords = []
-        for _ in range(self.dim):
-            index, c = divmod(index, self.cells_per_axis)
-            coords.append(c)
-        return tuple(reversed(coords))
+
+    def cell_coords(self, index: int) -> tuple[int, ...]:
+        self._check_cell(index)
+        return self._coords[index]
 
     def cell_index(self, coords: Iterable[int]) -> int:
         coords = tuple(coords)
@@ -60,7 +71,8 @@ class Grid:
         return index
 
     def cell_center(self, index: int) -> tuple[float, ...]:
-        return tuple((c + 0.5) * self.cell_width for c in self.cell_coords(index))
+        self._check_cell(index)
+        return self._centers[index]
 
     def distance(self, a: int, b: int) -> float:
         pa, pb = self.cell_center(a), self.cell_center(b)

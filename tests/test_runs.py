@@ -116,7 +116,6 @@ class TestSimulate:
         lasso = runs[0].lasso
         assert lasso is not None
         assert lasso.length == 3  # one full parked M,L,C cycle
-        assert lasso.cycles == 1.0
 
     def test_open_run_when_horizon_too_short(self):
         _, _, _, runs = sweep_runs(cycles=2)  # still sweeping at the horizon
@@ -136,6 +135,23 @@ class TestSimulate:
         seen_post = post.states[5].obss[1][0][0]
         seen_pre = pre.states[5].obss[1][0][0]
         assert (seen_pre, seen_post) == (0, 1)  # robot 1 sees robot 0 pre vs post move
+
+
+# Scenarios as enumerate_runs arguments: (robot, env, placements, schedules, pre_move_look).
+def s1_h5():
+    """bench/workloads.py's S1 at H=5."""
+    robot, env = make_grid_walker(Grid(1, 6), FULL, FLOOD_EXPLORE, n_robots=2,
+                                  strips=[(0, 1, 2), (3, 4, 5)])
+    return robot, env, [[0, 3], [1, 4]], gen_schedules(2, 5, SSYNC, fairness_bound=6), False
+
+
+def myopic_fsync_sweep():
+    """A miniature of bench/workloads.py's sweep-long whose robots see each other one cell apart."""
+    grid = Grid(2, 3)
+    caps = Capabilities(visibility="myopic", view_radius=grid.cell_width)
+    robot, env = make_grid_walker(grid, caps, EXPLORE_SWEEP, n_robots=2)
+    placements = [[0, 1], [8, 5], [4, 3], [2, 6]]
+    return robot, env, placements, gen_schedules(2, 8, FSYNC, fairness_bound=1), False
 
 
 class TestEnumerate:
@@ -167,10 +183,9 @@ class TestEnumerate:
             enumerate_runs(robot, env, [[0, 3]], schedules)
 
     def test_each_distinct_transition_computed_once(self):
-        # bench/workloads.py's S1 at H=5: 7,290 step edges, 2,430 of them with a MOVE,
+        # S1 at H=5: 7,290 step edges, 2,430 of them with a MOVE,
         # over 1,311 distinct transitions and 1,031 distinct configurations
-        robot, env = make_grid_walker(Grid(1, 6), FULL, FLOOD_EXPLORE, n_robots=2,
-                                      strips=[(0, 1, 2), (3, 4, 5)])
+        robot, env, placements, schedules, _ = s1_h5()
         calls = []
 
         def evolve(*args):
@@ -178,8 +193,7 @@ class TestEnumerate:
             return env.evolve(*args)
 
         counted = replace(env, evolve=evolve)
-        runs = enumerate_runs(robot, counted, [[0, 3], [1, 4]],
-                              gen_schedules(2, 5, SSYNC, fairness_bound=6))
+        runs = enumerate_runs(robot, counted, placements, schedules)
         transitions = {(run.states[t].key(), tuple(sorted(step.items())), run.adv_seq[t])
                        for run in runs for t, step in enumerate(run.path.activations)}
         moving = {tr for tr in transitions if any(ph == "M" for _, ph in tr[1])}
@@ -188,6 +202,50 @@ class TestEnumerate:
         states = {id(state) for run in runs for state in run.states}
         configs = {state.key() for run in runs for state in run.states}
         assert len(states) == len(configs) == 1031
+
+    # the lambdas look the golden scenarios up when called: they are defined further down
+    @pytest.mark.parametrize("scenario", [
+        s1_h5, myopic_fsync_sweep,
+        lambda: golden_ssync_flood(), lambda: golden_async_flood(True),
+    ], ids=["s1-h5", "myopic-fsync-sweep", "ssync-flood", "kasync-pre-move-look"])
+    def test_each_component_runs_once_per_distinct_argument(self, scenario):
+        robot, env, placements, schedules, pre_move_look = scenario()
+        calls = {name: [] for name in ("control", "step", "footprint", "emit_obs", "evolve")}
+
+        def logged(name, fn):
+            def call(*args):
+                calls[name].append(args)
+                return fn(*args)
+            return call
+
+        robot = replace(robot, control=logged("control", robot.control),
+                        step=logged("step", robot.step),
+                        footprint=logged("footprint", robot.footprint))
+        env = replace(env, emit_obs=logged("emit_obs", env.emit_obs),
+                      evolve=logged("evolve", env.evolve))
+        runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+
+        # the arguments each component needs, read off the runs
+        needed = {name: set() for name in calls}
+        for run in runs:
+            for t, act in enumerate(run.path.activations):
+                before, after = run.states[t], run.states[t + 1]
+                for r, ph in act.items():
+                    if ph == "M":
+                        needed["control"].add((before.epis[r],))
+                    elif ph == "L":
+                        looked = before.env if pre_move_look else after.env
+                        needed["emit_obs"].add((looked, run.adv_seq[t]))
+                    else:
+                        needed["step"].add((before.epis[r], after.obss[r]))
+                        needed["footprint"].add((r, after.obss[r]))
+                if "M" in act.values():
+                    needed["evolve"].add((id(before), tuple(sorted(act.items())), run.adv_seq[t]))
+        for name in ("control", "step", "footprint", "emit_obs"):
+            assert len(calls[name]) == len(set(calls[name])), f"{name} repeated an argument"
+            assert set(calls[name]) == needed[name], name
+        # evolve is memoized only through the transition table: once per distinct moving transition
+        assert len(calls["evolve"]) == len(needed["evolve"])
 
 
 class TestFrame:
@@ -312,8 +370,7 @@ def flood_pair():
                             strips=[(0, 1), (2, 3)])
 
 
-# Golden scenarios: (robot, env, placements, schedules, pre_move_look), the
-# arguments of enumerate_runs.
+# Golden scenarios, as enumerate_runs arguments.
 def golden_sweep():
     robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
     return robot, env, [[0]], gen_schedules(1, 6, FSYNC, fairness_bound=1), False
@@ -337,6 +394,14 @@ def golden_nonrigid_gather():
     return robot, env, [[1, 2]], gen_schedules(2, 1, SSYNC, fairness_bound=2), False
 
 
+def golden_myopic_sight():
+    # a view radius of one cell: robots see each other on the same or an axis-adjacent cell
+    grid = Grid(2, 3)
+    caps = Capabilities(visibility="myopic", view_radius=grid.cell_width)
+    robot, env = make_grid_walker(grid, caps, EXPLORE_SWEEP, n_robots=2)
+    return robot, env, [[0, 1], [3, 5]], gen_schedules(2, 3, SSYNC, fairness_bound=4), False
+
+
 # sha256 of the export_traces lines, each followed by a newline. These pin the
 # simulator's output byte for byte: a refactor of simulate must keep them.
 GOLDEN = {
@@ -350,6 +415,8 @@ GOLDEN = {
                                    "b2ec9e7bf4fe2dc3159e13b00ac9081ac86ed0cdfaaee6d251b16fb78f5e18fa"),
     "nonrigid-gather": (golden_nonrigid_gather, 81,
                         "b83e70bec80f6abd6885116757898723e1d87d5db25f3096ed2794763e762831"),
+    "myopic-sight": (golden_myopic_sight, 54,
+                     "498f5ce846259f791e59280a495e3bb96c88b8ebc71bb96d2fa8cfb6cfe856b0"),
 }
 
 
