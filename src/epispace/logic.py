@@ -110,24 +110,12 @@ def disj(parts: Sequence[Formula]) -> Formula:
     return Not(conj([Not(p) for p in parts]))
 
 
-def lor(f: Formula, g: Formula) -> Formula:
-    return disj([f, g])
-
-
 def implies(f: Formula, g: Formula) -> Formula:
     return Not(And(f, Not(g)))
 
 
-def ev(f: Formula) -> Formula:
-    return Eventually(f)
-
-
 def box(f: Formula) -> Formula:
     return Not(Eventually(Not(f)))
-
-
-def know(robot: int, f: Formula) -> Formula:
-    return Know(robot, f)
 
 
 def dknow(group: Iterable[int], f: Formula) -> Formula:
@@ -145,15 +133,6 @@ def sp_atom(cells: frozenset[int], label: str | None = None) -> Atom:
 
 def pos_atom(robot: int, cell: int) -> Atom:
     return Atom(("pos", robot, cell), f"pos[r{robot + 1}](c{cell})")
-
-
-def init_pos_atom(robot: int, cell: int) -> Atom:
-    return Atom(("init_pos", robot, cell), f"init_pos[r{robot + 1}](c{cell})")
-
-
-def in_atom(cell: int, cells: frozenset[int], label: str | None = None) -> Atom:
-    text = label or "in(c%d,{%s})" % (cell, ",".join(map(str, sorted(cells))))
-    return Atom(("in", cell, frozenset(cells)), text)
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -295,23 +274,6 @@ class _Parser:
             c = self.cell()
             self.expect(")")
             return pos_atom(r, c)
-        if re.match(r"init_pos\b", self.text[self.pos:]):
-            self.pos += 8
-            self.expect("[")
-            r = self.robot()
-            self.expect("]")
-            self.expect("(")
-            c = self.cell()
-            self.expect(")")
-            return init_pos_atom(r, c)
-        if re.match(r"in\b", self.text[self.pos:]):
-            self.pos += 2
-            self.expect("(")
-            c = self.cell()
-            self.expect(",")
-            name, cells = self.region()
-            self.expect(")")
-            return in_atom(c, cells, f"in(c{c},{name})")
         self.pos = start
         self.error("expected a formula")
 
@@ -332,10 +294,6 @@ def parse(text: str, symbols: Symbols) -> Formula:
 class Verdict:
     value: str
     witnesses: tuple[Point, ...] = ()
-
-    @property
-    def is_true(self) -> bool:
-        return self.value == TRUE
 
 
 _NAMES = {True: TRUE, False: FALSE, None: UNKNOWN}

@@ -10,8 +10,8 @@ homogeneous fleet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Hashable, Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .space import DIST_TOL, Grid
 
@@ -24,7 +24,7 @@ PROTOCOLS = (EXPLORE_SWEEP, FLOOD_EXPLORE, GATHER_MIN_REGION, GATHER_OSCILLATE)
 
 
 class ModelDefinitionError(ValueError):
-    """A machine table is not total."""
+    """A machine table has no entry for an argument it was called with."""
 
 
 @dataclass(frozen=True)
@@ -50,17 +50,6 @@ class Capabilities:
 
 
 @dataclass(frozen=True)
-class StateSpace:
-    """A finite state set: always a size, materialized members when tractable."""
-
-    size: int
-    members: Callable[[], Iterator[Hashable]] | None = field(default=None, hash=False)
-
-    def enumerable(self) -> bool:
-        return self.members is not None
-
-
-@dataclass(frozen=True)
 class RobotMachine:
     """One robot's LCM program, shared by every robot of a homogeneous fleet.
 
@@ -73,9 +62,6 @@ class RobotMachine:
     indistinguishability frame already does. Actions need not be hashable.
     """
 
-    epi_space: StateSpace
-    obs_space: StateSpace
-    action_space: StateSpace
     observe: Callable = field(hash=False)          # raw env emission -> observation
     step: Callable = field(hash=False)             # (epi, obs) -> epi
     control: Callable = field(hash=False)          # epi -> action
@@ -98,7 +84,6 @@ class EnvMachine:
     """
 
     n_robots: int
-    env_space: StateSpace
     evolve: Callable = field(hash=False)      # (env, actions per robot, adv) -> env
     emit_obs: Callable = field(hash=False)    # (env, adv) -> tuple of per-robot raw observations
     adversary_choices: tuple = (None,)
@@ -117,7 +102,6 @@ def table_fn(mapping: dict, what: str) -> Callable:
         except KeyError:
             raise ModelDefinitionError(f"{what} undefined for {k!r}") from None
 
-    lookup.table = mapping  # type: ignore[attr-defined]
     return lookup
 
 
@@ -133,7 +117,7 @@ def _axis_step_toward(grid: Grid, src: int, dst: int):
     return None
 
 
-def _make_env(grid: Grid, caps: Capabilities, n_robots: int, light_count: int) -> EnvMachine:
+def _make_env(grid: Grid, caps: Capabilities, n_robots: int, robot: RobotMachine) -> EnvMachine:
     # index distance between cells one apart along each axis (row-major, axis 0 most significant)
     strides = [grid.cells_per_axis ** (grid.dim - 1 - axis) for axis in range(grid.dim)]
 
@@ -168,12 +152,21 @@ def _make_env(grid: Grid, caps: Capabilities, n_robots: int, light_count: int) -
     if caps.movement == "non-rigid":
         adversary = (None,) + tuple(("freeze", rid) for rid in range(n_robots))
 
+    def make_initial_env(cells):
+        cells = tuple(cells)
+        if len(cells) != n_robots:
+            raise ValueError(f"need {n_robots} initial cells, got {len(cells)}")
+        for c in cells:
+            if not 0 <= c < grid.n_cells:
+                raise ValueError(f"initial cell {c} outside the grid")
+        return tuple((c, robot.light(robot.initial_epi(rid))) for rid, c in enumerate(cells))
+
     return EnvMachine(
         n_robots=n_robots,
-        env_space=StateSpace((grid.n_cells * max(light_count, 1)) ** n_robots),
         evolve=evolve,
         emit_obs=emit_obs,
         adversary_choices=adversary,
+        make_initial_env=make_initial_env,
         positions=lambda env: tuple(slot[0] for slot in env),
         lights=lambda env: tuple(slot[1] for slot in env),
     )
@@ -213,6 +206,9 @@ def make_grid_walker(
         raise ValueError("n_robots must be >= 1")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    # flood publishes what it knows in its light; gather keeps its chosen region
+    if caps.memory == "oblivious" and protocol != EXPLORE_SWEEP:
+        raise ValueError(f"{protocol} carries state across cycles, so it cannot be oblivious")
 
     if protocol == EXPLORE_SWEEP:
         return _build_sweep(grid, caps, n_robots, strips, flood=False, period=1)
@@ -236,7 +232,6 @@ def make_grid_walker(
 
 
 def _build_sweep(grid, caps, n_robots, strips, flood, period):
-    n_cells = grid.n_cells
     strip_list = (
         [tuple(sorted(s)) for s in strips] if strips is not None else _default_strips(grid, n_robots)
     )
@@ -281,26 +276,7 @@ def _build_sweep(grid, caps, n_robots, strips, flood, period):
     def light(epi):
         return epi[4] if flood else None
 
-    light_count = 2 ** n_cells if flood else 1
-    epi_count = n_robots * (n_cells + 1) * (2 ** n_cells) * period * light_count
-    obs_count = (n_cells * light_count + 1) ** n_robots
-
-    def epi_members():
-        import itertools as it
-        subsets = [frozenset(c) for k in range(n_cells + 1)
-                   for c in it.combinations(range(n_cells), k)]
-        pubs = subsets if flood else [frozenset()]
-        for rid in range(n_robots):
-            for pos in [None, *range(n_cells)]:
-                for known in subsets:
-                    for ctr in range(period):
-                        for pub in pubs:
-                            yield (rid, pos, known, ctr, pub)
-
     robot = RobotMachine(
-        epi_space=StateSpace(epi_count, epi_members if epi_count <= 100_000 else None),
-        obs_space=StateSpace(obs_count),
-        action_space=StateSpace((2 * grid.dim + 1) * light_count),
         observe=lambda raw: raw,
         step=step,
         control=control,
@@ -310,12 +286,10 @@ def _build_sweep(grid, caps, n_robots, strips, flood, period):
         name=FLOOD_EXPLORE if flood else EXPLORE_SWEEP,
         footprint=_own_cell,
     )
-    env = _finish_env(grid, caps, n_robots, light_count, robot)
-    return robot, env
+    return robot, _make_env(grid, caps, n_robots, robot)
 
 
 def _build_gather(grid, caps, n_robots, regions, oscillate):
-    n_cells = grid.n_cells
     m = len(regions)
 
     def region_of(cell):
@@ -368,19 +342,7 @@ def _build_gather(grid, caps, n_robots, regions, oscillate):
     def light(epi):
         return epi[2]
 
-    light_count = m + 1
-    epi_count = n_robots * (n_cells + 1) * light_count
-
-    def epi_members():
-        for rid in range(n_robots):
-            for pos in [None, *range(n_cells)]:
-                for chosen in range(-1, m):
-                    yield (rid, pos, chosen)
-
     robot = RobotMachine(
-        epi_space=StateSpace(epi_count, epi_members),
-        obs_space=StateSpace((n_cells * light_count + 1) ** n_robots),
-        action_space=StateSpace((2 * grid.dim + 1) * light_count),
         observe=lambda raw: raw,
         step=step,
         control=control,
@@ -390,55 +352,28 @@ def _build_gather(grid, caps, n_robots, regions, oscillate):
         name=GATHER_OSCILLATE if oscillate else GATHER_MIN_REGION,
         footprint=_own_cell,
     )
-    env = _finish_env(grid, caps, n_robots, light_count, robot)
-    return robot, env
+    return robot, _make_env(grid, caps, n_robots, robot)
 
 
-def _finish_env(grid, caps, n_robots, light_count, robot) -> EnvMachine:
-    env = _make_env(grid, caps, n_robots, light_count)
+def validate_machine(robot: RobotMachine, runs: Iterable) -> list[str]:
+    """Check the machine on the epistemic states that `runs` reach; empty report = valid.
 
-    def make_initial_env(cells):
-        cells = tuple(cells)
-        if len(cells) != n_robots:
-            raise ValueError(f"need {n_robots} initial cells, got {len(cells)}")
-        for c in cells:
-            if not 0 <= c < grid.n_cells:
-                raise ValueError(f"initial cell {c} outside the grid")
-        return tuple((c, robot.light(robot.initial_epi(rid))) for rid, c in enumerate(cells))
-
-    return replace(env, make_initial_env=make_initial_env)
-
-
-def validate_machine(robot: RobotMachine, env: EnvMachine, *, bound: int = 50_000) -> list[str]:
-    """Report totality and consistency violations; empty report = valid."""
+    Reports each such state that `control` or `light` has no entry for, and an
+    oblivious robot whose light differs across them. `runs` come from
+    `enumerate_runs`; a `table_fn` miss in `step` already raises
+    `ModelDefinitionError` while they are simulated.
+    """
     report: list[str] = []
-    for name, space in (("epi", robot.epi_space), ("obs", robot.obs_space),
-                        ("action", robot.action_space), ("env", env.env_space)):
-        if space.size < 1:
-            report.append(f"{name} state set is empty")
-
-    if robot.epi_space.enumerable():
-        epis = list(robot.epi_space.members())
-        for e in epis:
-            try:
-                robot.control(e)
-            except ModelDefinitionError as exc:
-                report.append(f"control: {exc}")
-            try:
-                robot.light(e)
-            except ModelDefinitionError as exc:
-                report.append(f"light: {exc}")
-        if robot.obs_space.enumerable():
-            obss = list(robot.obs_space.members())
-            if len(epis) * len(obss) <= bound:
-                for e in epis:
-                    for o in obss:
-                        try:
-                            robot.step(e, o)
-                        except ModelDefinitionError as exc:
-                            report.append(f"step: {exc}")
-        if robot.caps.memory == "oblivious":
-            lights = {robot.light(e) for e in epis}
-            if len(lights) > 1:
-                report.append("oblivious robot has a non-constant light map")
+    lights = set()
+    for epi in dict.fromkeys(e for run in runs for state in run.states for e in state.epis):
+        try:
+            robot.control(epi)
+        except ModelDefinitionError as exc:
+            report.append(f"control: {exc}")
+        try:
+            lights.add(robot.light(epi))
+        except ModelDefinitionError as exc:
+            report.append(f"light: {exc}")
+    if robot.caps.memory == "oblivious" and len(lights) > 1:
+        report.append("oblivious robot has a non-constant light map")
     return report

@@ -71,21 +71,15 @@ def simulate(
     env: EnvMachine,
     path: TimePath,
     init_cells: Sequence[int],
-    adv_seq: Sequence | None = None,
     *,
     pre_move_look: bool = False,
 ) -> SystemRun:
-    """Deterministically execute one schedule; MOVEs commit before LOOKs per step."""
+    """Deterministically execute one schedule with no adversary; MOVEs commit before LOOKs."""
     _check_path(env, path)
-    steps = path.horizon_steps
-    if adv_seq is None:
-        adv_seq = (None,) * steps
-    adv_seq = tuple(adv_seq)
-    if len(adv_seq) != steps:
-        raise ValueError("adversary sequence length must match the path")
     table = _Transitions(robot, env, pre_move_look)
     init_cells = tuple(init_cells)
-    return table.run(path, path._key(), init_cells, table.initial(init_cells), adv_seq)
+    return table.run(path, path._key(), init_cells, table.initial(init_cells),
+                     (None,) * path.horizon_steps)
 
 
 def _check_path(env: EnvMachine, path: TimePath) -> None:
@@ -216,17 +210,17 @@ def enumerate_runs(
     init_cells: Sequence[Sequence[int]],
     schedules: Sequence[TimePath],
     *,
-    adversary: Sequence | None = None,
     cap: int = 100_000,
     pre_move_look: bool = False,
 ) -> list[SystemRun]:
     """One run per (schedule, adversary sequence, initial placement), deterministic order.
 
-    All runs share one table of distinct states and transitions.
+    The adversary sequences draw from `env.adversary_choices`. All runs share one
+    table of distinct states and transitions.
     """
     if not schedules:
         return []
-    adv_choices = tuple(adversary) if adversary is not None else env.adversary_choices
+    adv_choices = env.adversary_choices
     n_runs = 0
     for path in schedules:
         _check_path(env, path)

@@ -29,15 +29,12 @@ class TimePath:
     """One discrete activation schedule.
 
     activations[t] maps robot index -> the single phase it fires at step t; the
-    maps are read-only, since a path hashes by them.
-    local_clocks, when given, must match the activation-derived phase counts;
-    they exist as explicit data so that invalid paths can be constructed and
-    rejected by validate_path.
+    maps are read-only, since a path hashes by them. A robot's local clock is
+    the number of phases it has fired, so the activations determine it.
     """
 
     n_robots: int
     activations: tuple[Mapping[int, str], ...] = field(hash=False)
-    local_clocks: tuple[tuple[int, ...], ...] | None = field(default=None, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "activations",
@@ -46,27 +43,6 @@ class TimePath:
     @property
     def horizon_steps(self) -> int:
         return len(self.activations)
-
-    def participating(self, t: int) -> frozenset[int]:
-        return frozenset(self.activations[t])
-
-    def derived_clocks(self) -> tuple[tuple[int, ...], ...]:
-        """Per-step cumulative phase counts, one row per step edge (0..T)."""
-        counts = [0] * self.n_robots
-        rows = [tuple(counts)]
-        for step in self.activations:
-            for r in step:
-                counts[r] += 1
-            rows.append(tuple(counts))
-        return tuple(rows)
-
-    def global_times(self) -> tuple[int, ...]:
-        """Rectified global time: max of the local clocks at each step edge."""
-        return tuple(max(row) for row in self.derived_clocks())
-
-    def cycles_completed(self) -> tuple[int, ...]:
-        final = self.derived_clocks()[-1]
-        return tuple(c // len(PHASES) for c in final)
 
     def _key(self):
         return tuple(tuple(sorted(a.items())) for a in self.activations)
@@ -86,14 +62,12 @@ def validate_path(p: TimePath) -> list[str]:
     """Check the time-path invariants; an empty report means valid."""
     report: list[str] = []
     counts = [0] * p.n_robots
-    robots_known = True
     for t, step in enumerate(p.activations):
         if not step:
             report.append(f"step {t}: empty participating set")
         for r, phase in step.items():
             if not 0 <= r < p.n_robots:
                 report.append(f"step {t}: unknown robot {r}")
-                robots_known = False
                 continue
             expected = PHASES[counts[r] % len(PHASES)]
             if phase != expected:
@@ -101,24 +75,6 @@ def validate_path(p: TimePath) -> list[str]:
                     f"step {t}: robot {r} fires {phase} but its cycle position expects {expected}"
                 )
             counts[r] += 1
-    # the clocks an unknown robot would drive cannot be derived
-    if p.local_clocks is not None and robots_known:
-        derived = p.derived_clocks()
-        clocks = p.local_clocks
-        if len(clocks) != len(derived):
-            report.append(
-                f"local_clocks has {len(clocks)} rows, activations imply {len(derived)}"
-            )
-        else:
-            if any(c != 0 for c in clocks[0]):
-                report.append("initialisation: local clocks do not start at 0")
-            for i in range(1, len(clocks)):
-                if any(a > b for a, b in zip(clocks[i - 1], clocks[i])):
-                    report.append(f"monotonicity: local clock decreases at step {i - 1}")
-            for i, (given, want) in enumerate(zip(clocks, derived)):
-                if given != want:
-                    report.append(f"rectification: clocks at step edge {i} are {given}, expected {want}")
-                    break
     return report
 
 

@@ -20,13 +20,11 @@ from epispace.logic import (
     Verdict,
     box,
     conj,
+    disj,
     dknow,
-    ev,
     eval_at,
     everyone,
     implies,
-    know,
-    lor,
     parse,
     pos_atom,
     sp_atom,
@@ -41,7 +39,7 @@ from epispace.machine import (
 )
 from epispace.runs import build_interpreted_system, enumerate_runs
 from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
-from epispace.space import Grid, all_regions
+from epispace.space import Grid
 
 MYOPIC = Capabilities(visibility="myopic", view_radius=0.01)
 FULL = Capabilities()
@@ -122,13 +120,16 @@ class TestParser:
         f = parse("sp(U1) -> (sp(U1) | sp(U2))", self.sym)
         u1 = sp_atom(frozenset({0, 1}), "sp(U1)")
         u2 = sp_atom(frozenset({2, 3}), "sp(U2)")
-        assert f == implies(u1, lor(u1, u2))
+        assert f == implies(u1, disj([u1, u2]))
 
     def test_positional_atoms(self):
-        f = parse("pos[r1](c3) & init_pos[r2](c0) & in(c1, U1)", self.sym)
-        assert ("pos", 0, 3) in repr_keys(f)
-        assert ("init_pos", 1, 0) in repr_keys(f)
-        assert ("in", 1, frozenset({0, 1})) in repr_keys(f)
+        f = parse("pos[r1](c3) & pos[r2](c0)", self.sym)
+        assert repr_keys(f) == {("pos", 0, 3), ("pos", 1, 0)}
+        # no valuation ever defined these two atoms
+        for text in ("sp(U1) & init_pos[r2](c0)", "sp(U1) & in(c1, U1)"):
+            with pytest.raises(FormulaError, match="expected a formula") as err:
+                parse(text, self.sym)
+            assert err.value.offset == len("sp(U1) & ")
 
     def test_unknown_robot_reports_offset(self):
         with pytest.raises(FormulaError, match="unknown robot name 'r9'"):
@@ -173,7 +174,7 @@ class TestEval:
 
     def test_eventually_full_with_witness(self):
         _, sys = sweep_system()
-        verdict = eval_at(sys, (0, 0), ev(sp_atom(frozenset(range(4)))))
+        verdict = eval_at(sys, (0, 0), Eventually(sp_atom(frozenset(range(4)))))
         assert verdict.value == TRUE
         # step 12 is the COMPUTE closing sweep cycle index 3 ("within 4 cycles")
         assert verdict.witnesses == ((0, 12),)
@@ -182,7 +183,7 @@ class TestEval:
         _, sys = sweep_system(regions=[frozenset({0, 1})])
         f = sp_atom(frozenset({0, 1}))
         for p in sys.points:
-            if eval_at(sys, p, know(0, f)).value == TRUE:
+            if eval_at(sys, p, Know(0, f)).value == TRUE:
                 assert eval_at(sys, p, f).value == TRUE
 
     def test_point_outside_system_rejected(self):
@@ -222,12 +223,12 @@ class TestValid:
     def test_factivity_validity(self):
         _, sys = sweep_system(regions=[frozenset({0, 1})])
         f = sp_atom(frozenset({0, 1}))
-        assert valid(sys, implies(know(0, f), f)).value == TRUE
+        assert valid(sys, implies(Know(0, f), f)).value == TRUE
 
     def test_flooding_distributed_knowledge(self):
         _, sys = flood_system()
         full = sp_atom(frozenset(range(4)))
-        assert valid(sys, ev(dknow([0, 1], full))).value == TRUE
+        assert valid(sys, Eventually(dknow([0, 1], full))).value == TRUE
 
     def test_false_collects_witnesses(self):
         _, sys = sweep_system()
@@ -252,7 +253,7 @@ class TestS5:
             if kind == "and":
                 return And(gen(d - 1), gen(d - 1))
             if kind == "or":
-                return lor(gen(d - 1), gen(d - 1))
+                return disj([gen(d - 1), gen(d - 1)])
             if kind == "K":
                 return Know(rng.choice(robots), gen(d - 1))
             if kind == "D":
@@ -282,7 +283,7 @@ class TestS5:
         grid, sys = self.install_all_sp(flood_system())
         f = sp_atom(frozenset({0, 1}))
         for p in sys.points:
-            assert eval_at(sys, p, know(0, f)).value == eval_at(sys, p, dknow([0], f)).value
+            assert eval_at(sys, p, Know(0, f)).value == eval_at(sys, p, dknow([0], f)).value
 
     def test_distributed_monotone_in_group(self):
         grid, sys = self.install_all_sp(flood_system())
@@ -294,11 +295,12 @@ class TestMonotoneAtoms:
     def test_sp_antitone_in_region_order(self):
         grid = Grid(1, 4)
         _, sys = sweep_system()
-        regions = all_regions(grid)
-        sys = sys.with_atoms(sp_valuation(sys, [r.cells for r in regions]))
+        regions = [frozenset(c) for k in range(grid.n_cells + 1)
+                   for c in itertools.combinations(grid.all_cells(), k)]
+        sys = sys.with_atoms(sp_valuation(sys, regions))
         for u, v in itertools.product(regions, repeat=2):
-            if u.cells <= v.cells:
-                f = implies(sp_atom(v.cells), sp_atom(u.cells))
+            if u <= v:
+                f = implies(sp_atom(v), sp_atom(u))
                 assert valid(sys, f).value == TRUE
 
 
@@ -321,7 +323,7 @@ class TestThreeValued:
         _, sys = sweep_system(cycles=2)  # horizon too short to park
         assert sys.runs[0].is_open
         full = sp_atom(frozenset(range(4)))
-        assert eval_at(sys, (0, 0), ev(full)).value == UNKNOWN
+        assert eval_at(sys, (0, 0), Eventually(full)).value == UNKNOWN
         assert eval_at(sys, (0, 0), box(Not(full))).value == UNKNOWN
 
     def test_decided_verdicts_stable_under_extension(self):
@@ -331,8 +333,8 @@ class TestThreeValued:
                                   regions=[frozenset(range(4)), frozenset({0})])
             full = sp_atom(frozenset(range(4)))
             small = sp_atom(frozenset({0}))
-            for label, f in (("ev_full", ev(full)), ("box_not", box(Not(small))),
-                             ("ev_small", ev(small))):
+            for label, f in (("ev_full", Eventually(full)), ("box_not", box(Not(small))),
+                             ("ev_small", Eventually(small))):
                 v = eval_at(sys, (0, 0), f).value
                 if cycles == 6:
                     decided[label] = v
@@ -345,8 +347,9 @@ class TestThreeValued:
         seen0 = sp_atom(frozenset({0}))
         sys = sys.with_atoms(sp_valuation(sys, [frozenset(range(4)), frozenset({0})]))
         # UNKNOWN & FALSE is FALSE; UNKNOWN & TRUE is UNKNOWN
-        assert eval_at(sys, (0, 0), And(ev(full), sp_atom(frozenset(range(4))))).value == FALSE
-        assert eval_at(sys, (0, 3), And(ev(full), seen0)).value == UNKNOWN
+        f = And(Eventually(full), sp_atom(frozenset(range(4))))
+        assert eval_at(sys, (0, 0), f).value == FALSE
+        assert eval_at(sys, (0, 3), And(Eventually(full), seen0)).value == UNKNOWN
 
 
 class PointwiseOracle:

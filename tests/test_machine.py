@@ -6,17 +6,17 @@ from epispace.machine import (
     EXPLORE_SWEEP,
     FLOOD_EXPLORE,
     GATHER_MIN_REGION,
+    GATHER_OSCILLATE,
     Capabilities,
     EnvMachine,
     ModelDefinitionError,
     RobotMachine,
-    StateSpace,
     make_grid_walker,
     table_fn,
     validate_machine,
 )
 from epispace.runs import enumerate_runs, simulate
-from epispace.scheduler import SSYNC, TimePath, gen_schedules
+from epispace.scheduler import FSYNC, SSYNC, TimePath, gen_schedules
 from epispace.space import Grid
 
 FULL = Capabilities()
@@ -60,9 +60,6 @@ class TestLcmPhase:
     def test_compute_is_table_lookup(self):
         step = table_fn({(("e0",), ("o0",)): ("e1",)}, "step")
         robot = RobotMachine(
-            epi_space=StateSpace(2),
-            obs_space=StateSpace(1),
-            action_space=StateSpace(1),
             observe=lambda raw: raw,
             step=step,
             control=lambda e: None,
@@ -71,7 +68,6 @@ class TestLcmPhase:
         )
         env = EnvMachine(
             n_robots=1,
-            env_space=StateSpace(1),
             evolve=lambda s, a, adv: s,
             emit_obs=lambda s, adv: (("o0",),),
             make_initial_env=lambda cells: "env0",
@@ -134,11 +130,10 @@ class TestSweepWalker:
 
 class TestFloodExplore:
     def test_3x3_flood_builds_despite_declared_env_product(self):
-        # declares (9 * 2**9)**2 = 21,233,664 env states; runs reach only a few
+        # cells and lights make (9 * 2**9)**2 = 21,233,664 env states; runs reach only a few
         robot, env = make_grid_walker(Grid(2, 3), FULL, FLOOD_EXPLORE, n_robots=2)
-        assert env.env_space.size == 21_233_664
-        assert validate_machine(robot, env) == []
         runs = enumerate_runs(robot, env, [[0, 8]], gen_schedules(2, 5, SSYNC, fairness_bound=6))
+        assert validate_machine(robot, runs) == []
         states = [state for run in runs for state in run.states]
         assert len(runs) == 243
         assert len({state.env for state in states}) == 78
@@ -183,53 +178,62 @@ class TestGather:
             make_grid_walker(grid, FULL, GATHER_MIN_REGION, rendezvous=[[0, 1], [1, 2]])
 
 
+def one_robot_table_machine(epis, light=lambda e: None, caps=Capabilities()):
+    """A one-robot table machine that steps through `epis` on one observation."""
+    robot = RobotMachine(
+        observe=lambda raw: raw,
+        step=table_fn(dict(zip(((e, "o0") for e in epis), epis[1:])), "step"),
+        control=lambda e: None,
+        light=light,
+        initial_epi=lambda rid: epis[0],
+        caps=caps,
+    )
+    env = EnvMachine(
+        n_robots=1,
+        evolve=lambda s, a, adv: s,
+        emit_obs=lambda s, adv: ("o0",),
+        make_initial_env=lambda cells: "env0",
+    )
+    return robot, env
+
+
+def fsync_runs(robot, env, cycles=1):
+    """The run of one robot from cell 0 through `cycles` LCM cycles."""
+    return enumerate_runs(robot, env, [[0]], gen_schedules(1, cycles, FSYNC, fairness_bound=1))
+
+
 class TestValidateMachine:
     def test_reference_walker_is_valid(self):
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, MYOPIC0, EXPLORE_SWEEP)
-        assert validate_machine(robot, env) == []
+        assert validate_machine(robot, fsync_runs(robot, env, cycles=6)) == []
 
     def test_missing_step_entry_named(self):
-        step = table_fn({(("e0",), ("o0",)): ("e0",)}, "step")
-        robot = RobotMachine(
-            epi_space=StateSpace(2, lambda: iter([("e0",), ("e1",)])),
-            obs_space=StateSpace(1, lambda: iter([("o0",)])),
-            action_space=StateSpace(1),
-            observe=lambda raw: raw,
-            step=step,
-            control=lambda e: None,
-            light=lambda e: None,
-            initial_epi=lambda rid: ("e0",),
-        )
-        env = EnvMachine(
-            n_robots=1,
-            env_space=StateSpace(1),
-            evolve=lambda s, a, adv: s,
-            emit_obs=lambda s, adv: ((("o0",),),),
-        )
-        report = validate_machine(robot, env)
-        assert len(report) == 1 and "('e1',)" in report[0]
+        # the table has no step for ("e1",): the second COMPUTE of the run misses it
+        robot, env = one_robot_table_machine([("e0",), ("e1",)])
+        assert len(fsync_runs(robot, env)) == 1
+        with pytest.raises(ModelDefinitionError, match=r"step undefined for \(\('e1',\), 'o0'\)"):
+            fsync_runs(robot, env, cycles=2)
+
+    def test_missing_light_entry_of_reached_state_named(self):
+        # ("e2",) is in the light table but never reached; ("e1",) is reached but missing
+        light = table_fn({("e0",): None, ("e2",): None}, "light")
+        robot, env = one_robot_table_machine([("e0",), ("e1",)], light=light)
+        report = validate_machine(robot, fsync_runs(robot, env))
+        assert report == ["light: light undefined for ('e1',)"]
 
     def test_oblivious_nonconstant_light_flagged(self):
-        robot = RobotMachine(
-            epi_space=StateSpace(2, lambda: iter(["a", "b"])),
-            obs_space=StateSpace(1),
-            action_space=StateSpace(1),
-            observe=lambda raw: raw,
-            step=lambda e, o: e,
-            control=lambda e: None,
-            light=lambda e: e,  # leaks memory through the light
-            initial_epi=lambda rid: "a",
-            caps=Capabilities(memory="oblivious"),
-        )
-        env = EnvMachine(
-            n_robots=1,
-            env_space=StateSpace(1),
-            evolve=lambda s, a, adv: s,
-            emit_obs=lambda s, adv: ((),),
-        )
-        report = validate_machine(robot, env)
+        # leaks memory through the light: "a" and "b" are both reached
+        robot, env = one_robot_table_machine(
+            ["a", "b"], light=lambda e: e, caps=Capabilities(memory="oblivious"))
+        report = validate_machine(robot, fsync_runs(robot, env))
         assert report == ["oblivious robot has a non-constant light map"]
+
+    @pytest.mark.parametrize("protocol", [FLOOD_EXPLORE, GATHER_MIN_REGION, GATHER_OSCILLATE])
+    def test_protocol_with_memory_rejects_oblivious(self, protocol):
+        with pytest.raises(ValueError, match=protocol):
+            make_grid_walker(Grid(1, 4), Capabilities(memory="oblivious"), protocol, n_robots=2,
+                             rendezvous=[[0], [3]])
 
 
 class TestObliviousProperty:

@@ -1,4 +1,5 @@
-"""pyproject.toml declares only what exists: entry points, package data, dependencies."""
+"""The package declares and defines only what exists: entry points, package data,
+dependencies, and functions, classes and methods that some code names."""
 
 import ast
 import importlib
@@ -81,3 +82,46 @@ def test_declared_dependencies_are_imported():
     imported = set().union(*(provided_by for _, _, provided_by in third_party_imports()))
     unused = declared_dependencies() - imported
     assert not unused, sorted(unused)
+
+
+def referenced_names(tree):
+    """(name, enclosing definitions) for every identifier the module reads or imports."""
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], enclosing
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node}
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, enclosing)
+
+    yield from visit(tree, frozenset())
+
+
+def source_definitions(trees):
+    """(label, node) for each module-level function or class and non-dunder method in src/."""
+    for path in sorted((SRC / "epispace").glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{path.stem}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (item.name.startswith("__") and item.name.endswith("__"))):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def test_every_definition_is_named_outside_itself():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for folder in ("src", "bench", "tests") for path in (ROOT / folder).rglob("*.py")}
+    uses: dict[str, list[frozenset]] = {}
+    for tree in trees.values():
+        for name, enclosing in referenced_names(tree):
+            uses.setdefault(name, []).append(enclosing)
+    unused = [label for label, node in source_definitions(trees)
+              if all(node in enclosing for enclosing in uses.get(node.name, []))]
+    assert not unused, unused

@@ -14,7 +14,6 @@ from epispace.machine import (
     Capabilities,
     EnvMachine,
     RobotMachine,
-    StateSpace,
     make_grid_walker,
     table_fn,
 )
@@ -29,7 +28,15 @@ from epispace.runs import (
     export_traces,
     simulate,
 )
-from epispace.scheduler import ASYNC_K, FSYNC, PHASES, SSYNC, TimePath, gen_schedules
+from epispace.scheduler import (
+    ASYNC_K,
+    FSYNC,
+    PHASES,
+    SSYNC,
+    CapExceededError,
+    TimePath,
+    gen_schedules,
+)
 from epispace.space import Grid
 
 MYOPIC = Capabilities(visibility="myopic", view_radius=0.01)
@@ -69,9 +76,7 @@ INVALID_PATHS = pytest.mark.parametrize("path", [
     TimePath(2, ({0: "L"}, {0: "L"})),
     TimePath(2, ({},)),
     TimePath(2, ({5: "M"},)),
-    TimePath(2, ({5: "M"},), local_clocks=((0, 0), (0, 0))),
-], ids=["unknown-phase", "out-of-cycle-order", "empty-step", "unknown-robot",
-        "unknown-robot-with-clocks"])
+], ids=["unknown-phase", "out-of-cycle-order", "empty-step", "unknown-robot"])
 
 
 class TestSimulate:
@@ -99,7 +104,7 @@ class TestSimulate:
         for path in gen_schedules(2, 2, SSYNC, fairness_bound=3):
             run = simulate(robot, env, path, [0, 2])
             for t in range(run.horizon):
-                active = path.participating(t)
+                active = path.activations[t]
                 for r in range(2):
                     if r not in active:
                         assert run.states[t].epis[r] == run.states[t + 1].epis[r]
@@ -181,6 +186,30 @@ class TestEnumerate:
         schedules.append(gen_schedules(1, 2, FSYNC, fairness_bound=1)[0])
         with pytest.raises(ValueError, match="robot count"):
             enumerate_runs(robot, env, [[0, 3]], schedules)
+
+    def test_adversary_branching_over_cap_rejected_before_any_step(self):
+        # 27 SSYNC paths of 9 steps, each step with 3 adversary choices: 27 * 3**9 = 531,441 runs
+        caps = Capabilities(movement="non-rigid", min_distance=0.5)
+        robot, env = make_grid_walker(Grid(2, 2), caps, GATHER_OSCILLATE, n_robots=2,
+                                      rendezvous=[(0,), (3,)])
+        schedules = gen_schedules(2, 3, SSYNC, fairness_bound=4)
+        assert (len(schedules), len(env.adversary_choices)) == (27, 3)
+        calls = []
+
+        def logged(fn):
+            def call(*args):
+                calls.append(args)
+                return fn(*args)
+            return call
+
+        robot = replace(robot, **{name: logged(getattr(robot, name)) for name in
+                                  ("observe", "step", "control", "light", "initial_epi",
+                                   "footprint")})
+        env = replace(env, **{name: logged(getattr(env, name)) for name in
+                              ("evolve", "emit_obs", "make_initial_env")})
+        with pytest.raises(CapExceededError, match="adversary branching"):
+            enumerate_runs(robot, env, [[1, 2]], schedules)
+        assert calls == []
 
     def test_each_distinct_transition_computed_once(self):
         # S1 at H=5: 7,290 step edges, 2,430 of them with a MOVE,
@@ -440,7 +469,10 @@ def brute_lasso(run):
     """Smallest tail window whose end configuration equals its start, by key, in which
     every robot fires whole LCM cycles."""
     keys = [state.key() for state in run.states]
-    clocks = run.path.derived_clocks()
+    # clocks[t][r]: phases robot r has fired before step t
+    clocks = list(itertools.accumulate(
+        run.path.activations, lambda row, step: [c + (r in step) for r, c in enumerate(row)],
+        initial=[0] * run.path.n_robots))
     horizon = run.horizon
     windows = [start for start in range(horizon)
                if keys[start] == keys[horizon]
@@ -537,7 +569,6 @@ def table_systems(draw):
         return draw(st.sampled_from(list(values)))
 
     robot = RobotMachine(
-        epi_space=StateSpace(n_epi), obs_space=StateSpace(n_obs), action_space=StateSpace(n_act),
         observe=table_fn({raw: pick(obss) for raw in range(3)}, "observe"),
         step=table_fn({(e, o): pick(epis) for e in epis for o in obss}, "step"),
         control=table_fn({e: pick(range(n_act)) for e in epis}, "control"),
@@ -550,7 +581,6 @@ def table_systems(draw):
     placements = [(0,) * n, (1,) * n][:draw(st.integers(1, 2))]
     env = EnvMachine(
         n_robots=n,
-        env_space=StateSpace(n_env),
         evolve=table_fn({(v, acts, adv): pick(envs) for v in envs
                          for acts in itertools.product([None, *range(n_act)], repeat=n)
                          for adv in adversary}, "evolve"),
