@@ -5,7 +5,8 @@ individual knowledge, distributed knowledge, and "eventually". Disjunction,
 implication, "always" and mutual knowledge are expanded at construction time.
 A formula is checked by labelling every point with the value of every
 subformula, bottom-up: knowledge reduces its subformula's labels over each
-indistinguishability class, and "eventually" takes a reverse OR along each run.
+indistinguishability class, and "eventually" takes a reverse OR along each
+run's slice of the labels.
 Verdicts are three-valued (Kleene): temporal operators on runs without a closed
 lasso may come back UNKNOWN rather than guessing.
 """
@@ -14,7 +15,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from functools import partial
+from itertools import compress, islice, repeat
+from operator import is_
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .runs import InterpretedSystem, Point, distributed_relation
 
@@ -149,11 +153,18 @@ class Symbols:
         return sorted(self.robots.values())
 
 
+# Each level of parentheses costs the recursive-descent parser five Python frames.
+MAX_NESTING = 100
+_EVERYONE = re.compile(r"E\b")
+
+
 class _Parser:
     def __init__(self, text: str, symbols: Symbols):
         self.text = text
         self.symbols = symbols
         self.pos = 0
+        self.depth = 0  # open parentheses
+        self.atoms: dict[Atom, Atom] = {}  # one node per atom, so its labels are computed once
 
     def error(self, message: str):
         raise FormulaError(message, self.pos)
@@ -211,10 +222,13 @@ class _Parser:
 
     # precedence: -> (right) < | < & < prefix operators < primary
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.take("->"):
-            return implies(left, self.formula())
-        return left
+        parts = [self.disjunction()]
+        while self.take("->"):
+            parts.append(self.disjunction())
+        f = parts.pop()
+        while parts:
+            f = implies(parts.pop(), f)
+        return f
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
@@ -229,33 +243,47 @@ class _Parser:
         return parts[0] if len(parts) == 1 else conj(parts)
 
     def unary(self) -> Formula:
-        if self.take("!"):
-            return Not(self.unary())
-        if self.take("<>"):
-            return Eventually(self.unary())
-        if self.take("[]"):
-            return box(self.unary())
-        if self.take("K["):
-            r = self.robot()
-            self.expect("]")
-            return Know(r, self.unary())
-        if self.take("D[{"):
-            group = [self.robot()]
-            while self.take(","):
-                group.append(self.robot())
-            self.expect("}")
-            self.expect("]")
-            return dknow(group, self.unary())
-        self.skip_ws()
-        if re.match(r"E\b", self.text[self.pos:]):
-            self.pos += 1
-            return everyone(self.symbols.all_robots(), self.unary())
-        return self.primary()
+        """A chain of prefix operators, read in a loop, then applied innermost first."""
+        wraps: list[Callable[[Formula], Formula]] = []
+        while True:
+            if self.take("!"):
+                wraps.append(Not)
+            elif self.take("<>"):
+                wraps.append(Eventually)
+            elif self.take("[]"):
+                wraps.append(box)
+            elif self.take("K["):
+                r = self.robot()
+                self.expect("]")
+                wraps.append(partial(Know, r))
+            elif self.take("D[{"):
+                group = [self.robot()]
+                while self.take(","):
+                    group.append(self.robot())
+                self.expect("}")
+                self.expect("]")
+                wraps.append(partial(dknow, group))
+            elif _EVERYONE.match(self.text, self.pos):
+                self.pos += 1
+                wraps.append(partial(everyone, self.symbols.all_robots()))
+            else:
+                break
+        f = self.primary()
+        for wrap in reversed(wraps):
+            f = wrap(f)
+        return f
+
+    def atom(self, atom: Atom) -> Atom:
+        return self.atoms.setdefault(atom, atom)
 
     def primary(self) -> Formula:
         if self.take("("):
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             f = self.formula()
             self.expect(")")
+            self.depth -= 1
             return f
         self.skip_ws()
         start = self.pos
@@ -264,7 +292,7 @@ class _Parser:
             self.expect("(")
             name, cells = self.region()
             self.expect(")")
-            return sp_atom(cells, f"sp({name})")
+            return self.atom(sp_atom(cells, f"sp({name})"))
         if re.match(r"pos\b", self.text[self.pos:]):
             self.pos += 3
             self.expect("[")
@@ -273,7 +301,7 @@ class _Parser:
             self.expect("(")
             c = self.cell()
             self.expect(")")
-            return pos_atom(r, c)
+            return self.atom(pos_atom(r, c))
         self.pos = start
         self.error("expected a formula")
 
@@ -297,68 +325,94 @@ class Verdict:
 
 
 _NAMES = {True: TRUE, False: FALSE, None: UNKNOWN}
+_NOT = {True: False, False: True, None: None}
 
 
-def _label(sys: InterpretedSystem, f: Formula, memo: dict[Formula, list]) -> list[bool | None]:
+def _subformulas(f: Formula) -> tuple:
+    if isinstance(f, Atom):
+        return ()
+    if isinstance(f, And):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Know, DKnow, Eventually)):
+        return (f.sub,)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, list]) -> list[bool | None]:
     """Kleene value of f at every point, in sys.points order (run by run, t ascending).
 
-    Subformulas are labelled bottom-up, once each: memo maps a formula, compared by
-    structure, to its labels.
+    Subformulas are labelled bottom-up, once each, from an explicit post-order
+    stack, so no nesting depth reaches Python's recursion limit. `memo` maps
+    id(node) to the node's labels. It is meant for one call: `f` keeps all its
+    nodes, and so their ids, alive while it lasts.
     """
-    if f in memo:
-        return memo[f]
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo:
+            stack.pop()
+            continue
+        subs = _subformulas(node)
+        pending = [g for g in subs if id(g) not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        memo[id(node)] = _label_node(sys, node, [memo[id(g)] for g in subs])
+    return memo[id(f)]
+
+
+def _label_node(sys: InterpretedSystem, f: Formula, subs: list[list]) -> list[bool | None]:
+    """The labels of f from the labels of its direct subformulas."""
     if isinstance(f, Atom):
         if f.key not in sys.atoms:
             raise UnknownAtomError(f"no valuation installed for atom {f.label}")
-        holds = sys.atoms[f.key]
-        out = [p in holds for p in sys.points]
-    elif isinstance(f, Not):
-        out = [None if v is None else not v for v in _label(sys, f.sub, memo)]
-    elif isinstance(f, And):
-        left, right = _label(sys, f.left, memo), _label(sys, f.right, memo)
+        return list(map(sys.atoms[f.key].__contains__, sys.points))
+    if isinstance(f, Not):
+        return list(map(_NOT.__getitem__, subs[0]))
+    if isinstance(f, And):
         # FALSE if either side is FALSE, else UNKNOWN if either is UNKNOWN
-        out = [False if a is False or b is False else b if a else None
-               for a, b in zip(left, right)]
-    elif isinstance(f, (Know, DKnow)):
+        return [False if a is False or b is False else b if a else None
+                for a, b in zip(*subs)]
+    if isinstance(f, (Know, DKnow)):
         # K[r] is D of the singleton group: reduce over each class, then broadcast
-        sub = _label(sys, f.sub, memo)
+        sub = subs[0]
         cids = distributed_relation(sys, (f.robot,) if isinstance(f, Know) else f.group)
         per_class: list[bool | None] = [True] * (max(cids) + 1)
-        for cid, v in zip(cids, sub):
-            if v is False or (v is None and per_class[cid]):
-                per_class[cid] = v
-        out = [per_class[cid] for cid in cids]
-    elif isinstance(f, Eventually):
-        # per run, a reverse Kleene OR over its points; an open run may still reach f later
-        sub = _label(sys, f.sub, memo)
-        out = []
-        for run in sys.runs:
-            base = len(out)
-            suffix: list[bool | None] = [None] * (run.horizon + 1)
-            acc = None if run.is_open else False
-            for t in range(run.horizon, -1, -1):
-                v = sub[base + t]
-                if v or (v is None and acc is False):
-                    acc = v
-                suffix[t] = acc
-            out.extend(suffix[run.future_times(t).start] for t in range(run.horizon + 1))
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[f] = out
+        for value in (None, False):  # FALSE, set last, beats UNKNOWN
+            if value in sub:
+                for cid in set(compress(cids, map(is_, sub, repeat(value)))):
+                    per_class[cid] = value
+        return list(map(per_class.__getitem__, cids))
+    # Eventually: per run, a reverse Kleene OR over its row's slice; an open run may
+    # still reach f later. On a lasso every time in the loop reaches the whole loop,
+    # so it takes the loop head's value.
+    sub = subs[0]
+    out: list[bool | None] = [None] * len(sub)
+    for run, start in zip(sys.runs, sys.starts):
+        end = start + len(run.row)
+        acc = None if run.lasso is None else False
+        for i in range(end - 1, start - 1, -1):
+            v = sub[i]
+            if v or (v is None and acc is False):
+                acc = v
+            out[i] = acc
+        if run.lasso is not None:
+            head = start + run.lasso.start
+            out[head:end] = [out[head]] * (end - head)
     return out
 
 
 def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     """Evaluate one formula at one point; a TRUE <> names the first time it is met."""
-    try:
-        i = sys.points.index(point)
-    except ValueError:
-        raise ValueError(f"point {point} outside the system") from None
-    memo: dict[Formula, list] = {}
+    run_idx, t = point
+    if not (0 <= run_idx < len(sys.runs) and 0 <= t <= sys.runs[run_idx].horizon):
+        raise ValueError(f"point {point} outside the system")
+    i = sys.starts[run_idx] + t
+    memo: dict[int, list] = {}
     value = _label(sys, f, memo)[i]
     if value is True and isinstance(f, Eventually):
-        run_idx, t = point
-        sub = memo[f.sub]
+        sub = memo[id(f.sub)]
         first = next(t2 for t2 in sys.runs[run_idx].future_times(t) if sub[i - t + t2])
         return Verdict(TRUE, ((run_idx, first),))
     return Verdict(_NAMES[value])
@@ -371,7 +425,8 @@ def valid(sys: InterpretedSystem, f: Formula, *, max_witnesses: int = 20) -> Ver
     """
     labels = _label(sys, f, {})
     for value in (False, None):
-        points = [p for p, v in zip(sys.points, labels) if v is value]
+        points = tuple(islice(compress(sys.points, map(is_, labels, repeat(value))),
+                              max_witnesses))
         if points:
-            return Verdict(_NAMES[value], tuple(points[:max_witnesses]))
+            return Verdict(_NAMES[value], points)
     return Verdict(TRUE)

@@ -68,7 +68,6 @@ class RobotMachine:
     light: Callable = field(hash=False)            # epi -> light value
     initial_epi: Callable = field(hash=False)      # robot id -> epi
     caps: Capabilities = Capabilities()
-    name: str = "custom"
     footprint: Callable | None = field(default=None, hash=False)  # (rid, obs) -> frozenset[int]
 
 
@@ -283,7 +282,6 @@ def _build_sweep(grid, caps, n_robots, strips, flood, period):
         light=light,
         initial_epi=initial_epi,
         caps=caps,
-        name=FLOOD_EXPLORE if flood else EXPLORE_SWEEP,
         footprint=_own_cell,
     )
     return robot, _make_env(grid, caps, n_robots, robot)
@@ -349,7 +347,6 @@ def _build_gather(grid, caps, n_robots, regions, oscillate):
         light=light,
         initial_epi=initial_epi,
         caps=caps,
-        name=GATHER_OSCILLATE if oscillate else GATHER_MIN_REGION,
         footprint=_own_cell,
     )
     return robot, _make_env(grid, caps, n_robots, robot)

@@ -1,20 +1,25 @@
 """System runs and the interpreted system (epistemic frame + valuation).
 
-A run records one semantic state per global step edge: per-robot epistemic
+A configuration is one semantic state at a step edge: per-robot epistemic
 states and last observations, the environment state, and the cumulative
-explored cell set. The runs of one `enumerate_runs` call share their state
-objects: each distinct configuration is one `StepState`, and each distinct
-transition is computed once. A new transition is assembled from per-component
-tables that live for the same call: `control` results by epi, `step` results
-by (epi, obs), `footprint` results by (robot, obs), and `emit_obs` results by
-(env state, adversary choice). Indistinguishability for robot r is equality of
-r's epistemic state across (run, step) points, regardless of run or step.
+explored cell set. Each `simulate` or `enumerate_runs` call keeps one table of
+the distinct configurations it reaches, numbered 0, 1, ... in creation order,
+and a run is a row of ids into that table, one per step edge. So the ids of a
+call's runs, read run by run, meet each configuration first in id order. Each
+distinct transition (configuration id, step, adversary choice) is computed
+once. A new transition is assembled from per-component tables that live for
+the same call: `control` results by epi, `step` results by (epi, obs),
+`footprint` results by (robot, obs), and `emit_obs` results by (env state,
+adversary choice). Indistinguishability for robot r is equality of r's
+epistemic state across (run, step) points, regardless of run or step.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .machine import EnvMachine, RobotMachine
@@ -40,19 +45,50 @@ class Lasso:
     length: int
 
 
-@dataclass(frozen=True)
+class _RowStates(Sequence):
+    """Read-only view of a run's configurations: its row of ids looked up in its table."""
+
+    __slots__ = ("row", "table")
+
+    def __init__(self, row: array, table: list[StepState]):
+        self.row = row
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return [self.table[i] for i in self.row[t]]
+        return self.table[self.row[t]]
+
+    def __iter__(self):
+        return map(self.table.__getitem__, self.row)
+
+
+@dataclass(frozen=True, eq=False)
 class SystemRun:
+    """One run: a row of configuration ids, one per step edge, into `table`.
+
+    `table` is the configuration list of the `simulate` or `enumerate_runs` call
+    that made the run, shared with the call's other runs. Two runs are equal when
+    their schedule, adversary choices, placement, configurations and lasso are.
+    """
+
     path: TimePath
     adv_seq: tuple
     init_cells: tuple[int, ...]
-    # one per step edge, len = horizon_steps + 1; the StepState objects are shared
-    # with the other runs of the same simulate or enumerate_runs call
-    states: tuple[StepState, ...]
+    row: array                                   # 'i' ids, len = horizon_steps + 1
+    table: list[StepState] = field(repr=False)
     lasso: Lasso | None
 
     @property
+    def states(self) -> Sequence[StepState]:
+        return _RowStates(self.row, self.table)
+
+    @property
     def horizon(self) -> int:
-        return len(self.states) - 1
+        return len(self.row) - 1
 
     @property
     def is_open(self) -> bool:
@@ -64,6 +100,13 @@ class SystemRun:
             return range(t, self.horizon + 1)
         # inside the loop the forward orbit wraps around and covers the whole loop
         return range(min(t, self.lasso.start), self.horizon + 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, SystemRun):
+            return NotImplemented
+        return ((self.path, self.adv_seq, self.init_cells, self.lasso)
+                == (other.path, other.adv_seq, other.init_cells, other.lasso)
+                and list(self.states) == list(other.states))
 
 
 def simulate(
@@ -78,8 +121,8 @@ def simulate(
     _check_path(env, path)
     table = _Transitions(robot, env, pre_move_look)
     init_cells = tuple(init_cells)
-    return table.run(path, path._key(), init_cells, table.initial(init_cells),
-                     (None,) * path.horizon_steps)
+    return table.run(path, table.number_steps(path._key()), init_cells,
+                     table.initial(init_cells), (None,) * path.horizon_steps)
 
 
 def _check_path(env: EnvMachine, path: TimePath) -> None:
@@ -105,52 +148,69 @@ def _memoized(fn: Callable) -> Callable:
 
 
 class _Transitions:
-    """The distinct states and transitions of one `simulate` or `enumerate_runs` call.
+    """The distinct configurations and transitions of one `simulate` or `enumerate_runs` call.
 
-    Each configuration is interned: the first `StepState` with a given `key()`
-    stands for all of them, so runs share state objects and compare them by
-    identity. Each distinct (state, step, adversary choice) is computed once,
-    from machine components that are each memoized by their own arguments:
-    `control` by epi, `step` by (epi, obs), `footprint` by (robot, obs), and
-    `emit_obs` by the (env state, adversary choice) that the LOOK reads, which
-    is the pre-move env under `pre_move_look`. `evolve` is not memoized,
-    because actions need not be hashable.
+    `configs` is the call's table: configuration id -> `StepState`, ids given in
+    creation order, and a `StepState` is built only for a new key. Steps are
+    numbered too, and `plans` maps a step id to the step's movers, lookers and
+    computers. `succ` maps each distinct (config id, step id, adversary choice)
+    to the id it leads to. A new transition is computed from machine components
+    that are each memoized by their own arguments: `control` by epi, `step` by
+    (epi, obs), `footprint` by (robot, obs), and `emit_obs` by the (env state,
+    adversary choice) that the LOOK reads, which is the pre-move env under
+    `pre_move_look`. `evolve` is not memoized, because actions need not be hashable.
     """
 
     def __init__(self, robot: RobotMachine, env: EnvMachine, pre_move_look: bool):
         self.robot = robot
         self.env = env
         self.pre_move_look = pre_move_look
-        self.states: dict[tuple, StepState] = {}
-        # id() is stable: every state the memo names is kept alive by `states`
-        self.succ: dict[tuple, StepState] = {}
+        self.config_ids: dict[tuple, int] = {}
+        self.configs: list[StepState] = []
+        self.succ: dict[tuple, int] = {}
+        self.step_ids: dict[tuple, int] = {}
+        self.plans: list[tuple] = []
         self.control = _memoized(robot.control)
         self.compute = _memoized(robot.step)
         self.footprint = _memoized(robot.footprint) if robot.footprint is not None else None
         self.emit_obs = _memoized(env.emit_obs)
 
-    def intern(self, state: StepState) -> StepState:
-        return self.states.setdefault(state.key(), state)
+    def intern(self, key: tuple) -> int:
+        """The id of the configuration `key` = (epis, obss, env, explored), new ones last."""
+        cid = self.config_ids.get(key)
+        if cid is None:
+            cid = self.config_ids[key] = len(self.configs)
+            self.configs.append(StepState(*key))
+        return cid
 
-    def initial(self, init_cells: Sequence[int]) -> StepState:
+    def initial(self, init_cells: Sequence[int]) -> int:
         n = self.env.n_robots
         epis = tuple(self.robot.initial_epi(r) for r in range(n))
-        return self.intern(StepState(epis, (None,) * n, self.env.make_initial_env(init_cells),
-                                     frozenset()))
+        return self.intern((epis, (None,) * n, self.env.make_initial_env(init_cells),
+                            frozenset()))
 
-    def step(self, state: StepState, step: tuple, adv) -> StepState:
-        """The transition function: one global step, `step` as sorted (robot, phase) pairs."""
-        n = self.env.n_robots
+    def number_steps(self, steps: tuple) -> tuple[int, ...]:
+        """Step ids for a path's `_key()`; each new step is planned once."""
+        ids = []
+        for step in steps:
+            sid = self.step_ids.get(step)
+            if sid is None:
+                sid = self.step_ids[step] = len(self.plans)
+                self.plans.append(tuple(tuple(r for r, p in step if p == ph) for ph in PHASES))
+            ids.append(sid)
+        return tuple(ids)
+
+    def step(self, cid: int, sid: int, adv) -> int:
+        """The transition function: one global step, step id `sid`, from configuration `cid`."""
+        state = self.configs[cid]
+        movers, lookers, computers = self.plans[sid]
         epis = list(state.epis)
         obss = list(state.obss)
         env_state = state.env
         explored = state.explored
-        movers = [r for r, ph in step if ph == "M"]
-        lookers = [r for r, ph in step if ph == "L"]
-        computers = [r for r, ph in step if ph == "C"]
 
         if movers:
-            actions: list = [None] * n
+            actions: list = [None] * self.env.n_robots
             for r in movers:
                 actions[r] = self.control(epis[r])
             env_state = self.env.evolve(env_state, tuple(actions), adv)
@@ -162,38 +222,34 @@ class _Transitions:
             epis[r] = self.compute(epis[r], obss[r])
             if self.footprint is not None:
                 explored = explored | self.footprint(r, obss[r])
-        return self.intern(StepState(tuple(epis), tuple(obss), env_state, explored))
+        return self.intern((tuple(epis), tuple(obss), env_state, explored))
 
-    def run(self, path: TimePath, steps: tuple, init_cells: tuple, start: StepState,
+    def run(self, path: TimePath, steps: tuple[int, ...], init_cells: tuple, start: int,
             adv_seq: tuple) -> SystemRun:
-        """The run of a checked path from `start`, the interned initial state of `init_cells`.
+        """The run of a checked path from `start`, the initial configuration of `init_cells`.
 
-        `steps` is `path._key()`, so a caller with many runs per path computes it once.
+        `steps` is `number_steps(path._key())`, so a caller with many runs per path
+        computes it once.
         """
         succ = self.succ
-        state = start
-        states = [state]
-        for step, adv in zip(steps, adv_seq):
-            key = (id(state), step, adv)
-            nxt = succ.get(key)
+        cid = start
+        row = array("i", [cid])
+        for sid, adv in zip(steps, adv_seq):
+            nxt = succ.get((cid, sid, adv))
             if nxt is None:
-                nxt = succ[key] = self.step(state, step, adv)
-            state = nxt
-            states.append(state)
-        states_t = tuple(states)
-        return SystemRun(path, adv_seq, init_cells, states_t, _detect_lasso(path, states_t))
+                nxt = succ[cid, sid, adv] = self.step(cid, sid, adv)
+            cid = nxt
+            row.append(cid)
+        return SystemRun(path, adv_seq, init_cells, row, self.configs, _detect_lasso(path, row))
 
 
-def _detect_lasso(path: TimePath, states: tuple[StepState, ...]) -> Lasso | None:
-    """Tail lasso: smallest replayable window whose end state equals its start.
-
-    The states are interned, so equal configurations are the same object.
-    """
-    horizon = len(states) - 1
-    last = states[horizon]
+def _detect_lasso(path: TimePath, row: array) -> Lasso | None:
+    """Tail lasso: smallest replayable window whose end configuration equals its start."""
+    horizon = len(row) - 1
+    last = row[horizon]
     for length in range(1, horizon + 1):
         start = horizon - length
-        if states[start] is not last:
+        if row[start] != last:
             continue
         fired = [0] * path.n_robots
         for t in range(start, horizon):
@@ -228,8 +284,8 @@ def enumerate_runs(
     if n_runs * len(init_cells) > cap:
         branching = " (adversary branching)" if len(adv_choices) > 1 else ""
         raise CapExceededError(f"run enumeration exceeds cap {cap}{branching}")
-    paths = [(path, path._key()) for path in schedules]
     table = _Transitions(robot, env, pre_move_look)
+    paths = [(path, table.number_steps(path._key())) for path in schedules]
     runs = []
     for init in init_cells:
         init = tuple(init)
@@ -251,11 +307,13 @@ Point = tuple[int, int]  # (run index, step)
 class InterpretedSystem:
     """Runs, per-robot indistinguishability partitions, and the atom valuation.
 
-    Points are numbered by their position in `points`: run by run, t ascending.
-    A partition is a list of class ids aligned with `points`; `class_of[r][i]` is
-    robot r's class at `points[i]`. Ids count from 0 in order of first occurrence,
-    so the class of `points[0]` is 0 and a new id is always one more than the
-    largest before it.
+    Points are numbered by their position in `points`: run by run, t ascending,
+    so run i's point at time t sits at `starts[i] + t`, and its configuration is
+    `configs[config_of[starts[i] + t]]`. `configs` joins the tables of the runs
+    into one id space. A partition is a list of class ids aligned with `points`;
+    `class_of[r][k]` is robot r's class at `points[k]`. Ids count from 0 in order
+    of first occurrence, so the class of `points[0]` is 0 and a new id is always
+    one more than the largest before it.
     """
 
     runs: list[SystemRun]
@@ -263,6 +321,9 @@ class InterpretedSystem:
     robot_machine: RobotMachine
     points: list[Point]
     class_of: list[list[int]]                # per robot: class id per position in points
+    starts: list[int]                        # per run: position of its t=0 point in points
+    configs: list[StepState]
+    config_of: array                         # configuration id per position in points
     atoms: dict[Hashable, frozenset[Point]] = field(default_factory=dict)
 
     @property
@@ -282,21 +343,37 @@ class InterpretedSystem:
 
     def epi_at(self, point: Point, robot: int):
         run_idx, t = point
-        return self.runs[run_idx].states[t].epis[robot]
+        run = self.runs[run_idx]
+        return run.table[run.row[t]].epis[robot]
 
     def explored_at(self, point: Point) -> frozenset[int]:
         run_idx, t = point
-        return self.runs[run_idx].states[t].explored
+        run = self.runs[run_idx]
+        return run.table[run.row[t]].explored
 
     def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
         """Same frame, different valuation (shares runs and partitions)."""
         return replace(self, atoms=atoms)
 
 
-def _number(keys: Iterable[Hashable]) -> list[int]:
-    """Class ids for a sequence of keys: equal keys share an id, numbered by first occurrence."""
-    ids: dict[Hashable, int] = {}
-    return [ids.setdefault(k, len(ids)) for k in keys]
+def _partitions(configs: list[StepState], config_of: array,
+                groups: Iterable[Sequence[int]]) -> list[list[int]]:
+    """Per group, class ids per point: points share an id when their configurations
+    give every robot of the group the same epistemic state.
+
+    Each configuration is numbered once, in the order the points first meet it,
+    and the numbers are gathered along the points, so ids are in first-occurrence order.
+    """
+    first_met = dict.fromkeys(config_of)
+    out = []
+    for group in groups:
+        key = itemgetter(*group)
+        numbering: dict[Hashable, int] = {}
+        per_config = [0] * len(configs)
+        for c in first_met:
+            per_config[c] = numbering.setdefault(key(configs[c].epis), len(numbering))
+        out.append(list(map(per_config.__getitem__, config_of)))
+    return out
 
 
 def build_interpreted_system(
@@ -305,14 +382,30 @@ def build_interpreted_system(
     robot_machine: RobotMachine,
     atoms: dict[Hashable, frozenset[Point]] | None = None,
 ) -> InterpretedSystem:
-    """Group points into ~_r classes by hashing epistemic states."""
+    """Group points into ~_r classes by the epistemic states of their configurations.
+
+    The runs may come in any order and from several calls: each table's ids are
+    shifted into one id space, so equal configurations of two tables get two ids
+    but always the same classes.
+    """
     if not runs:
         raise ValueError("cannot build an interpreted system from zero runs")
-    points = [(i, t) for i, run in enumerate(runs) for t in range(run.horizon + 1)]
-    states = [state for run in runs for state in run.states]
-    class_of = [_number(state.epis[r] for state in states) for r in range(env_machine.n_robots)]
-    return InterpretedSystem(list(runs), env_machine, robot_machine, points, class_of,
-                             dict(atoms or {}))
+    configs = runs[0].table
+    offsets = {id(configs): 0}
+    for run in runs:
+        if id(run.table) not in offsets:
+            offsets[id(run.table)] = len(configs)
+            configs = configs + run.table  # a new list: each table stays as its call left it
+    config_of = array("i")
+    starts = []
+    for run in runs:
+        starts.append(len(config_of))
+        offset = offsets[id(run.table)]
+        config_of.extend(run.row if offset == 0 else [c + offset for c in run.row])
+    points = [(i, t) for i, run in enumerate(runs) for t in range(len(run.row))]
+    class_of = _partitions(configs, config_of, [(r,) for r in range(env_machine.n_robots)])
+    return InterpretedSystem(list(runs), env_machine, robot_machine, points, class_of, starts,
+                             configs, config_of, dict(atoms or {}))
 
 
 def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
@@ -323,7 +416,9 @@ def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[i
     for r in group:
         if not 0 <= r < sys.n_robots:
             raise ValueError(f"robot {r} outside the system")
-    return _number(zip(*(sys.class_of[r] for r in group)))
+    if len(group) == 1:
+        return sys.class_of[group[0]]
+    return _partitions(sys.configs, sys.config_of, [group])[0]
 
 
 def canon(value) -> str:

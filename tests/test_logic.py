@@ -37,7 +37,7 @@ from epispace.machine import (
     Capabilities,
     make_grid_walker,
 )
-from epispace.runs import build_interpreted_system, enumerate_runs
+from epispace.runs import build_interpreted_system, distributed_relation, enumerate_runs, simulate
 from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
 from epispace.space import Grid
 
@@ -188,8 +188,11 @@ class TestEval:
 
     def test_point_outside_system_rejected(self):
         _, sys = sweep_system()
-        with pytest.raises(ValueError):
-            eval_at(sys, (5, 0), sp_atom(frozenset()))
+        horizon = sys.runs[0].horizon
+        # the point's position is its run's offset + t, so no index may wrap or spill over
+        for point in ((5, 0), (1, 0), (-1, 0), (0, -1), (0, horizon + 1)):
+            with pytest.raises(ValueError, match="outside the system"):
+                eval_at(sys, point, sp_atom(frozenset()))
 
     def test_unknown_atom_kind(self):
         _, sys = sweep_system()
@@ -289,6 +292,35 @@ class TestS5:
         grid, sys = self.install_all_sp(flood_system())
         f = sp_atom(frozenset({0, 1}))
         assert valid(sys, implies(dknow([0], f), dknow([0, 1], f))).value == TRUE
+
+
+class TestDeepFormulas:
+    # each deep formula next to a shallow one with the same labels on the closed sweep
+    CHAINS = [
+        ("!" * 2000 + " sp(UX)", "sp(UX)", FALSE),
+        ("! <> " * 1000 + "sp(UX)", "! <> ! <> sp(UX)", TRUE),
+        ("<> " * 2000 + "sp(UX)", "<> sp(UX)", TRUE),
+        ("K[r1] [] " * 1000 + "sp(UX)", "K[r1] [] sp(UX)", FALSE),
+        ("D[{r1}] E " * 1000 + "sp(UX)", "K[r1] sp(UX)", FALSE),
+        ("sp(UX) -> " * 2000 + "sp(UX)", "sp(UX) -> sp(UX)", TRUE),
+    ]
+
+    @pytest.mark.parametrize("deep, shallow, value", CHAINS, ids=[
+        "not-2000", "not-ev-1000", "ev-2000", "k-box-1000", "d-e-1000", "implies-2000"])
+    def test_chains_parse_and_label_without_recursion(self, deep, shallow, value):
+        grid, sys = sweep_system()
+        verdict = valid(sys, parse(deep, symbols(grid)))
+        assert verdict == valid(sys, parse(shallow, symbols(grid)))
+        assert verdict.value == value
+
+    def test_parentheses_past_the_limit_raise_formula_error(self):
+        sym = symbols(Grid(1, 4))
+        nested = "(" * logic.MAX_NESTING + "sp(UX)" + ")" * logic.MAX_NESTING
+        assert parse(nested, sym) == parse("sp(UX)", sym)
+        for depth in (logic.MAX_NESTING + 1, 100_000):
+            with pytest.raises(FormulaError, match="nested deeper") as err:
+                parse("(" * depth + "sp(UX)" + ")" * depth, sym)
+            assert err.value.offset == logic.MAX_NESTING + 1
 
 
 class TestMonotoneAtoms:
@@ -471,3 +503,39 @@ def test_labelling_matches_pointwise_oracle(name):
         assert seen == {TRUE, FALSE, UNKNOWN}
     if name == "oscillate-lasso":
         assert not sys.runs[0].is_open
+
+
+def run_lists():
+    """Run lists whose point order differs from the order their tables were filled in."""
+    robot, env = make_grid_walker(Grid(1, 4), FULL, FLOOD_EXPLORE, n_robots=2,
+                                  strips=FLOOD_STRIPS)
+    schedules = gen_schedules(2, 3, SSYNC, fairness_bound=4)
+    runs = enumerate_runs(robot, env, [[0, 2]], schedules)
+    return robot, env, {
+        "reordered": random.Random(5).sample(runs, len(runs)),
+        "subset": runs[12:] + runs[1:12:3],
+        # every simulate call has its own table, so equal configurations get several ids
+        "two-calls": [simulate(robot, env, schedules[9], [1, 3]),
+                      simulate(robot, env, schedules[9], [0, 2])] + runs[5:10],
+    }
+
+
+@pytest.mark.parametrize("name", ["reordered", "subset", "two-calls"])
+def test_frame_from_any_run_list_matches_pointwise_definition(name):
+    robot, env, lists = run_lists()
+    sys = build_interpreted_system(lists[name], env, robot)
+    for group in ([0], [1], [0, 1]):
+        first = {}
+        expected = [first.setdefault(tuple(sys.epi_at(p, r) for r in group), len(first))
+                    for p in sys.points]
+        assert distributed_relation(sys, group) == expected, group
+    assert sys.class_of == [distributed_relation(sys, [r]) for r in (0, 1)]
+    grid, sys = TestS5().install_all_sp((Grid(1, 4), sys))
+    sys = sys.with_atoms({**sys.atoms, **pos_valuation(sys, grid)})
+    oracle = PointwiseOracle(sys)
+    verdicts = set()
+    for f in TestS5().random_formulas(sys, grid, count=20, depth=3, seed=13):
+        verdict = valid(sys, f)
+        assert verdict == oracle.valid(f), f
+        verdicts.add(verdict.value)
+    assert verdicts == {TRUE, FALSE, UNKNOWN}

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import random
-from dataclasses import replace
+from array import array
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from epispace.logic import Symbols, parse, valid
 from epispace.machine import (
     EXPLORE_SWEEP,
     FLOOD_EXPLORE,
@@ -231,6 +233,36 @@ class TestEnumerate:
         states = {id(state) for run in runs for state in run.states}
         configs = {state.key() for run in runs for state in run.states}
         assert len(states) == len(configs) == 1031
+
+    def test_rows_index_one_table_and_frame_and_labels_never_read_states(self, monkeypatch):
+        robot, env, placements, schedules, _ = s1_h5()
+        runs = enumerate_runs(robot, env, placements, schedules)
+        table = runs[0].table
+        assert len(table) == 1031
+        for run in runs:
+            assert run.table is table
+            assert type(run.row) is array and run.row.typecode == "i"
+            assert len(run.row) == 16
+        assert set().union(*(run.row for run in runs)) == set(range(1031))
+        ux = frozenset(range(6))
+        symbols = Symbols({"r1": 0, "r2": 1}, {"UX": ux}, 6)
+        formulas = ["<> sp(UX)", "D[{r1,r2}] sp(UX)", "[] (K[r1] sp(UX) -> K[r2] sp(UX))"]
+
+        def verdicts():
+            sys = build_interpreted_system(runs, env, robot)
+            sys = sys.with_atoms({("sp", ux): frozenset(p for p in sys.points
+                                                        if ux <= sys.explored_at(p))})
+            return [valid(sys, parse(text, symbols)) for text in formulas]
+
+        expected = verdicts()
+
+        def refuse(run):
+            raise AssertionError("a per-run StepState sequence was read")
+
+        monkeypatch.setattr(SystemRun, "states", property(refuse))
+        assert verdicts() == expected
+        with pytest.raises(AssertionError, match="StepState sequence"):
+            runs[0].states
 
     # the lambdas look the golden scenarios up when called: they are defined further down
     @pytest.mark.parametrize("scenario", [
@@ -480,6 +512,21 @@ def brute_lasso(run):
     return Lasso(max(windows), horizon - max(windows)) if windows else None
 
 
+@dataclass(frozen=True)
+class NaiveRun:
+    """A run as the reference simulator builds it: its own list of configurations."""
+
+    path: TimePath
+    adv_seq: tuple
+    init_cells: tuple
+    states: tuple
+    lasso: Lasso | None = None
+
+    @property
+    def horizon(self):
+        return len(self.states) - 1
+
+
 def naive_simulate(robot, env, path, init_cells, adv_seq, pre_move_look):
     """Reference simulator: every step of the run recomputed, no table shared with other runs."""
     n = env.n_robots
@@ -512,7 +559,7 @@ def naive_simulate(robot, env, path, init_cells, adv_seq, pre_move_look):
                 explored = explored | robot.footprint(r, obss[r])
         states.append(StepState(tuple(epis), tuple(obss), env_state, explored))
 
-    run = SystemRun(path, tuple(adv_seq), tuple(init_cells), tuple(states), None)
+    run = NaiveRun(path, tuple(adv_seq), tuple(init_cells), tuple(states))
     return replace(run, lasso=brute_lasso(run))
 
 
