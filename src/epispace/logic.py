@@ -326,6 +326,7 @@ class Verdict:
 
 _NAMES = {True: TRUE, False: FALSE, None: UNKNOWN}
 _NOT = {True: False, False: True, None: None}
+MAX_WITNESSES = 20  # points a valid() verdict names
 
 
 def _subformulas(f: Formula) -> tuple:
@@ -418,15 +419,16 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     return Verdict(_NAMES[value])
 
 
-def valid(sys: InterpretedSystem, f: Formula, *, max_witnesses: int = 20) -> Verdict:
+def valid(sys: InterpretedSystem, f: Formula) -> Verdict:
     """Validity: the formula holds at every point; counterexamples are witnesses.
 
-    Witnesses are the first FALSE points in sys.points order, else the first UNKNOWN ones.
+    Witnesses are the first MAX_WITNESSES FALSE points in sys.points order, else
+    the first MAX_WITNESSES UNKNOWN ones.
     """
     labels = _label(sys, f, {})
     for value in (False, None):
         points = tuple(islice(compress(sys.points, map(is_, labels, repeat(value))),
-                              max_witnesses))
+                              MAX_WITNESSES))
         if points:
             return Verdict(_NAMES[value], points)
     return Verdict(TRUE)

@@ -1,9 +1,13 @@
 """Time paths: discrete activation schedules tying local phase clocks to global time.
 
 A path is a sequence of global steps; at each step a nonempty subset of robots
-fires its next phase of the cyclic M -> L -> C order. FSYNC and SSYNC families
-are generated in whole rounds (three aligned steps per activation, so one
-activation = one full LCM cycle), k-ASYNC families at single-phase granularity.
+fires its next phase of the cyclic M -> L -> C order. One depth-first walk
+generates every synchrony class, extending a prefix one move at a time. Under
+FSYNC and SSYNC a move is a whole round: three aligned steps of one robot set,
+so each activation is one full LCM cycle, and FSYNC's only set is all robots.
+Under k-ASYNC a move is a single step. The walk keeps a prefix only while
+window fairness, the k-ASYNC drift bound and the cycle floor can all still
+hold, and undoes a move when it backtracks.
 """
 
 from __future__ import annotations
@@ -78,26 +82,6 @@ def validate_path(p: TimePath) -> list[str]:
     return report
 
 
-def _window_fair(subsets: Sequence[frozenset[int]], n_robots: int, window: int) -> bool:
-    if window > len(subsets):
-        return True
-    for start in range(len(subsets) - window + 1):
-        seen: set[int] = set()
-        for s in subsets[start:start + window]:
-            seen |= s
-        if len(seen) < n_robots:
-            return False
-    return True
-
-
-def _rounds_to_path(n_robots: int, subsets: Sequence[frozenset[int]]) -> TimePath:
-    steps = []
-    for s in subsets:
-        for phase in PHASES:
-            steps.append({r: phase for r in sorted(s)})
-    return TimePath(n_robots, tuple(steps))
-
-
 def gen_schedules(
     n_robots: int,
     horizon: int,
@@ -109,89 +93,66 @@ def gen_schedules(
 ) -> list[TimePath]:
     """Generate the finite scheduler family for one synchrony class.
 
-    `horizon` counts rounds (full LCM cycles of the fastest robot). Every robot
-    must be activated at least once per `fairness_bound` rounds; a bound larger
-    than the horizon leaves the family unconstrained.
+    `horizon` counts rounds (full LCM cycles of the fastest robot), so every
+    path has 3 * horizon steps. A path is kept when every window of
+    3 * fairness_bound steps activates every robot, every robot completes
+    horizon // fairness_bound cycles, and, under k-ASYNC, the robots'
+    completed-cycle counts never differ by more than `k`. A bound larger than
+    the horizon leaves the family unconstrained. Paths come in lexicographic
+    order of their moves, robot sets ordered by size, then by their robots.
+
+    `cap` counts generated paths for every class: generating path cap + 1
+    raises CapExceededError. Reaching the cap costs up to `cap` paths of work;
+    SSYNC with 16 robots at H=3 raises only after 100,000 paths, about 4 s on
+    a shared 2-vCPU VM.
     """
     if n_robots < 1 or horizon < 1 or fairness_bound < 1:
         raise ValueError("n_robots, horizon and fairness_bound must be positive")
-    if synchrony == FSYNC:
-        full = frozenset(range(n_robots))
-        return [_rounds_to_path(n_robots, [full] * horizon)]
-    if synchrony == SSYNC:
-        subsets = [
-            frozenset(c)
-            for size in range(1, n_robots + 1)
-            for c in itertools.combinations(range(n_robots), size)
-        ]
-        if len(subsets) ** horizon > cap:
-            raise CapExceededError(
-                f"SSYNC family size {len(subsets) ** horizon} exceeds cap {cap}"
-            )
-        family = []
-        for choice in itertools.product(subsets, repeat=horizon):
-            if _window_fair(choice, n_robots, fairness_bound):
-                family.append(_rounds_to_path(n_robots, choice))
-        return family
+    if synchrony not in (FSYNC, SSYNC, ASYNC_K):
+        raise ValueError(f"unknown synchrony class {synchrony!r}")
+    sizes = [n_robots] if synchrony == FSYNC else range(1, n_robots + 1)
+    moves = [frozenset(c) for size in sizes for c in itertools.combinations(range(n_robots), size)]
     if synchrony == ASYNC_K:
-        return _gen_async(n_robots, horizon, fairness_bound, k, cap)
-    raise ValueError(f"unknown synchrony class {synchrony!r}")
-
-
-def _gen_async(n_robots: int, horizon: int, fairness_bound: int, k: int, cap: int) -> list[TimePath]:
-    """All single-phase interleavings with cycle drift <= k and window fairness."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        width, max_drift = 1, k
+    else:
+        # one move is a whole round; cycle counts never differ by more than horizon
+        width, max_drift = len(PHASES), horizon
     n_steps = horizon * len(PHASES)
     window = fairness_bound * len(PHASES)
-    min_cycles = horizon // fairness_bound
-    robots = tuple(range(n_robots))
-    nonempty = [
-        frozenset(c)
-        for size in range(1, n_robots + 1)
-        for c in itertools.combinations(robots, size)
-    ]
+    floor = horizon // fairness_bound
+    steps: list[frozenset[int]] = []
+    counts = [0] * n_robots  # phases fired per robot
     family: list[TimePath] = []
-
-    def drift_ok(counts: Sequence[int]) -> bool:
-        cycles = [c // len(PHASES) for c in counts]
-        return max(cycles) - min(cycles) <= k
-
-    def recurse(steps: list[frozenset[int]], counts: list[int]):
-        if len(steps) == n_steps:
-            if all(c // len(PHASES) >= min_cycles for c in counts):
+    levels = [iter(moves)]
+    while levels:
+        move = next(levels[-1], None)
+        if move is None:
+            levels.pop()
+        else:
+            steps.extend([move] * width)
+            for r in move:
+                counts[r] += width
+            lo, hi = min(counts), max(counts)
+            # only the window ending at the move needs checking: with whole rounds,
+            # a window ending inside the round covers every robot of the window
+            # ending where the round starts, checked one move earlier
+            if (hi // len(PHASES) - lo // len(PHASES) <= max_drift
+                    and (lo + n_steps - len(steps)) // len(PHASES) >= floor
+                    and (len(steps) < window
+                         or len(frozenset().union(*steps[-window:])) == n_robots)):
+                if len(steps) < n_steps:
+                    levels.append(iter(moves))
+                    continue
                 if len(family) == cap:
-                    raise CapExceededError(f"k-ASYNC family exceeds cap {cap}")
+                    raise CapExceededError(f"{synchrony} family exceeds cap {cap}")
                 family.append(_steps_to_path(n_robots, steps))
-            return
-        for subset in nonempty:
-            new_counts = list(counts)
-            for r in subset:
-                new_counts[r] += 1
-            if not drift_ok(new_counts):
-                continue
-            steps.append(subset)
-            if _fair_prefix(steps, n_robots, window):
-                # prune: robots so far behind they cannot reach the cycle floor
-                remaining = n_steps - len(steps)
-                if all(
-                    (c + remaining) // len(PHASES) >= min_cycles for c in new_counts
-                ):
-                    recurse(steps, new_counts)
-            steps.pop()
-
-    recurse([], [0] * n_robots)
+        if steps:  # undo the move just tried, or the one that led to the level just left
+            for r in steps[-1]:
+                counts[r] -= width
+            del steps[-width:]
     return family
-
-
-def _fair_prefix(steps: Sequence[frozenset[int]], n_robots: int, window: int) -> bool:
-    # only the most recently completed window can be newly violated
-    if len(steps) < window:
-        return True
-    seen: set[int] = set()
-    for s in steps[len(steps) - window:]:
-        seen |= s
-    return len(seen) == n_robots
 
 
 def _steps_to_path(n_robots: int, subsets: Sequence[frozenset[int]]) -> TimePath:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
@@ -52,11 +53,22 @@ class TestGeneration:
         with pytest.raises(CapExceededError):
             gen_schedules(3, 6, SSYNC, fairness_bound=7, cap=100)
 
-    def test_async_cap_is_exact(self):
-        # this family has 583 paths: a cap of 583 admits it, one less does not
+    @pytest.mark.parametrize("synchrony, kwargs, size",
+                             [(ASYNC_K, {"k": 1}, 583), (SSYNC, {}, 7)], ids=[ASYNC_K, SSYNC])
+    def test_cap_is_exact(self, synchrony, kwargs, size):
+        # the cap counts generated paths: a cap of the family's size admits it, one less does not
         with pytest.raises(CapExceededError):
-            gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1, cap=582)
-        assert len(gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1, cap=583)) == 583
+            gen_schedules(2, 2, synchrony, fairness_bound=2, cap=size - 1, **kwargs)
+        assert len(gen_schedules(2, 2, synchrony, fairness_bound=2, cap=size, **kwargs)) == size
+
+    def test_long_path_needs_no_recursion(self):
+        # the family is one 1,200-step path
+        fam = gen_schedules(1, 400, ASYNC_K, fairness_bound=1)
+        assert len(fam) == 1 and fam[0].horizon_steps == 1200
+
+    def test_deep_family_reaches_cap(self):
+        with pytest.raises(CapExceededError):
+            gen_schedules(2, 400, ASYNC_K, fairness_bound=2, cap=10)
 
     def test_all_generated_paths_valid(self):
         for syn, kwargs in ((FSYNC, {}), (SSYNC, {}), (ASYNC_K, {"k": 2})):
@@ -70,6 +82,65 @@ class TestGeneration:
             fam2 = gen_schedules(2, 2, syn, **kwargs)
             assert fam1 == fam2
             assert len(set(fam1)) == len(fam1)
+
+
+def oracle_family(n_robots, horizon, synchrony, fairness_bound, k):
+    """The family straight from its definition, without pruning.
+
+    Enumerate every sequence of nonempty robot sets, one per round (FSYNC: all
+    robots) or one per step (k-ASYNC), and keep it when every window of
+    3 * fairness_bound steps contains every robot, the completed-cycle counts
+    differ by at most k after every step (k-ASYNC only), and every robot
+    completes horizon // fairness_bound cycles.
+    """
+    robots = range(n_robots)
+    if synchrony == FSYNC:
+        sets = [frozenset(robots)]
+    else:
+        sets = [frozenset(c) for size in range(1, n_robots + 1)
+                for c in combinations(robots, size)]
+    if synchrony == ASYNC_K:
+        sequences = product(sets, repeat=len(PHASES) * horizon)
+    else:
+        sequences = ([s for s in rounds for _ in PHASES]
+                     for rounds in product(sets, repeat=horizon))
+    window = len(PHASES) * fairness_bound
+    family = []
+    for steps in sequences:
+        fair = all(set().union(*steps[i:i + window]) == set(robots)
+                   for i in range(len(steps) - window + 1))
+        counts = [0] * n_robots
+        activations = []
+        max_drift = 0
+        for s in steps:
+            activations.append({r: PHASES[counts[r] % len(PHASES)] for r in s})
+            for r in s:
+                counts[r] += 1
+            cycles = [c // len(PHASES) for c in counts]
+            max_drift = max(max_drift, max(cycles) - min(cycles))
+        bounded = synchrony != ASYNC_K or max_drift <= k
+        floor = all(c // len(PHASES) >= horizon // fairness_bound for c in counts)
+        if fair and bounded and floor:
+            family.append(TimePath(n_robots, tuple(activations)))
+    return family
+
+
+# k-ASYNC with three robots stops at H=1: H=2 has 7**6 step sequences to filter
+ORACLE_GRID = [
+    (n_robots, horizon, synchrony)
+    for n_robots in (1, 2, 3)
+    for horizon in (1, 2)
+    for synchrony in (FSYNC, SSYNC, ASYNC_K)
+    if not (synchrony == ASYNC_K and n_robots == 3 and horizon == 2)
+] + [(2, 3, SSYNC)]
+
+
+@pytest.mark.parametrize("n_robots, horizon, synchrony", ORACLE_GRID)
+def test_family_matches_brute_force(n_robots, horizon, synchrony):
+    for fairness_bound in (1, 2, 3):
+        for k in ((1, 2) if synchrony == ASYNC_K else (1,)):
+            expected = oracle_family(n_robots, horizon, synchrony, fairness_bound, k)
+            assert gen_schedules(n_robots, horizon, synchrony, fairness_bound, k=k) == expected
 
 
 class TestInclusion:
