@@ -85,8 +85,8 @@ class EnvMachine:
     n_robots: int
     evolve: Callable = field(hash=False)      # (env, actions per robot, adv) -> env
     emit_obs: Callable = field(hash=False)    # (env, adv) -> tuple of per-robot raw observations
+    make_initial_env: Callable = field(hash=False)  # cells -> env state
     adversary_choices: tuple = (None,)
-    make_initial_env: Callable | None = field(default=None, hash=False)  # cells -> env state
     positions: Callable | None = field(default=None, hash=False)  # env -> tuple[int, ...]
     lights: Callable | None = field(default=None, hash=False)     # env -> tuple
 

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .machine import EnvMachine, RobotMachine
-from .scheduler import PHASES, CapExceededError, TimePath, validate_path
+from .scheduler import PHASES, CapExceededError, TimePath
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,13 @@ def simulate(
     _check_path(env, path)
     table = _Transitions(robot, env, pre_move_look)
     init_cells = tuple(init_cells)
-    return table.run(path, table.number_steps(path._key()), init_cells,
+    return table.run(path, table.number_steps(path.phased_steps()), init_cells,
                      table.initial(init_cells), (None,) * path.horizon_steps)
 
 
 def _check_path(env: EnvMachine, path: TimePath) -> None:
     if path.n_robots != env.n_robots:
         raise ValueError("path and environment disagree on the robot count")
-    report = validate_path(path)
-    if report:
-        raise ValueError("invalid time path: " + "; ".join(report))
 
 
 def _memoized(fn: Callable) -> Callable:
@@ -189,8 +186,8 @@ class _Transitions:
         return self.intern((epis, (None,) * n, self.env.make_initial_env(init_cells),
                             frozenset()))
 
-    def number_steps(self, steps: tuple) -> tuple[int, ...]:
-        """Step ids for a path's `_key()`; each new step is planned once."""
+    def number_steps(self, steps: Iterable[tuple]) -> tuple[int, ...]:
+        """Step ids for a path's `phased_steps()`; each new step is planned once."""
         ids = []
         for step in steps:
             sid = self.step_ids.get(step)
@@ -228,8 +225,8 @@ class _Transitions:
             adv_seq: tuple) -> SystemRun:
         """The run of a checked path from `start`, the initial configuration of `init_cells`.
 
-        `steps` is `number_steps(path._key())`, so a caller with many runs per path
-        computes it once.
+        `steps` is `number_steps(path.phased_steps())`, so a caller with many runs
+        per path computes it once.
         """
         succ = self.succ
         cid = start
@@ -253,7 +250,7 @@ def _detect_lasso(path: TimePath, row: array) -> Lasso | None:
             continue
         fired = [0] * path.n_robots
         for t in range(start, horizon):
-            for r in path.activations[t]:
+            for r in path.steps[t]:
                 fired[r] += 1
         if all(f % len(PHASES) == 0 for f in fired):
             return Lasso(start, length)
@@ -285,7 +282,7 @@ def enumerate_runs(
         branching = " (adversary branching)" if len(adv_choices) > 1 else ""
         raise CapExceededError(f"run enumeration exceeds cap {cap}{branching}")
     table = _Transitions(robot, env, pre_move_look)
-    paths = [(path, table.number_steps(path._key())) for path in schedules]
+    paths = [(path, table.number_steps(path.phased_steps())) for path in schedules]
     runs = []
     for init in init_cells:
         init = tuple(init)

@@ -1,10 +1,11 @@
-"""Time paths: discrete activation schedules tying local phase clocks to global time.
+"""Time paths: which robots each global step activates, and the scheduler families.
 
-A path is a sequence of global steps; at each step a nonempty subset of robots
-fires its next phase of the cyclic M -> L -> C order. One depth-first walk
-generates every synchrony class, extending a prefix one move at a time. Under
-FSYNC and SSYNC a move is a whole round: three aligned steps of one robot set,
-so each activation is one full LCM cycle, and FSYNC's only set is all robots.
+A path is a sequence of global steps, each a nonempty set of robots; each of
+them fires its next phase of the cyclic M -> L -> C order, so the sets fix
+every phase (`TimePath.phased_steps`). One depth-first walk generates every
+synchrony class, extending a prefix one move at a time. Under FSYNC and SSYNC a
+move is a whole round: three steps of one robot set, so each activation is one
+full LCM cycle, and FSYNC's only set is all robots.
 Under k-ASYNC a move is a single step. The walk keeps a prefix only while
 window fairness, the k-ASYNC drift bound and the cycle floor can all still
 hold, and undoes a move when it backtracks.
@@ -13,9 +14,9 @@ hold, and undoes a move when it backtracks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 PHASES = ("M", "L", "C")
 
@@ -30,56 +31,67 @@ class CapExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimePath:
-    """One discrete activation schedule.
+    """One discrete activation schedule: the robots activated at each global step.
 
-    activations[t] maps robot index -> the single phase it fires at step t; the
-    maps are read-only, since a path hashes by them. A robot's local clock is
-    the number of phases it has fired, so the activations determine it.
+    `steps[t]` is the sorted tuple of the distinct robots activated at step t;
+    the constructor takes any tuple or frozenset of robot ids and sorts it.
+    Every activated robot fires the next phase of its M -> L -> C cycle, so the
+    steps fix each phase (`phased_steps`) and no step can break the cycle order.
     """
 
     n_robots: int
-    activations: tuple[Mapping[int, str], ...] = field(hash=False)
+    steps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "activations",
-                           tuple(MappingProxyType(dict(a)) for a in self.activations))
+        steps = tuple(self.steps)
+        try:
+            distinct = dict.fromkeys(steps)
+        except TypeError:  # an unhashable step is invalid: scan every step to name it
+            distinct = steps
+        robot_ids = {}
+        for step in distinct:
+            problem = _step_problem(self.n_robots, step)
+            if problem:
+                raise ValueError(f"invalid time path: step {steps.index(step)}: {problem}")
+            robot_ids[step] = tuple(sorted(step))
+        object.__setattr__(self, "steps", tuple(map(robot_ids.__getitem__, steps)))
 
     @property
     def horizon_steps(self) -> int:
-        return len(self.activations)
+        return len(self.steps)
 
-    def _key(self):
-        return tuple(tuple(sorted(a.items())) for a in self.activations)
+    def phased_steps(self) -> list[tuple[tuple[int, str], ...]]:
+        """Per step, the (robot, phase) pairs it fires, in robot order.
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TimePath)
-            and self.n_robots == other.n_robots
-            and self._key() == other._key()
-        )
+        A robot that is in n earlier steps fires PHASES[n % 3].
+        """
+        fired = [0] * self.n_robots
+        out = []
+        for step in self.steps:
+            pairs = []
+            for r in step:
+                pairs.append((r, PHASES[fired[r] % len(PHASES)]))
+                fired[r] += 1
+            out.append(tuple(pairs))
+        return out
 
-    def __hash__(self):
-        return hash((self.n_robots, self._key()))
+    @property
+    def activations(self) -> tuple[Mapping[int, str], ...]:
+        """Per step, a read-only map robot -> the phase it fires, derived from `steps`."""
+        return tuple(MappingProxyType(dict(pairs)) for pairs in self.phased_steps())
 
 
-def validate_path(p: TimePath) -> list[str]:
-    """Check the time-path invariants; an empty report means valid."""
-    report: list[str] = []
-    counts = [0] * p.n_robots
-    for t, step in enumerate(p.activations):
-        if not step:
-            report.append(f"step {t}: empty participating set")
-        for r, phase in step.items():
-            if not 0 <= r < p.n_robots:
-                report.append(f"step {t}: unknown robot {r}")
-                continue
-            expected = PHASES[counts[r] % len(PHASES)]
-            if phase != expected:
-                report.append(
-                    f"step {t}: robot {r} fires {phase} but its cycle position expects {expected}"
-                )
-            counts[r] += 1
-    return report
+def _step_problem(n_robots: int, step) -> str | None:
+    """Why `step` is not a set of robot ids of a path of `n_robots`, or None if it is one."""
+    if not isinstance(step, (tuple, frozenset)):
+        return f"{step!r} is not a tuple or frozenset of robot ids"
+    if not step:
+        return "empty participating set"
+    if not all(isinstance(r, int) and 0 <= r < n_robots for r in step):
+        return f"robot ids {step!r} are not all ints in 0..{n_robots - 1}"
+    if len(set(step)) < len(step):
+        return f"robot ids {step!r} repeat"
+    return None
 
 
 def gen_schedules(
@@ -99,12 +111,13 @@ def gen_schedules(
     horizon // fairness_bound cycles, and, under k-ASYNC, the robots'
     completed-cycle counts never differ by more than `k`. A bound larger than
     the horizon leaves the family unconstrained. Paths come in lexicographic
-    order of their moves, robot sets ordered by size, then by their robots.
+    order of their moves, robot sets ordered by size, then by their robots, and
+    each is the walk's robot sets, one per step.
 
     `cap` counts generated paths for every class: generating path cap + 1
     raises CapExceededError. Reaching the cap costs up to `cap` paths of work;
-    SSYNC with 16 robots at H=3 raises only after 100,000 paths, about 4 s on
-    a shared 2-vCPU VM.
+    SSYNC with 16 robots at H=3 raises only after 100,000 paths, about 2 s on
+    a shared 2-vCPU VM (CPython 3.11).
     """
     if n_robots < 1 or horizon < 1 or fairness_bound < 1:
         raise ValueError("n_robots, horizon and fairness_bound must be positive")
@@ -147,21 +160,10 @@ def gen_schedules(
                     continue
                 if len(family) == cap:
                     raise CapExceededError(f"{synchrony} family exceeds cap {cap}")
-                family.append(_steps_to_path(n_robots, steps))
+                family.append(TimePath(n_robots, tuple(steps)))
         if steps:  # undo the move just tried, or the one that led to the level just left
             for r in steps[-1]:
                 counts[r] -= width
             del steps[-width:]
     return family
 
-
-def _steps_to_path(n_robots: int, subsets: Sequence[frozenset[int]]) -> TimePath:
-    counts = [0] * n_robots
-    acts = []
-    for s in subsets:
-        step = {}
-        for r in sorted(s):
-            step[r] = PHASES[counts[r] % len(PHASES)]
-            counts[r] += 1
-        acts.append(step)
-    return TimePath(n_robots, tuple(acts))

@@ -72,10 +72,14 @@ class TestLcmPhase:
             emit_obs=lambda s, adv: (("o0",),),
             make_initial_env=lambda cells: "env0",
         )
-        run = simulate(robot, env, TimePath(1, ({0: "M"}, {0: "L"}, {0: "C"})), [0])
+        run = simulate(robot, env, TimePath(1, ((0,), (0,), (0,))), [0])
         after = run.states[3]
         assert (after.epis, after.obss) == ((("e1",),), (("o0",),))
         assert after.env == "env0"
+
+    def test_env_machine_needs_initial_env(self):
+        with pytest.raises(TypeError, match="make_initial_env"):
+            EnvMachine(n_robots=1, evolve=lambda s, a, adv: s, emit_obs=lambda s, adv: ("o0",))
 
     def test_move_walker_right(self):
         grid = Grid(1, 4)
@@ -83,7 +87,7 @@ class TestLcmPhase:
         # epi that has seen cells 0..2 and sits at 2: next target is 3 -> move right
         epi = (0, 2, frozenset({0, 1, 2}), 0, frozenset())
         robot = replace(robot, initial_epi=lambda rid: epi)
-        run = simulate(robot, env, TimePath(1, ({0: "M"},)), [2])
+        run = simulate(robot, env, TimePath(1, ((0,),)), [2])
         assert env.positions(run.states[1].env) == (3,)
 
     def test_missing_table_entry_raises(self):
@@ -95,7 +99,7 @@ class TestLcmPhase:
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
         # the initial epi knows no target, so robot 0's MOVE keeps it on cell 0
-        run = simulate(robot, env, TimePath(2, ({0: "M"}, {0: "L"})), [0, 3])
+        run = simulate(robot, env, TimePath(2, ((0,), (0,))), [0, 3])
         obs = run.states[2].obss[0]
         assert obs[0][0] == 0 and obs[1][0] == 3
 

@@ -73,20 +73,29 @@ def brute_partition(sys, robot):
     return {frozenset(g) for g in groups.values()}
 
 
-INVALID_PATHS = pytest.mark.parametrize("path", [
-    TimePath(2, ({0: "X"},)),
-    TimePath(2, ({0: "L"}, {0: "L"})),
-    TimePath(2, ({},)),
-    TimePath(2, ({5: "M"},)),
-], ids=["unknown-phase", "out-of-cycle-order", "empty-step", "unknown-robot"])
+# Steps a two-robot TimePath rejects at construction, since they name no set of its robots.
+INVALID_STEPS = pytest.mark.parametrize("step", [(), (5,), (-1,), (0, "1"), {0: "M"}],
+                                        ids=["empty-step", "unknown-robot", "negative-robot",
+                                             "non-int-robot", "phase-map"])
+
+
+def phase_maps(path):
+    """Per step, robot -> phase fired, counted here from `path.steps`: a robot in n
+    earlier steps fires PHASES[n % 3]."""
+    fired = [0] * path.n_robots
+    maps = []
+    for step in path.steps:
+        maps.append({r: PHASES[fired[r] % len(PHASES)] for r in step})
+        for r in step:
+            fired[r] += 1
+    return maps
 
 
 class TestSimulate:
-    @INVALID_PATHS
-    def test_invalid_path_rejected(self, path):
-        robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
-        with pytest.raises(ValueError, match="invalid time path"):
-            simulate(robot, env, path, [0, 3])
+    @INVALID_STEPS
+    def test_invalid_path_rejected(self, step):
+        with pytest.raises(ValueError, match=r"^invalid time path: step 0: "):
+            TimePath(2, (step, (0, 1)))
 
     def test_deterministic_walker_single_run(self):
         _, _, _, runs = sweep_runs()
@@ -106,7 +115,7 @@ class TestSimulate:
         for path in gen_schedules(2, 2, SSYNC, fairness_bound=3):
             run = simulate(robot, env, path, [0, 2])
             for t in range(run.horizon):
-                active = path.activations[t]
+                active = path.steps[t]
                 for r in range(2):
                     if r not in active:
                         assert run.states[t].epis[r] == run.states[t + 1].epis[r]
@@ -133,10 +142,7 @@ class TestSimulate:
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
         # at the final step robot 0 moves while robot 1 looks
-        path = TimePath(2, (
-            {0: "M", 1: "M"}, {0: "L", 1: "L"}, {0: "C", 1: "C"},
-            {1: "M"}, {0: "M", 1: "L"},
-        ))
+        path = TimePath(2, ((0, 1), (0, 1), (0, 1), (1,), (0, 1)))
         post = simulate(robot, env, path, [0, 2])
         pre = simulate(robot, env, path, [0, 2], pre_move_look=True)
         seen_post = post.states[5].obss[1][0][0]
@@ -174,13 +180,12 @@ class TestEnumerate:
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
         assert enumerate_runs(robot, env, [[0]], []) == []
 
-    @INVALID_PATHS
-    def test_invalid_path_among_valid_schedules_rejected(self, path):
-        robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
-        schedules = gen_schedules(2, 2, SSYNC, fairness_bound=3)
-        schedules.insert(4, path)
-        with pytest.raises(ValueError, match="invalid time path"):
-            enumerate_runs(robot, env, [[0, 3], [1, 2]], schedules)
+    @INVALID_STEPS
+    def test_invalid_path_among_valid_schedules_rejected(self, step):
+        # the bad step sits among the steps of a generated path, and is named by its index
+        steps = gen_schedules(2, 2, SSYNC, fairness_bound=3)[4].steps
+        with pytest.raises(ValueError, match=r"^invalid time path: step 4: "):
+            TimePath(2, steps[:4] + (step,) + steps[4:])
 
     def test_robot_count_mismatch_rejected(self):
         robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
@@ -226,7 +231,7 @@ class TestEnumerate:
         counted = replace(env, evolve=evolve)
         runs = enumerate_runs(robot, counted, placements, schedules)
         transitions = {(run.states[t].key(), tuple(sorted(step.items())), run.adv_seq[t])
-                       for run in runs for t, step in enumerate(run.path.activations)}
+                       for run in runs for t, step in enumerate(phase_maps(run.path))}
         moving = {tr for tr in transitions if any(ph == "M" for _, ph in tr[1])}
         assert (len(transitions), len(moving)) == (1311, 474)
         assert len(calls) == len(moving)
@@ -289,7 +294,7 @@ class TestEnumerate:
         # the arguments each component needs, read off the runs
         needed = {name: set() for name in calls}
         for run in runs:
-            for t, act in enumerate(run.path.activations):
+            for t, act in enumerate(phase_maps(run.path)):
                 before, after = run.states[t], run.states[t + 1]
                 for r, ph in act.items():
                     if ph == "M":
@@ -503,7 +508,7 @@ def brute_lasso(run):
     keys = [state.key() for state in run.states]
     # clocks[t][r]: phases robot r has fired before step t
     clocks = list(itertools.accumulate(
-        run.path.activations, lambda row, step: [c + (r in step) for r, c in enumerate(row)],
+        run.path.steps, lambda row, step: [c + (r in step) for r, c in enumerate(row)],
         initial=[0] * run.path.n_robots))
     horizon = run.horizon
     windows = [start for start in range(horizon)
@@ -536,9 +541,7 @@ def naive_simulate(robot, env, path, init_cells, adv_seq, pre_move_look):
     explored: frozenset[int] = frozenset()
 
     states = [StepState(tuple(epis), tuple(obss), env_state, explored)]
-    for t in range(path.horizon_steps):
-        chunk = path.activations[t]
-        adv = adv_seq[t]
+    for chunk, adv in zip(phase_maps(path), adv_seq):
         movers = sorted(r for r, ph in chunk.items() if ph == "M")
         lookers = sorted(r for r, ph in chunk.items() if ph == "L")
         computers = sorted(r for r, ph in chunk.items() if ph == "C")

@@ -11,7 +11,6 @@ from epispace.scheduler import (
     CapExceededError,
     TimePath,
     gen_schedules,
-    validate_path,
 )
 
 
@@ -25,17 +24,13 @@ class TestGeneration:
         for syn in (FSYNC, SSYNC, ASYNC_K):
             fam = gen_schedules(1, 3, syn, fairness_bound=4)
             assert len(fam) == 1
-            path = fam[0]
-            for step in path.activations:
-                assert step.keys() == {0}
+            assert fam[0].steps == ((0,),) * 9
 
     def test_fsync_diagonal(self):
         fam = gen_schedules(2, 3, FSYNC, fairness_bound=1)
         assert len(fam) == 1
         path = fam[0]
-        assert path.horizon_steps == 9
-        for step in path.activations:
-            assert step.keys() == {0, 1}
+        assert path.steps == ((0, 1),) * 9
         # phases aligned across robots
         for t in range(9):
             assert path.activations[t][0] == path.activations[t][1] == PHASES[t % 3]
@@ -71,9 +66,13 @@ class TestGeneration:
             gen_schedules(2, 400, ASYNC_K, fairness_bound=2, cap=10)
 
     def test_all_generated_paths_valid(self):
+        # every step is a nonempty sorted tuple of distinct robots, and rebuilding keeps the path
         for syn, kwargs in ((FSYNC, {}), (SSYNC, {}), (ASYNC_K, {"k": 2})):
             for path in gen_schedules(2, 2, syn, fairness_bound=3, **kwargs):
-                assert validate_path(path) == []
+                for step in path.steps:
+                    assert type(step) is tuple and step and list(step) == sorted(set(step))
+                    assert set(step) <= {0, 1}
+                assert TimePath(2, path.steps) == path
 
     def test_families_deduplicated_and_deterministic(self):
         for syn, kwargs in ((SSYNC, {"fairness_bound": 3}),
@@ -91,7 +90,9 @@ def oracle_family(n_robots, horizon, synchrony, fairness_bound, k):
     robots) or one per step (k-ASYNC), and keep it when every window of
     3 * fairness_bound steps contains every robot, the completed-cycle counts
     differ by at most k after every step (k-ASYNC only), and every robot
-    completes horizon // fairness_bound cycles.
+    completes horizon // fairness_bound cycles. Returns the kept step sequences
+    with, per step, the phase each robot fires: a robot in n earlier steps
+    fires PHASES[n % 3].
     """
     robots = range(n_robots)
     if synchrony == FSYNC:
@@ -121,7 +122,7 @@ def oracle_family(n_robots, horizon, synchrony, fairness_bound, k):
         bounded = synchrony != ASYNC_K or max_drift <= k
         floor = all(c // len(PHASES) >= horizon // fairness_bound for c in counts)
         if fair and bounded and floor:
-            family.append(TimePath(n_robots, tuple(activations)))
+            family.append((tuple(tuple(sorted(s)) for s in steps), activations))
     return family
 
 
@@ -140,7 +141,10 @@ def test_family_matches_brute_force(n_robots, horizon, synchrony):
     for fairness_bound in (1, 2, 3):
         for k in ((1, 2) if synchrony == ASYNC_K else (1,)):
             expected = oracle_family(n_robots, horizon, synchrony, fairness_bound, k)
-            assert gen_schedules(n_robots, horizon, synchrony, fairness_bound, k=k) == expected
+            family = gen_schedules(n_robots, horizon, synchrony, fairness_bound, k=k)
+            assert [path.steps for path in family] == [steps for steps, _ in expected]
+            # the activations view bench/rep.py counts with derives the oracle's phases
+            assert [list(path.activations) for path in family] == [acts for _, acts in expected]
 
 
 class TestInclusion:
@@ -171,33 +175,60 @@ class TestTimePath:
             path.activations[0][0] = "L"
         assert path.activations[0][0] == "M" and hash(path) == before
 
+    def test_steps_are_sorted_sets(self):
+        path = TimePath(2, ((1, 0), frozenset({1}), (0,)))
+        assert path.steps == ((0, 1), (1,), (0,))
+        assert path == TimePath(2, ((0, 1), (1,), (0,)))
+        assert TimePath(2, ((1, 0),)) == TimePath(2, ((0, 1),))
+        assert hash(TimePath(2, ((1, 0),))) == hash(TimePath(2, ((0, 1),)))
+        assert TimePath(2, ((0,),)) != TimePath(3, ((0,),))
+
+    def test_each_distinct_step_checked_once(self):
+        reads = []
+
+        class Step(frozenset):
+            def __iter__(self):
+                reads.append(self)
+                return super().__iter__()
+
+        def reads_for(repeats):
+            reads.clear()
+            TimePath(2, (Step({0, 1}), Step({1})) * repeats)
+            return len(reads)
+
+        assert reads_for(100) == reads_for(1) > 0
+
 
 class TestInvariants:
     def test_fairness_cycle_floor(self):
         cases = [(SSYNC, 4, 2, {}), (ASYNC_K, 2, 2, {"k": 2})]
         for syn, horizon, bound, kwargs in cases:
             for path in gen_schedules(2, horizon, syn, fairness_bound=bound, **kwargs):
-                fired = Counter(r for step in path.activations for r in step)
+                fired = Counter(r for step in path.steps for r in step)
                 for r in range(2):
                     assert fired[r] // len(PHASES) >= horizon // bound
 
     def test_nonempty_participation(self):
         for path in gen_schedules(2, 2, ASYNC_K, fairness_bound=3, k=2):
-            for step in path.activations:
+            for step in path.steps:
                 assert step
 
 
 class TestValidatePath:
+    """The constructor is the path check: a step names a nonempty set of the path's robots."""
+
     def test_fsync_valid(self):
         path = gen_schedules(2, 2, FSYNC, fairness_bound=1)[0]
-        assert validate_path(path) == []
+        assert TimePath(path.n_robots, path.steps) == path
 
     def test_empty_step_reported(self):
-        path = TimePath(2, ({0: "M"}, {}))
-        report = validate_path(path)
-        assert any("empty participating set" in line for line in report)
+        with pytest.raises(ValueError, match="invalid time path: step 1: empty participating set"):
+            TimePath(2, ((0,), ()))
 
     def test_phase_order_enforced(self):
-        path = TimePath(1, ({0: "L"},))
-        report = validate_path(path)
-        assert any("expects M" in line for line in report)
+        # a step holds robots, not phases: each robot's phases follow M -> L -> C from its count
+        path = TimePath(2, ((0,), (0, 1), (1,), (0,), (0,)))
+        assert [dict(step) for step in path.activations] == [
+            {0: "M"}, {0: "L", 1: "M"}, {1: "L"}, {0: "C"}, {0: "M"}]
+        with pytest.raises(ValueError, match="invalid time path: step 0: "):
+            TimePath(1, ({0: "L"},))
