@@ -405,7 +405,11 @@ def _label_node(sys: InterpretedSystem, f: Formula, subs: list[list]) -> list[bo
 
 
 def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
-    """Evaluate one formula at one point; a TRUE <> names the first time it is met."""
+    """Evaluate one formula at one point; a TRUE <> names the first time it is met.
+
+    Each call labels the whole system, so calling it point by point is quadratic
+    in the points. A caller with many points should use `valid`, or label once.
+    """
     run_idx, t = point
     if not (0 <= run_idx < len(sys.runs) and 0 <= t <= sys.runs[run_idx].horizon):
         raise ValueError(f"point {point} outside the system")
@@ -413,8 +417,10 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     memo: dict[int, list] = {}
     value = _label(sys, f, memo)[i]
     if value is True and isinstance(f, Eventually):
-        sub = memo[id(f.sub)]
-        first = next(t2 for t2 in sys.runs[run_idx].future_times(t) if sub[i - t + t2])
+        sub, run = memo[id(f.sub)], sys.runs[run_idx]
+        # inside a lasso's loop the forward orbit wraps around to the loop head
+        start = t if run.lasso is None else min(t, run.lasso.start)
+        first = next(t2 for t2 in range(start, run.horizon + 1) if sub[i - t + t2])
         return Verdict(TRUE, ((run_idx, first),))
     return Verdict(_NAMES[value])
 

@@ -1,8 +1,8 @@
 """System runs and the interpreted system (epistemic frame + valuation).
 
-A configuration is one semantic state at a step edge: per-robot epistemic
-states and last observations, the environment state, and the cumulative
-explored cell set. Each `simulate` or `enumerate_runs` call keeps one table of
+A configuration is one semantic state at a step edge, a `StepState` tuple:
+per-robot epistemic states and last observations, the environment state, and
+the cumulative explored cell set. Each `enumerate_runs` call keeps one table of
 the distinct configurations it reaches, numbered 0, 1, ... in creation order,
 and a run is a row of ids into that table, one per step edge. So the ids of a
 call's runs, read run by run, meet each configuration first in id order. Each
@@ -20,23 +20,22 @@ import itertools
 from array import array
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .machine import EnvMachine, RobotMachine
 from .scheduler import PHASES, CapExceededError, TimePath
 
 
-@dataclass(frozen=True)
-class StepState:
-    """Semantic state at one step edge."""
+class StepState(NamedTuple):
+    """Semantic state at one step edge; the tuple is its own key in a call's table."""
 
     epis: tuple
     obss: tuple
     env: Hashable
     explored: frozenset[int]
 
-    def key(self):
-        return (self.epis, self.obss, self.env, self.explored)
+    def key(self) -> StepState:
+        return self
 
 
 @dataclass(frozen=True)
@@ -45,34 +44,13 @@ class Lasso:
     length: int
 
 
-class _RowStates(Sequence):
-    """Read-only view of a run's configurations: its row of ids looked up in its table."""
-
-    __slots__ = ("row", "table")
-
-    def __init__(self, row: array, table: list[StepState]):
-        self.row = row
-        self.table = table
-
-    def __len__(self) -> int:
-        return len(self.row)
-
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return [self.table[i] for i in self.row[t]]
-        return self.table[self.row[t]]
-
-    def __iter__(self):
-        return map(self.table.__getitem__, self.row)
-
-
 @dataclass(frozen=True, eq=False)
 class SystemRun:
     """One run: a row of configuration ids, one per step edge, into `table`.
 
-    `table` is the configuration list of the `simulate` or `enumerate_runs` call
-    that made the run, shared with the call's other runs. Two runs are equal when
-    their schedule, adversary choices, placement, configurations and lasso are.
+    `table` is the configuration list of the `enumerate_runs` call that made the
+    run, shared with the call's other runs. Two runs are equal when their
+    schedule, adversary choices, placement, configurations and lasso are.
     """
 
     path: TimePath
@@ -83,8 +61,9 @@ class SystemRun:
     lasso: Lasso | None
 
     @property
-    def states(self) -> Sequence[StepState]:
-        return _RowStates(self.row, self.table)
+    def states(self) -> list[StepState]:
+        """The run's configurations, looked up anew on each access."""
+        return list(map(self.table.__getitem__, self.row))
 
     @property
     def horizon(self) -> int:
@@ -94,40 +73,12 @@ class SystemRun:
     def is_open(self) -> bool:
         return self.lasso is None
 
-    def future_times(self, t: int) -> range:
-        """Times whose configurations are reachable from t in the lasso unrolling."""
-        if self.lasso is None:
-            return range(t, self.horizon + 1)
-        # inside the loop the forward orbit wraps around and covers the whole loop
-        return range(min(t, self.lasso.start), self.horizon + 1)
-
     def __eq__(self, other):
         if not isinstance(other, SystemRun):
             return NotImplemented
         return ((self.path, self.adv_seq, self.init_cells, self.lasso)
                 == (other.path, other.adv_seq, other.init_cells, other.lasso)
-                and list(self.states) == list(other.states))
-
-
-def simulate(
-    robot: RobotMachine,
-    env: EnvMachine,
-    path: TimePath,
-    init_cells: Sequence[int],
-    *,
-    pre_move_look: bool = False,
-) -> SystemRun:
-    """Deterministically execute one schedule with no adversary; MOVEs commit before LOOKs."""
-    _check_path(env, path)
-    table = _Transitions(robot, env, pre_move_look)
-    init_cells = tuple(init_cells)
-    return table.run(path, table.number_steps(path.phased_steps()), init_cells,
-                     table.initial(init_cells), (None,) * path.horizon_steps)
-
-
-def _check_path(env: EnvMachine, path: TimePath) -> None:
-    if path.n_robots != env.n_robots:
-        raise ValueError("path and environment disagree on the robot count")
+                and self.states == other.states)
 
 
 def _memoized(fn: Callable) -> Callable:
@@ -145,24 +96,25 @@ def _memoized(fn: Callable) -> Callable:
 
 
 class _Transitions:
-    """The distinct configurations and transitions of one `simulate` or `enumerate_runs` call.
+    """The distinct configurations and transitions of one `enumerate_runs` call.
 
     `configs` is the call's table: configuration id -> `StepState`, ids given in
-    creation order, and a `StepState` is built only for a new key. Steps are
-    numbered too, and `plans` maps a step id to the step's movers, lookers and
-    computers. `succ` maps each distinct (config id, step id, adversary choice)
-    to the id it leads to. A new transition is computed from machine components
-    that are each memoized by their own arguments: `control` by epi, `step` by
-    (epi, obs), `footprint` by (robot, obs), and `emit_obs` by the (env state,
-    adversary choice) that the LOOK reads, which is the pre-move env under
-    `pre_move_look`. `evolve` is not memoized, because actions need not be hashable.
+    creation order. Each configuration is one object, both the key of its id in
+    `config_ids` and its entry in `configs`. Steps are numbered too, and `plans`
+    maps a step id to the step's movers, lookers and computers. `succ` maps each
+    distinct (config id, step id, adversary choice) to the id it leads to. A new
+    transition is computed from machine components that are each memoized by
+    their own arguments: `control` by epi, `step` by (epi, obs), `footprint` by
+    (robot, obs), and `emit_obs` by the (env state, adversary choice) that the
+    LOOK reads, which is the pre-move env under `pre_move_look`. `evolve` is not
+    memoized, because actions need not be hashable.
     """
 
     def __init__(self, robot: RobotMachine, env: EnvMachine, pre_move_look: bool):
         self.robot = robot
         self.env = env
         self.pre_move_look = pre_move_look
-        self.config_ids: dict[tuple, int] = {}
+        self.config_ids: dict[StepState, int] = {}
         self.configs: list[StepState] = []
         self.succ: dict[tuple, int] = {}
         self.step_ids: dict[tuple, int] = {}
@@ -172,19 +124,19 @@ class _Transitions:
         self.footprint = _memoized(robot.footprint) if robot.footprint is not None else None
         self.emit_obs = _memoized(env.emit_obs)
 
-    def intern(self, key: tuple) -> int:
-        """The id of the configuration `key` = (epis, obss, env, explored), new ones last."""
-        cid = self.config_ids.get(key)
+    def intern(self, state: StepState) -> int:
+        """The id of the configuration `state`, new ones last."""
+        cid = self.config_ids.get(state)
         if cid is None:
-            cid = self.config_ids[key] = len(self.configs)
-            self.configs.append(StepState(*key))
+            cid = self.config_ids[state] = len(self.configs)
+            self.configs.append(state)
         return cid
 
     def initial(self, init_cells: Sequence[int]) -> int:
         n = self.env.n_robots
         epis = tuple(self.robot.initial_epi(r) for r in range(n))
-        return self.intern((epis, (None,) * n, self.env.make_initial_env(init_cells),
-                            frozenset()))
+        return self.intern(StepState(epis, (None,) * n, self.env.make_initial_env(init_cells),
+                                     frozenset()))
 
     def number_steps(self, steps: Iterable[tuple]) -> tuple[int, ...]:
         """Step ids for a path's `phased_steps()`; each new step is planned once."""
@@ -219,7 +171,7 @@ class _Transitions:
             epis[r] = self.compute(epis[r], obss[r])
             if self.footprint is not None:
                 explored = explored | self.footprint(r, obss[r])
-        return self.intern((tuple(epis), tuple(obss), env_state, explored))
+        return self.intern(StepState(tuple(epis), tuple(obss), env_state, explored))
 
     def run(self, path: TimePath, steps: tuple[int, ...], init_cells: tuple, start: int,
             adv_seq: tuple) -> SystemRun:
@@ -276,7 +228,8 @@ def enumerate_runs(
     adv_choices = env.adversary_choices
     n_runs = 0
     for path in schedules:
-        _check_path(env, path)
+        if path.n_robots != env.n_robots:
+            raise ValueError("path and environment disagree on the robot count")
         n_runs += len(adv_choices) ** path.horizon_steps
     if n_runs * len(init_cells) > cap:
         branching = " (adversary branching)" if len(adv_choices) > 1 else ""
@@ -288,11 +241,7 @@ def enumerate_runs(
         init = tuple(init)
         start = table.initial(init)
         for path, steps in paths:
-            if len(adv_choices) == 1:
-                seqs: Iterable = [(adv_choices[0],) * path.horizon_steps]
-            else:
-                seqs = itertools.product(adv_choices, repeat=path.horizon_steps)
-            for seq in seqs:
+            for seq in itertools.product(adv_choices, repeat=path.horizon_steps):
                 runs.append(table.run(path, steps, init, start, seq))
     return runs
 
@@ -390,6 +339,8 @@ def build_interpreted_system(
     configs = runs[0].table
     offsets = {id(configs): 0}
     for run in runs:
+        if run.path.n_robots != env_machine.n_robots:
+            raise ValueError("runs and environment disagree on the robot count")
         if id(run.table) not in offsets:
             offsets[id(run.table)] = len(configs)
             configs = configs + run.table  # a new list: each table stays as its call left it

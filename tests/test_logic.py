@@ -37,7 +37,7 @@ from epispace.machine import (
     Capabilities,
     make_grid_walker,
 )
-from epispace.runs import build_interpreted_system, distributed_relation, enumerate_runs, simulate
+from epispace.runs import build_interpreted_system, distributed_relation, enumerate_runs
 from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
 from epispace.space import Grid
 
@@ -384,6 +384,15 @@ class TestThreeValued:
         assert eval_at(sys, (0, 3), And(Eventually(full), seen0)).value == UNKNOWN
 
 
+def reachable_times(run, t):
+    """The times whose configurations t reaches on the run's lasso unrolling.
+
+    An open run reaches t..H. On a closed run the loop wraps around, so a time
+    inside the loop also reaches the loop from its head on.
+    """
+    return range(t if run.lasso is None else min(t, run.lasso.start), run.horizon + 1)
+
+
 class PointwiseOracle:
     """Truth at one point straight from the definitions, memoized on (formula, point).
 
@@ -425,7 +434,7 @@ class PointwiseOracle:
         if isinstance(f, Eventually):
             run_idx, t = p
             run = sys.runs[run_idx]
-            vs = set(self.values(f.sub, [(run_idx, t2) for t2 in run.future_times(t)]))
+            vs = set(self.values(f.sub, [(run_idx, t2) for t2 in reachable_times(run, t)]))
             return True if True in vs else None if None in vs or run.is_open else False
         raise TypeError(f)
 
@@ -441,7 +450,7 @@ class PointwiseOracle:
         [v] = self.values(f, [p])
         if v is True and isinstance(f, Eventually):
             run_idx, t = p
-            times = list(self.sys.runs[run_idx].future_times(t))
+            times = reachable_times(self.sys.runs[run_idx], t)
             subs = self.values(f.sub, [(run_idx, t2) for t2 in times])
             return Verdict(TRUE, ((run_idx, times[subs.index(True)]),))
         return Verdict({True: TRUE, False: FALSE, None: UNKNOWN}[v])
@@ -449,7 +458,8 @@ class PointwiseOracle:
 
 def pos_valuation(sys, grid):
     """Hand-rolled valuation: pos[r](c) holds where robot r stands on cell c."""
-    where = {p: sys.env_machine.positions(sys.runs[p[0]].states[p[1]].env) for p in sys.points}
+    where = {(i, t): sys.env_machine.positions(state.env)
+             for i, run in enumerate(sys.runs) for t, state in enumerate(run.states)}
     return {("pos", r, c): frozenset(p for p in sys.points if where[p][r] == c)
             for r in range(sys.n_robots) for c in grid.all_cells()}
 
@@ -514,9 +524,9 @@ def run_lists():
     return robot, env, {
         "reordered": random.Random(5).sample(runs, len(runs)),
         "subset": runs[12:] + runs[1:12:3],
-        # every simulate call has its own table, so equal configurations get several ids
-        "two-calls": [simulate(robot, env, schedules[9], [1, 3]),
-                      simulate(robot, env, schedules[9], [0, 2])] + runs[5:10],
+        # every enumerate_runs call has its own table, so equal configurations get several ids
+        "two-calls": [enumerate_runs(robot, env, [[1, 3]], [schedules[9]])[0],
+                      enumerate_runs(robot, env, [[0, 2]], [schedules[9]])[0]] + runs[5:10],
     }
 
 

@@ -15,7 +15,7 @@ from epispace.machine import (
     table_fn,
     validate_machine,
 )
-from epispace.runs import enumerate_runs, simulate
+from epispace.runs import enumerate_runs
 from epispace.scheduler import FSYNC, SSYNC, TimePath, gen_schedules
 from epispace.space import Grid
 
@@ -55,7 +55,7 @@ class TestCapabilities:
 
 
 class TestLcmPhase:
-    """Each phase as applied by simulate on a hand-built path of up to one cycle."""
+    """Each phase as applied by enumerate_runs on a hand-built path of up to one cycle."""
 
     def test_compute_is_table_lookup(self):
         step = table_fn({(("e0",), ("o0",)): ("e1",)}, "step")
@@ -72,7 +72,7 @@ class TestLcmPhase:
             emit_obs=lambda s, adv: (("o0",),),
             make_initial_env=lambda cells: "env0",
         )
-        run = simulate(robot, env, TimePath(1, ((0,), (0,), (0,))), [0])
+        run = enumerate_runs(robot, env, [[0]], [TimePath(1, ((0,), (0,), (0,)))])[0]
         after = run.states[3]
         assert (after.epis, after.obss) == ((("e1",),), (("o0",),))
         assert after.env == "env0"
@@ -87,7 +87,7 @@ class TestLcmPhase:
         # epi that has seen cells 0..2 and sits at 2: next target is 3 -> move right
         epi = (0, 2, frozenset({0, 1, 2}), 0, frozenset())
         robot = replace(robot, initial_epi=lambda rid: epi)
-        run = simulate(robot, env, TimePath(1, ((0,),)), [2])
+        run = enumerate_runs(robot, env, [[2]], [TimePath(1, ((0,),))])[0]
         assert env.positions(run.states[1].env) == (3,)
 
     def test_missing_table_entry_raises(self):
@@ -99,7 +99,7 @@ class TestLcmPhase:
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
         # the initial epi knows no target, so robot 0's MOVE keeps it on cell 0
-        run = simulate(robot, env, TimePath(2, ((0,), (0,))), [0, 3])
+        run = enumerate_runs(robot, env, [[0, 3]], [TimePath(2, ((0,), (0,)))])[0]
         obs = run.states[2].obss[0]
         assert obs[0][0] == 0 and obs[1][0] == 3
 
@@ -141,7 +141,7 @@ class TestFloodExplore:
         states = [state for run in runs for state in run.states]
         assert len(runs) == 243
         assert len({state.env for state in states}) == 78
-        assert len({state.key() for state in states}) == 605
+        assert len(set(states)) == 605
 
     def test_lights_carry_joined_region(self):
         grid = Grid(1, 4)

@@ -28,7 +28,6 @@ from epispace.runs import (
     distributed_relation,
     enumerate_runs,
     export_traces,
-    simulate,
 )
 from epispace.scheduler import (
     ASYNC_K,
@@ -105,27 +104,28 @@ class TestSimulate:
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
         path = gen_schedules(1, 5, FSYNC, fairness_bound=1)[0]
-        r1 = simulate(robot, env, path, [0])
-        r2 = simulate(robot, env, path, [0])
+        r1 = enumerate_runs(robot, env, [[0]], [path])[0]
+        r2 = enumerate_runs(robot, env, [[0]], [path])[0]
         assert r1 == r2
 
     def test_frozen_robot_rule(self):
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP, n_robots=2)
         for path in gen_schedules(2, 2, SSYNC, fairness_bound=3):
-            run = simulate(robot, env, path, [0, 2])
+            run = enumerate_runs(robot, env, [[0, 2]], [path])[0]
+            states = run.states
             for t in range(run.horizon):
                 active = path.steps[t]
                 for r in range(2):
                     if r not in active:
-                        assert run.states[t].epis[r] == run.states[t + 1].epis[r]
-                        assert run.states[t].obss[r] == run.states[t + 1].obss[r]
+                        assert states[t].epis[r] == states[t + 1].epis[r]
+                        assert states[t].obss[r] == states[t + 1].obss[r]
 
     def test_explored_monotone(self):
         _, _, _, runs = sweep_runs()
-        run = runs[0]
-        for t in range(run.horizon):
-            assert run.states[t].explored <= run.states[t + 1].explored
+        states = runs[0].states
+        for before, after in zip(states, states[1:]):
+            assert before.explored <= after.explored
 
     def test_parked_walker_gets_unit_cycle_lasso(self):
         _, _, _, runs = sweep_runs(cycles=6)
@@ -143,8 +143,8 @@ class TestSimulate:
         robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
         # at the final step robot 0 moves while robot 1 looks
         path = TimePath(2, ((0, 1), (0, 1), (0, 1), (1,), (0, 1)))
-        post = simulate(robot, env, path, [0, 2])
-        pre = simulate(robot, env, path, [0, 2], pre_move_look=True)
+        post = enumerate_runs(robot, env, [[0, 2]], [path])[0]
+        pre = enumerate_runs(robot, env, [[0, 2]], [path], pre_move_look=True)[0]
         seen_post = post.states[5].obss[1][0][0]
         seen_pre = pre.states[5].obss[1][0][0]
         assert (seen_pre, seen_post) == (0, 1)  # robot 1 sees robot 0 pre vs post move
@@ -230,13 +230,13 @@ class TestEnumerate:
 
         counted = replace(env, evolve=evolve)
         runs = enumerate_runs(robot, counted, placements, schedules)
-        transitions = {(run.states[t].key(), tuple(sorted(step.items())), run.adv_seq[t])
-                       for run in runs for t, step in enumerate(phase_maps(run.path))}
+        transitions = {(state, tuple(sorted(step.items())), adv) for run in runs
+                       for state, step, adv in zip(run.states, phase_maps(run.path), run.adv_seq)}
         moving = {tr for tr in transitions if any(ph == "M" for _, ph in tr[1])}
         assert (len(transitions), len(moving)) == (1311, 474)
         assert len(calls) == len(moving)
         states = {id(state) for run in runs for state in run.states}
-        configs = {state.key() for run in runs for state in run.states}
+        configs = {state for run in runs for state in run.states}
         assert len(states) == len(configs) == 1031
 
     def test_rows_index_one_table_and_frame_and_labels_never_read_states(self, monkeypatch):
@@ -294,8 +294,9 @@ class TestEnumerate:
         # the arguments each component needs, read off the runs
         needed = {name: set() for name in calls}
         for run in runs:
+            states = run.states
             for t, act in enumerate(phase_maps(run.path)):
-                before, after = run.states[t], run.states[t + 1]
+                before, after = states[t], states[t + 1]
                 for r, ph in act.items():
                     if ph == "M":
                         needed["control"].add((before.epis[r],))
@@ -315,6 +316,15 @@ class TestEnumerate:
 
 
 class TestFrame:
+    @pytest.mark.parametrize("env_robots", [1, 3])
+    def test_robot_count_mismatch_rejected(self, env_robots):
+        robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
+        runs = enumerate_runs(robot, env, [[0, 3]], gen_schedules(2, 1, SSYNC, fairness_bound=2))
+        other_robot, other_env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP,
+                                                  n_robots=env_robots)
+        with pytest.raises(ValueError, match="^runs and environment disagree on the robot count$"):
+            build_interpreted_system(runs, other_env, other_robot)
+
     def test_single_constant_robot_one_class(self):
         grid = Grid(1, 2)
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP, strips=[()])
@@ -469,7 +479,7 @@ def golden_myopic_sight():
 
 
 # sha256 of the export_traces lines, each followed by a newline. These pin the
-# simulator's output byte for byte: a refactor of simulate must keep them.
+# simulator's output byte for byte: a refactor of enumerate_runs must keep them.
 GOLDEN = {
     "fsync-sweep": (golden_sweep, 1,
                     "98946283d6f220d318226e56006f27599543f96f7d33360b74a2949fdb94e713"),
@@ -503,16 +513,16 @@ def test_golden_traces(name):
 
 
 def brute_lasso(run):
-    """Smallest tail window whose end configuration equals its start, by key, in which
+    """Smallest tail window whose end configuration equals its start, by value, in which
     every robot fires whole LCM cycles."""
-    keys = [state.key() for state in run.states]
+    states = run.states
     # clocks[t][r]: phases robot r has fired before step t
     clocks = list(itertools.accumulate(
         run.path.steps, lambda row, step: [c + (r in step) for r, c in enumerate(row)],
         initial=[0] * run.path.n_robots))
     horizon = run.horizon
     windows = [start for start in range(horizon)
-               if keys[start] == keys[horizon]
+               if states[start] == states[horizon]
                and all((b - a) % len(PHASES) == 0 for a, b in zip(clocks[start], clocks[horizon]))]
     return Lasso(max(windows), horizon - max(windows)) if windows else None
 
@@ -579,7 +589,7 @@ def assert_same_runs(runs, oracle, env):
     assert export_traces(runs, env) == export_traces(oracle, env)
     for run, ref in zip(runs, oracle):
         assert (run.path, run.adv_seq, run.init_cells) == (ref.path, ref.adv_seq, ref.init_cells)
-        assert [s.key() for s in run.states] == [s.key() for s in ref.states]
+        assert run.states == list(ref.states)
         assert run.lasso == ref.lasso
 
 
