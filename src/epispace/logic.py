@@ -1,12 +1,12 @@
 """Temporal-epistemic formulas over interpreted systems.
 
-The semantics handles six constructs: atoms, negation, conjunction,
-individual knowledge, distributed knowledge, and "eventually". Disjunction,
-implication, "always" and mutual knowledge are expanded at construction time.
-A formula is checked by labelling every point with the value of every
-subformula, bottom-up: knowledge reduces its subformula's labels over each
-indistinguishability class, and "eventually" takes a reverse OR along each
-run's slice of the labels.
+The semantics handles five constructs: atoms, negation, conjunction,
+distributed knowledge, and "eventually". Individual knowledge K[r] is
+distributed knowledge of the one-robot group {r}. Disjunction, implication,
+"always" and mutual knowledge are expanded at construction time. A formula is
+checked by labelling every point with the value of every subformula, bottom-up:
+knowledge reduces its subformula's labels over each class of its group's
+partition, and "eventually" takes a reverse OR along each run's slice of the labels.
 Verdicts are three-valued (Kleene): temporal operators on runs without a closed
 lasso may come back UNKNOWN rather than guessing.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import compress, islice, repeat
 from operator import is_
 from typing import Callable, Hashable, Iterable, Sequence
@@ -70,22 +70,13 @@ class And:
 
 
 @dataclass(frozen=True)
-class Know:
-    robot: int
-    sub: "Formula"
-
-    def __str__(self):
-        return f"K[r{self.robot + 1}] {self.sub}"
-
-
-@dataclass(frozen=True)
 class DKnow:
     group: tuple[int, ...]
     sub: "Formula"
 
     def __str__(self):
         names = ",".join(f"r{r + 1}" for r in self.group)
-        return f"D[{{{names}}}] {self.sub}"
+        return f"K[{names}] {self.sub}" if len(self.group) == 1 else f"D[{{{names}}}] {self.sub}"
 
 
 @dataclass(frozen=True)
@@ -96,11 +87,11 @@ class Eventually:
         return f"<> {self.sub}"
 
 
-Formula = Atom | Not | And | Know | DKnow | Eventually
+Formula = Atom | Not | And | DKnow | Eventually
 
 
 def conj(parts: Sequence[Formula]) -> Formula:
-    """Balanced conjunction (keeps evaluation recursion shallow)."""
+    """Balanced conjunction: keeps the recursion of `==`, `hash` and `str` shallow."""
     parts = list(parts)
     if not parts:
         raise ValueError("empty conjunction")
@@ -127,7 +118,7 @@ def dknow(group: Iterable[int], f: Formula) -> Formula:
 
 
 def everyone(robots: Iterable[int], f: Formula) -> Formula:
-    return conj([Know(r, f) for r in sorted(robots)])
+    return conj([DKnow((r,), f) for r in sorted(robots)])
 
 
 def sp_atom(cells: frozenset[int], label: str | None = None) -> Atom:
@@ -149,8 +140,13 @@ class Symbols:
     regions: dict[str, frozenset[int]]
     n_cells: int
 
-    def all_robots(self) -> list[int]:
-        return sorted(self.robots.values())
+    def __post_init__(self):
+        for name, r in self.robots.items():
+            if type(r) is not int or r < 0:
+                raise ValueError(f"robot {name!r}: id {r!r} is not an int >= 0")
+        for name, cells in self.regions.items():
+            if not set(cells) <= set(range(self.n_cells)):
+                raise ValueError(f"region {name!r} has a cell outside 0..{self.n_cells - 1}")
 
 
 # Each level of parentheses costs the recursive-descent parser five Python frames.
@@ -255,7 +251,7 @@ class _Parser:
             elif self.take("K["):
                 r = self.robot()
                 self.expect("]")
-                wraps.append(partial(Know, r))
+                wraps.append(partial(DKnow, (r,)))
             elif self.take("D[{"):
                 group = [self.robot()]
                 while self.take(","):
@@ -264,8 +260,10 @@ class _Parser:
                 self.expect("]")
                 wraps.append(partial(dknow, group))
             elif _EVERYONE.match(self.text, self.pos):
+                if not self.symbols.robots:
+                    self.error("E needs at least one robot")
                 self.pos += 1
-                wraps.append(partial(everyone, self.symbols.all_robots()))
+                wraps.append(partial(everyone, self.symbols.robots.values()))
             else:
                 break
         f = self.primary()
@@ -334,7 +332,7 @@ def _subformulas(f: Formula) -> tuple:
         return ()
     if isinstance(f, And):
         return (f.left, f.right)
-    if isinstance(f, (Not, Know, DKnow, Eventually)):
+    if isinstance(f, (Not, DKnow, Eventually)):
         return (f.sub,)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -345,8 +343,10 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, list]) -> list[bo
     Subformulas are labelled bottom-up, once each, from an explicit post-order
     stack, so no nesting depth reaches Python's recursion limit. `memo` maps
     id(node) to the node's labels. It is meant for one call: `f` keeps all its
-    nodes, and so their ids, alive while it lasts.
+    nodes, and so their ids, alive while it lasts. `relation` computes each
+    group's partition once, when a knowledge node first asks for it.
     """
+    relation = cache(partial(distributed_relation, sys))
     stack = [f]
     while stack:
         node = stack[-1]
@@ -359,12 +359,13 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, list]) -> list[bo
             stack.extend(pending)
             continue
         stack.pop()
-        memo[id(node)] = _label_node(sys, node, [memo[id(g)] for g in subs])
+        memo[id(node)] = _label_node(sys, node, [memo[id(g)] for g in subs], relation)
     return memo[id(f)]
 
 
-def _label_node(sys: InterpretedSystem, f: Formula, subs: list[list]) -> list[bool | None]:
-    """The labels of f from the labels of its direct subformulas."""
+def _label_node(sys: InterpretedSystem, f: Formula, subs: list[list],
+                relation: Callable[[tuple[int, ...]], list[int]]) -> list[bool | None]:
+    """The labels of f from those of its direct subformulas and the partitions of `relation`."""
     if isinstance(f, Atom):
         if f.key not in sys.atoms:
             raise UnknownAtomError(f"no valuation installed for atom {f.label}")
@@ -375,10 +376,10 @@ def _label_node(sys: InterpretedSystem, f: Formula, subs: list[list]) -> list[bo
         # FALSE if either side is FALSE, else UNKNOWN if either is UNKNOWN
         return [False if a is False or b is False else b if a else None
                 for a, b in zip(*subs)]
-    if isinstance(f, (Know, DKnow)):
-        # K[r] is D of the singleton group: reduce over each class, then broadcast
+    if isinstance(f, DKnow):
+        # reduce over each class of the group's partition, then broadcast
         sub = subs[0]
-        cids = distributed_relation(sys, (f.robot,) if isinstance(f, Know) else f.group)
+        cids = relation(f.group)
         per_class: list[bool | None] = [True] * (max(cids) + 1)
         for value in (None, False):  # FALSE, set last, beats UNKNOWN
             if value in sub:

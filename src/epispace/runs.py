@@ -251,22 +251,20 @@ Point = tuple[int, int]  # (run index, step)
 
 @dataclass
 class InterpretedSystem:
-    """Runs, per-robot indistinguishability partitions, and the atom valuation.
+    """Runs, their points and configurations, and the atom valuation.
 
     Points are numbered by their position in `points`: run by run, t ascending,
     so run i's point at time t sits at `starts[i] + t`, and its configuration is
     `configs[config_of[starts[i] + t]]`. `configs` joins the tables of the runs
-    into one id space. A partition is a list of class ids aligned with `points`;
-    `class_of[r][k]` is robot r's class at `points[k]`. Ids count from 0 in order
-    of first occurrence, so the class of `points[0]` is 0 and a new id is always
-    one more than the largest before it.
+    into one id space. The frame stores no partition: `distributed_relation`
+    computes a group's indistinguishability partition on demand, from the
+    configurations, each time it is called.
     """
 
     runs: list[SystemRun]
     env_machine: EnvMachine
     robot_machine: RobotMachine
     points: list[Point]
-    class_of: list[list[int]]                # per robot: class id per position in points
     starts: list[int]                        # per run: position of its t=0 point in points
     configs: list[StepState]
     config_of: array                         # configuration id per position in points
@@ -280,7 +278,7 @@ class InterpretedSystem:
     def classes(self) -> list[list[tuple[Point, ...]]]:
         """Per robot: class id -> member points, in points order."""
         out = []
-        for ids in self.class_of:
+        for ids in (distributed_relation(self, [r]) for r in range(self.n_robots)):
             members: list[list[Point]] = [[] for _ in range(max(ids) + 1)]
             for p, cid in zip(self.points, ids):
                 members[cid].append(p)
@@ -298,28 +296,23 @@ class InterpretedSystem:
         return run.table[run.row[t]].explored
 
     def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
-        """Same frame, different valuation (shares runs and partitions)."""
+        """Same frame, different valuation (shares runs and configurations)."""
         return replace(self, atoms=atoms)
 
 
-def _partitions(configs: list[StepState], config_of: array,
-                groups: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Per group, class ids per point: points share an id when their configurations
-    give every robot of the group the same epistemic state.
+def _partitions(configs: list[StepState], config_of: array, group: Sequence[int]) -> list[int]:
+    """Class ids per point: points share an id when their configurations give every
+    robot of the group the same epistemic state.
 
     Each configuration is numbered once, in the order the points first meet it,
     and the numbers are gathered along the points, so ids are in first-occurrence order.
     """
-    first_met = dict.fromkeys(config_of)
-    out = []
-    for group in groups:
-        key = itemgetter(*group)
-        numbering: dict[Hashable, int] = {}
-        per_config = [0] * len(configs)
-        for c in first_met:
-            per_config[c] = numbering.setdefault(key(configs[c].epis), len(numbering))
-        out.append(list(map(per_config.__getitem__, config_of)))
-    return out
+    key = itemgetter(*group)
+    numbering: dict[Hashable, int] = {}
+    per_config = [0] * len(configs)
+    for c in dict.fromkeys(config_of):
+        per_config[c] = numbering.setdefault(key(configs[c].epis), len(numbering))
+    return list(map(per_config.__getitem__, config_of))
 
 
 def build_interpreted_system(
@@ -328,7 +321,7 @@ def build_interpreted_system(
     robot_machine: RobotMachine,
     atoms: dict[Hashable, frozenset[Point]] | None = None,
 ) -> InterpretedSystem:
-    """Group points into ~_r classes by the epistemic states of their configurations.
+    """The frame of the runs: their points and the configuration id of each.
 
     The runs may come in any order and from several calls: each table's ids are
     shifted into one id space, so equal configurations of two tables get two ids
@@ -351,22 +344,20 @@ def build_interpreted_system(
         offset = offsets[id(run.table)]
         config_of.extend(run.row if offset == 0 else [c + offset for c in run.row])
     points = [(i, t) for i, run in enumerate(runs) for t in range(len(run.row))]
-    class_of = _partitions(configs, config_of, [(r,) for r in range(env_machine.n_robots)])
-    return InterpretedSystem(list(runs), env_machine, robot_machine, points, class_of, starts,
-                             configs, config_of, dict(atoms or {}))
+    return InterpretedSystem(list(runs), env_machine, robot_machine, points, starts, configs,
+                             config_of, dict(atoms or {}))
 
 
 def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
-    """Intersection of the group's indistinguishability relations, as class ids per point."""
+    """Intersection of the group's indistinguishability relations, as class ids per
+    point in first-occurrence order. Each call computes the partition anew."""
     group = sorted(set(group))
     if not group:
         raise ValueError("distributed knowledge needs a nonempty group")
     for r in group:
         if not 0 <= r < sys.n_robots:
             raise ValueError(f"robot {r} outside the system")
-    if len(group) == 1:
-        return sys.class_of[group[0]]
-    return _partitions(sys.configs, sys.config_of, [group])[0]
+    return _partitions(sys.configs, sys.config_of, group)
 
 
 def canon(value) -> str:

@@ -2,6 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_runs import count_partitions, table_systems
 
 from epispace import logic
 from epispace.logic import (
@@ -13,7 +16,6 @@ from epispace.logic import (
     DKnow,
     Eventually,
     FormulaError,
-    Know,
     Not,
     Symbols,
     UnknownAtomError,
@@ -102,13 +104,25 @@ class TestParser:
 
     def test_nested_knowledge(self):
         f = parse("K[r1] (sp(U1) & !sp(U2))", self.sym)
-        assert isinstance(f, Know) and f.robot == 0
+        assert isinstance(f, DKnow) and f.group == (0,)
         assert isinstance(f.sub, And)
         assert f.sub.right == Not(sp_atom(frozenset({2, 3}), "sp(U2)"))
 
     def test_distributed_group(self):
         f = parse("D[{r1,r2}] sp(U1)", self.sym)
         assert f == dknow([0, 1], sp_atom(frozenset({0, 1}), "sp(U1)"))
+
+    def test_singleton_group_is_knowledge(self):
+        assert parse("D[{r1}] sp(U1)", self.sym) == parse("K[r1] sp(U1)", self.sym)
+
+    @pytest.mark.parametrize("text, printed", [
+        ("K[r1] (sp(U1) & !sp(U2))", "K[r1] (sp(U1) & !sp(U2))"),
+        ("D[{r1,r2}] <> sp(U1)", "D[{r1,r2}] <> sp(U1)"),
+        ("<> E <> sp(UX)", "<> (K[r1] <> sp(UX) & K[r2] <> sp(UX))"),
+    ], ids=["K", "D", "E"])
+    def test_str_prints_parseable_text(self, text, printed):
+        assert str(parse(text, self.sym)) == printed
+        assert str(parse(printed, self.sym)) == printed
 
     def test_box_expands_to_not_diamond_not(self):
         f = parse("[] sp(U1)", self.sym)
@@ -148,6 +162,24 @@ class TestParser:
         with pytest.raises(FormulaError, match="outside the grid"):
             parse("pos[r1](c9)", self.sym)
 
+    @pytest.mark.parametrize("text, offset", [("E sp(V)", 0), ("sp(V) & E sp(V)", 8)])
+    def test_everyone_without_robots_reports_offset(self, text, offset):
+        with pytest.raises(FormulaError, match="E needs at least one robot") as err:
+            parse(text, Symbols({}, {"V": frozenset()}, 3))
+        assert err.value.offset == offset
+
+
+class TestSymbols:
+    @pytest.mark.parametrize("cells", [{99}, {1, 6}, {-1}])
+    def test_region_cell_outside_grid_rejected(self, cells):
+        with pytest.raises(ValueError, match=r"^region 'U' has a cell outside 0\.\.5$"):
+            Symbols({"r1": 0}, {"U": frozenset(cells)}, 6)
+
+    @pytest.mark.parametrize("robot_id", [-1, 1.0, "0"])
+    def test_robot_id_not_an_int_from_zero_rejected(self, robot_id):
+        with pytest.raises(ValueError, match=r"^robot 'r1': id .+ is not an int >= 0$"):
+            Symbols({"r1": robot_id}, {}, 6)
+
 
 def repr_keys(f):
     keys = set()
@@ -156,12 +188,10 @@ def repr_keys(f):
         node = stack.pop()
         if isinstance(node, Atom):
             keys.add(node.key)
-        elif isinstance(node, (Not, Eventually)):
+        elif isinstance(node, (Not, Eventually, DKnow)):
             stack.append(node.sub)
         elif isinstance(node, And):
             stack.extend([node.left, node.right])
-        elif isinstance(node, (Know,)):
-            stack.append(node.sub)
     return keys
 
 
@@ -183,7 +213,7 @@ class TestEval:
         _, sys = sweep_system(regions=[frozenset({0, 1})])
         f = sp_atom(frozenset({0, 1}))
         for p in sys.points:
-            if eval_at(sys, p, Know(0, f)).value == TRUE:
+            if eval_at(sys, p, dknow([0], f)).value == TRUE:
                 assert eval_at(sys, p, f).value == TRUE
 
     def test_point_outside_system_rejected(self):
@@ -226,7 +256,7 @@ class TestValid:
     def test_factivity_validity(self):
         _, sys = sweep_system(regions=[frozenset({0, 1})])
         f = sp_atom(frozenset({0, 1}))
-        assert valid(sys, implies(Know(0, f), f)).value == TRUE
+        assert valid(sys, implies(dknow([0], f), f)).value == TRUE
 
     def test_flooding_distributed_knowledge(self):
         _, sys = flood_system()
@@ -258,7 +288,7 @@ class TestS5:
             if kind == "or":
                 return disj([gen(d - 1), gen(d - 1)])
             if kind == "K":
-                return Know(rng.choice(robots), gen(d - 1))
+                return DKnow((rng.choice(robots),), gen(d - 1))
             if kind == "D":
                 return dknow(rng.sample(robots, rng.randint(1, len(robots))), gen(d - 1))
             if kind == "ev":
@@ -277,21 +307,40 @@ class TestS5:
         grid, sys = self.install_all_sp(sweep_system() if builder == "sweep" else flood_system())
         for f in self.random_formulas(sys, grid):
             for r in range(sys.n_robots):
-                kf = Know(r, f)
+                kf = DKnow((r,), f)
                 assert valid(sys, implies(kf, f)).value == TRUE
-                assert valid(sys, implies(kf, Know(r, kf))).value == TRUE
-                assert valid(sys, implies(Not(kf), Know(r, Not(kf)))).value == TRUE
+                assert valid(sys, implies(kf, DKnow((r,), kf))).value == TRUE
+                assert valid(sys, implies(Not(kf), DKnow((r,), Not(kf)))).value == TRUE
 
     def test_distributed_singleton_equals_knowledge(self):
         grid, sys = self.install_all_sp(flood_system())
         f = sp_atom(frozenset({0, 1}))
-        for p in sys.points:
-            assert eval_at(sys, p, Know(0, f)).value == eval_at(sys, p, dknow([0], f)).value
+        truth = dict(zip(sys.points, logic._label(sys, f, {})))
+        labels = logic._label(sys, dknow([0], f), {})
+        for p, label in zip(sys.points, labels):
+            same = [q for q in sys.points if sys.epi_at(q, 0) == sys.epi_at(p, 0)]
+            assert label == kleene_and(truth[q] for q in same), p
 
     def test_distributed_monotone_in_group(self):
         grid, sys = self.install_all_sp(flood_system())
         f = sp_atom(frozenset({0, 1}))
         assert valid(sys, implies(dknow([0], f), dknow([0, 1], f))).value == TRUE
+
+
+class TestPartitionsOnDemand:
+    @pytest.mark.parametrize("text, groups", [
+        ("<> E <> E sp(UX)", [(0,), (1,)]),
+        ("D[{r1,r2}] sp(UX) & <> D[{r2,r1}] sp(UX) & K[r2] sp(UX)", [(0, 1), (1,)]),
+    ], ids=["cooperative-termination", "repeated-group"])
+    def test_each_group_partitioned_once_per_call(self, monkeypatch, text, groups):
+        grid, sys = flood_system()
+        f = parse(text, symbols(grid, n_robots=2))
+        calls = count_partitions(monkeypatch)
+        valid(sys, f)
+        assert sorted(calls) == groups
+        calls.clear()
+        eval_at(sys, (0, 0), f)
+        assert sorted(calls) == groups
 
 
 class TestDeepFormulas:
@@ -393,12 +442,19 @@ def reachable_times(run, t):
     return range(t if run.lasso is None else min(t, run.lasso.start), run.horizon + 1)
 
 
-class PointwiseOracle:
-    """Truth at one point straight from the definitions, memoized on (formula, point).
+def kleene_and(values):
+    vs = set(values)
+    return False if False in vs else None if None in vs else True
 
-    K and D scan every point for those where each robot of the group has the
-    same epistemic state; <> scans the run's future times. Nothing goes through
-    the partitions of the frame, distributed_relation or the labelling in logic.
+
+class PointwiseOracle:
+    """Truth at each point straight from the definitions, one formula node at a time.
+
+    A node's values at all points are computed from its direct subformulas'
+    values and memoized on the formula. K and D scan every point for those where
+    each robot of the group has the same epistemic state; <> scans the run's
+    future times. Nothing goes through the partitions of the frame,
+    distributed_relation or the labelling in logic.
     """
 
     def __init__(self, sys):
@@ -406,36 +462,39 @@ class PointwiseOracle:
         self.memo = {}  # formula -> point -> value; hashing a formula walks all of it
 
     def values(self, f, points):
-        table = self.memo.setdefault(f, {})
-        for p in points:
-            if p not in table:
-                table[p] = self._value(f, p)
+        table = self.table(f)
         return [table[p] for p in points]
 
-    def _value(self, f, p):
-        sys = self.sys
+    def table(self, f):
+        if f not in self.memo:
+            self.memo[f] = self._table(f)
+        return self.memo[f]
+
+    def _table(self, f):
+        sys, points = self.sys, self.sys.points
         if isinstance(f, Atom):
-            return p in sys.atoms[f.key]
+            return {p: p in sys.atoms[f.key] for p in points}
         if isinstance(f, Not):
-            [v] = self.values(f.sub, [p])
-            return None if v is None else not v
+            return {p: None if v is None else not v for p, v in self.table(f.sub).items()}
         if isinstance(f, And):
-            vs = set(self.values(f.left, [p]) + self.values(f.right, [p]))
-            return False if False in vs else None if None in vs else True
-        if isinstance(f, (Know, DKnow)):
-            group = (f.robot,) if isinstance(f, Know) else f.group
-            same = [q for q in sys.points
-                    if all(sys.epi_at(q, r) == sys.epi_at(p, r) for r in group)]
-            vs = set(self.values(f.sub, same))
-            v = False if False in vs else None if None in vs else True
-            # every member of the class scans the same points
-            self.memo[f].update(dict.fromkeys(same, v))
-            return v
+            left, right = self.table(f.left), self.table(f.right)
+            return {p: kleene_and([left[p], right[p]]) for p in points}
+        if isinstance(f, DKnow):
+            sub, table = self.table(f.sub), {}
+            for p in points:
+                if p not in table:  # every member of p's class scans the same points
+                    same = [q for q in points
+                            if all(sys.epi_at(q, r) == sys.epi_at(p, r) for r in f.group)]
+                    table.update(dict.fromkeys(same, kleene_and(sub[q] for q in same)))
+            return table
         if isinstance(f, Eventually):
-            run_idx, t = p
-            run = sys.runs[run_idx]
-            vs = set(self.values(f.sub, [(run_idx, t2) for t2 in reachable_times(run, t)]))
-            return True if True in vs else None if None in vs or run.is_open else False
+            sub, table = self.table(f.sub), {}
+            for run_idx, t in points:
+                run = sys.runs[run_idx]
+                vs = {sub[run_idx, t2] for t2 in reachable_times(run, t)}
+                table[run_idx, t] = (True if True in vs
+                                     else None if None in vs or run.is_open else False)
+            return table
         raise TypeError(f)
 
     def valid(self, f):
@@ -515,6 +574,65 @@ def test_labelling_matches_pointwise_oracle(name):
         assert not sys.runs[0].is_open
 
 
+SET_ATOMS = [Atom(("set", k), f"a{k}") for k in range(3)]
+
+
+# Kinds of formula node: knowledge first, since hypothesis starts from the first kind,
+# and an atom one time in nine above depth 0, so most formulas nest K over <>.
+NODE_KINDS = [DKnow, Eventually, And, Not] * 2 + [Atom]
+
+
+@st.composite
+def formulas(draw, groups, depth=4):
+    """A formula at most `depth` operators deep over SET_ATOMS: !, &, <>, and D of `groups`."""
+    kinds, atoms, groups = (st.sampled_from(x) for x in (NODE_KINDS, SET_ATOMS, groups))
+
+    def node(d):
+        kind = draw(kinds) if d else Atom
+        if kind is Atom:
+            return draw(atoms)
+        if kind is And:
+            return And(node(d - 1), node(d - 1))
+        if kind is DKnow:
+            return DKnow(draw(groups), node(d - 1))
+        return kind(node(d - 1))
+
+    return node(depth)
+
+
+@st.composite
+def labelled_table_systems(draw):
+    """A random table_fn system, each of SET_ATOMS true on a random point set, and a
+    formula over them."""
+    robot, env, placements, schedules, pre_move_look = draw(table_systems())
+    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+    sys = build_interpreted_system(runs, env, robot)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    valuation = {}
+    for atom in SET_ATOMS:
+        # sparse and dense sets leave <> of the atom UNKNOWN at the ends of some open runs
+        density = draw(st.sampled_from([0.9, 0.1, 0.5, 0.0, 1.0]))
+        valuation[atom.key] = frozenset(p for p in sys.points if rng.random() < density)
+    robots = range(sys.n_robots)
+    groups = [(r,) for r in robots] + list(itertools.combinations(robots, 2))
+    return sys.with_atoms(valuation), draw(formulas(groups))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(labelled_table_systems())
+def test_random_formulas_label_as_pointwise_oracle(case):
+    sys, f = case
+    memo = {}
+    logic._label(sys, f, memo)
+    oracle = PointwiseOracle(sys)
+    nodes = [f]
+    while nodes:  # every subformula, so an outer operator cannot mask a wrong label
+        g = nodes.pop()
+        assert memo[id(g)] == oracle.values(g, sys.points), g
+        nodes.extend(logic._subformulas(g))
+
+
 def run_lists():
     """Run lists whose point order differs from the order their tables were filled in."""
     robot, env = make_grid_walker(Grid(1, 4), FULL, FLOOD_EXPLORE, n_robots=2,
@@ -539,7 +657,9 @@ def test_frame_from_any_run_list_matches_pointwise_definition(name):
         expected = [first.setdefault(tuple(sys.epi_at(p, r) for r in group), len(first))
                     for p in sys.points]
         assert distributed_relation(sys, group) == expected, group
-    assert sys.class_of == [distributed_relation(sys, [r]) for r in (0, 1)]
+    assert sys.classes == [
+        [tuple(p for p, cid in zip(sys.points, ids) if cid == k) for k in range(max(ids) + 1)]
+        for ids in (distributed_relation(sys, [r]) for r in (0, 1))]
     grid, sys = TestS5().install_all_sp((Grid(1, 4), sys))
     sys = sys.with_atoms({**sys.atoms, **pos_valuation(sys, grid)})
     oracle = PointwiseOracle(sys)

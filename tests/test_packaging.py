@@ -1,5 +1,6 @@
 """The package declares and defines only what exists: entry points, package data,
-dependencies, and functions, classes and methods that some code names."""
+dependencies, functions, classes and methods that some code names, and class
+fields that some code reads."""
 
 import ast
 import importlib
@@ -84,22 +85,33 @@ def test_declared_dependencies_are_imported():
     assert not unused, sorted(unused)
 
 
-def referenced_names(tree):
-    """(name, enclosing definitions) for every identifier the module reads or imports."""
+def enclosed_nodes(tree):
+    """(node, enclosing definitions) for every node of the module."""
 
     def visit(node, enclosing):
-        if isinstance(node, ast.Name):
-            yield node.id, enclosing
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, enclosing
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2], enclosing
+        yield node, enclosing
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             enclosing = enclosing | {node}
         for child in ast.iter_child_nodes(node):
             yield from visit(child, enclosing)
 
     yield from visit(tree, frozenset())
+
+
+def referenced_names(tree):
+    """(name, enclosing definitions) for every identifier the module reads or imports."""
+    for node, enclosing in enclosed_nodes(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], enclosing
+
+
+def all_trees():
+    return {path: ast.parse(path.read_text(), str(path))
+            for folder in ("src", "bench", "tests") for path in (ROOT / folder).rglob("*.py")}
 
 
 def source_definitions(trees):
@@ -116,8 +128,7 @@ def source_definitions(trees):
 
 
 def test_every_definition_is_named_outside_itself():
-    trees = {path: ast.parse(path.read_text(), str(path))
-             for folder in ("src", "bench", "tests") for path in (ROOT / folder).rglob("*.py")}
+    trees = all_trees()
     uses: dict[str, list[frozenset]] = {}
     for tree in trees.values():
         for name, enclosing in referenced_names(tree):
@@ -125,3 +136,42 @@ def test_every_definition_is_named_outside_itself():
     unused = [label for label, node in source_definitions(trees)
               if all(node in enclosing for enclosing in uses.get(node.name, []))]
     assert not unused, unused
+
+
+# Fields that nothing reads yet, each with the ROADMAP item that removes it.
+UNREAD_FIELDS = {
+    "runs.InterpretedSystem.robot_machine": "item 5 (benchmark v2) deletes it",
+    "machine.Capabilities.min_distance": "item 1 decides whether evolve honours it",
+}
+
+
+def unread_fields(trees):
+    """Labels of the annotated class fields in src/ that no code outside their own class
+    reads as an attribute."""
+    reads: dict[str, list[frozenset]] = {}
+    for tree in trees.values():
+        for node, enclosing in enclosed_nodes(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(enclosing)
+    unread = set()
+    for path in sorted((SRC / "epispace").glob("*.py")):
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                        and all(cls in enclosing for enclosing in reads.get(item.target.id, []))):
+                    unread.add(f"{path.stem}.{cls.name}.{item.target.id}")
+    return unread
+
+
+def test_every_field_is_read_outside_its_class():
+    assert unread_fields(all_trees()) == set(UNREAD_FIELDS)
+
+
+def test_a_new_unread_field_fails_the_check():
+    trees = all_trees()
+    frame = next(node for node in ast.walk(trees[SRC / "epispace" / "runs.py"])
+                 if isinstance(node, ast.ClassDef) and node.name == "InterpretedSystem")
+    frame.body.append(ast.parse("spare_partition: list").body[0])
+    assert unread_fields(trees) == {*UNREAD_FIELDS, "runs.InterpretedSystem.spare_partition"}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from epispace import runs as runs_module
 from epispace.logic import Symbols, parse, valid
 from epispace.machine import (
     EXPLORE_SWEEP,
@@ -49,6 +50,19 @@ def sweep_runs(n_cells=4, cycles=6):
     robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
     schedules = gen_schedules(1, cycles, FSYNC, fairness_bound=1)
     return grid, robot, env, enumerate_runs(robot, env, [[0]], schedules)
+
+
+def count_partitions(monkeypatch):
+    """The group of every partition computed from here on, in call order."""
+    calls = []
+    compute = runs_module._partitions
+
+    def counting(configs, config_of, group):
+        calls.append(tuple(group))
+        return compute(configs, config_of, group)
+
+    monkeypatch.setattr(runs_module, "_partitions", counting)
+    return calls
 
 
 def brute_partition(sys, robot):
@@ -316,6 +330,16 @@ class TestEnumerate:
 
 
 class TestFrame:
+    def test_build_computes_no_partition(self, monkeypatch):
+        robot, env = make_grid_walker(Grid(1, 4), FULL, FLOOD_EXPLORE, n_robots=2,
+                                      strips=[(0, 1), (2, 3)])
+        runs = enumerate_runs(robot, env, [[0, 2]], gen_schedules(2, 2, SSYNC, fairness_bound=3))
+        calls = count_partitions(monkeypatch)
+        sys = build_interpreted_system(runs, env, robot)
+        assert calls == []
+        assert len(sys.classes) == 2
+        assert calls == [(0,), (1,)]
+
     @pytest.mark.parametrize("env_robots", [1, 3])
     def test_robot_count_mismatch_rejected(self, env_robots):
         robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
@@ -365,8 +389,9 @@ class TestFrame:
         sys = build_interpreted_system(runs, env, robot)
         # robot 0 idles in schedules that only activate robot 1: those points
         # collapse into robot 0's initial class together across runs
-        init_class = sys.class_of[0][sys.points.index((0, 0))]
-        sharing = {p for p, cid in zip(sys.points, sys.class_of[0]) if cid == init_class}
+        ids = distributed_relation(sys, [0])
+        init_class = ids[sys.points.index((0, 0))]
+        sharing = {p for p, cid in zip(sys.points, ids) if cid == init_class}
         assert len({run_idx for run_idx, _ in sharing}) > 1
 
     def test_class_ids_aligned_with_points_by_first_occurrence(self):
@@ -376,7 +401,7 @@ class TestFrame:
         runs = enumerate_runs(robot, env, [[0, 2]], gen_schedules(2, 2, SSYNC, fairness_bound=3))
         sys = build_interpreted_system(runs, env, robot)
         for r in range(2):
-            ids = sys.class_of[r]
+            ids = distributed_relation(sys, [r])
             assert isinstance(ids, list) and len(ids) == len(sys.points)
             first = {}
             for p, cid in zip(sys.points, ids):
@@ -391,7 +416,10 @@ class TestDistributed:
     def test_singleton_group_equals_individual(self):
         _, robot, env, runs = sweep_runs()
         sys = build_interpreted_system(runs, env, robot)
-        assert distributed_relation(sys, [0]) == sys.class_of[0]
+        members = {}
+        for p, cid in zip(sys.points, distributed_relation(sys, [0])):
+            members.setdefault(cid, set()).add(p)
+        assert {frozenset(m) for m in members.values()} == brute_partition(sys, 0)
 
     def test_group_refines_members(self):
         grid = Grid(1, 4)
@@ -403,10 +431,11 @@ class TestDistributed:
         both = distributed_relation(sys, [0, 1])
         n = len(sys.points)
         for r in range(2):
+            ids = distributed_relation(sys, [r])
             for i in range(n):
                 for j in range(n):
                     if both[i] == both[j]:
-                        assert sys.class_of[r][i] == sys.class_of[r][j]
+                        assert ids[i] == ids[j]
 
     def test_distributed_equals_intersection(self):
         grid = Grid(1, 4)
@@ -416,10 +445,11 @@ class TestDistributed:
         runs = enumerate_runs(robot, env, [[0, 2]], schedules)
         sys = build_interpreted_system(runs, env, robot)
         both = distributed_relation(sys, [0, 1])
+        singles = [distributed_relation(sys, [r]) for r in range(2)]
         n = len(sys.points)
         for i in range(n):
             for j in range(n):
-                same = all(sys.class_of[r][i] == sys.class_of[r][j] for r in range(2))
+                same = all(ids[i] == ids[j] for ids in singles)
                 assert (both[i] == both[j]) == same
 
     def test_empty_group_rejected(self):
