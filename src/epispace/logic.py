@@ -4,9 +4,11 @@ The semantics handles five constructs: atoms, negation, conjunction,
 distributed knowledge, and "eventually". Individual knowledge K[r] is
 distributed knowledge of the one-robot group {r}. Disjunction, implication,
 "always" and mutual knowledge are expanded at construction time. A formula is
-checked by labelling every point with the value of every subformula, bottom-up:
-knowledge reduces its subformula's labels over each class of its group's
-partition, and "eventually" takes a reverse OR along each run's slice of the labels.
+checked by labelling its subformulas bottom-up. A state subformula (knowledge,
+and negations and conjunctions of state subformulas) is labelled once per
+configuration: knowledge reduces its subformula's labels over each class of its
+group. Atoms and "eventually" are labelled per point, and "eventually" takes a
+reverse OR along each run's slice of the labels.
 Verdicts are three-valued (Kleene): temporal operators on runs without a closed
 lasso may come back UNKNOWN rather than guessing.
 """
@@ -20,7 +22,7 @@ from itertools import compress, islice, repeat
 from operator import is_
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .runs import InterpretedSystem, Point, distributed_relation
+from .runs import InterpretedSystem, Point, config_classes
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -337,16 +339,19 @@ def _subformulas(f: Formula) -> tuple:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, list]) -> list[bool | None]:
-    """Kleene value of f at every point, in sys.points order (run by run, t ascending).
+def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[list, bool]:
+    """The Kleene values of f, and whether they are per configuration (else per point).
 
+    A DKnow, and a Not or And over such nodes only, gets one value per configuration
+    id in sys.configs (meaningless for a configuration no point has). Atoms, <> and
+    nodes above them get one per point, in sys.points order (run by run, t ascending).
     Subformulas are labelled bottom-up, once each, from an explicit post-order
     stack, so no nesting depth reaches Python's recursion limit. `memo` maps
-    id(node) to the node's labels. It is meant for one call: `f` keeps all its
-    nodes, and so their ids, alive while it lasts. `relation` computes each
-    group's partition once, when a knowledge node first asks for it.
+    id(node) to the node's labels and shape. It is meant for one call: `f` keeps all
+    its nodes, and so their ids, alive while it lasts. `relation` numbers each
+    group's classes once, when a knowledge node first asks for them.
     """
-    relation = cache(partial(distributed_relation, sys))
+    relation = cache(partial(config_classes, sys))
     stack = [f]
     while stack:
         node = stack[-1]
@@ -363,46 +368,61 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, list]) -> list[bo
     return memo[id(f)]
 
 
-def _label_node(sys: InterpretedSystem, f: Formula, subs: list[list],
-                relation: Callable[[tuple[int, ...]], list[int]]) -> list[bool | None]:
-    """The labels of f from those of its direct subformulas and the partitions of `relation`."""
+def _per_point(sys: InterpretedSystem, labels: list, per_config: bool) -> Iterable:
+    """Labels in sys.points order; per-configuration ones are gathered lazily."""
+    return map(labels.__getitem__, sys.config_of) if per_config else labels
+
+
+def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[list, bool]],
+                relation: Callable[[tuple[int, ...]], dict[int, int]]) -> tuple[list, bool]:
+    """The labels and shape of f from those of its direct subformulas and `relation`."""
     if isinstance(f, Atom):
         if f.key not in sys.atoms:
             raise UnknownAtomError(f"no valuation installed for atom {f.label}")
-        return list(map(sys.atoms[f.key].__contains__, sys.points))
+        return list(map(sys.atoms[f.key].__contains__, sys.points)), False
     if isinstance(f, Not):
-        return list(map(_NOT.__getitem__, subs[0]))
+        sub, per_config = subs[0]
+        return list(map(_NOT.__getitem__, sub)), per_config
     if isinstance(f, And):
         # FALSE if either side is FALSE, else UNKNOWN if either is UNKNOWN
+        per_config = subs[0][1] and subs[1][1]
+        left, right = (node[0] if per_config else _per_point(sys, *node) for node in subs)
         return [False if a is False or b is False else b if a else None
-                for a, b in zip(*subs)]
+                for a, b in zip(left, right)], per_config
     if isinstance(f, DKnow):
-        # reduce over each class of the group's partition, then broadcast
-        sub = subs[0]
-        cids = relation(f.group)
-        per_class: list[bool | None] = [True] * (max(cids) + 1)
+        # reduce over each class the configurations whose points take each value
+        sub, per_config = subs[0]
+        classes = relation(f.group)
+        owners = sys.config_of
+        if per_config:  # count only the configurations that some point has
+            owners, sub = list(classes), list(map(sub.__getitem__, classes))
+        per_class: list[bool | None] = [True] * (max(classes.values()) + 1)
         for value in (None, False):  # FALSE, set last, beats UNKNOWN
             if value in sub:
-                for cid in set(compress(cids, map(is_, sub, repeat(value)))):
-                    per_class[cid] = value
-        return list(map(per_class.__getitem__, cids))
+                for c in set(compress(owners, map(is_, sub, repeat(value)))):
+                    per_class[classes[c]] = value
+        return [per_class[classes.get(c, 0)] for c in range(len(sys.configs))], True
     # Eventually: per run, a reverse Kleene OR over its row's slice; an open run may
     # still reach f later. On a lasso every time in the loop reaches the whole loop,
     # so it takes the loop head's value.
-    sub = subs[0]
-    out: list[bool | None] = [None] * len(sub)
+    sub, per_config = subs[0]
+    out = []
     for run, start in zip(sys.runs, sys.starts):
         end = start + len(run.row)
+        values = (list(map(sub.__getitem__, sys.config_of[start:end])) if per_config
+                  else sub[start:end])
         acc = None if run.lasso is None else False
-        for i in range(end - 1, start - 1, -1):
-            v = sub[i]
+        labels = []
+        for v in reversed(values):
             if v or (v is None and acc is False):
                 acc = v
-            out[i] = acc
+            labels.append(acc)
+        labels.reverse()
         if run.lasso is not None:
-            head = start + run.lasso.start
-            out[head:end] = [out[head]] * (end - head)
-    return out
+            head = run.lasso.start
+            labels[head:] = [labels[head]] * (len(labels) - head)
+        out += labels
+    return out, False
 
 
 def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
@@ -415,13 +435,15 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     if not (0 <= run_idx < len(sys.runs) and 0 <= t <= sys.runs[run_idx].horizon):
         raise ValueError(f"point {point} outside the system")
     i = sys.starts[run_idx] + t
-    memo: dict[int, list] = {}
-    value = _label(sys, f, memo)[i]
+    memo: dict[int, tuple] = {}
+    labels, per_config = _label(sys, f, memo)
+    value = labels[sys.config_of[i] if per_config else i]
     if value is True and isinstance(f, Eventually):
-        sub, run = memo[id(f.sub)], sys.runs[run_idx]
+        run = sys.runs[run_idx]
         # inside a lasso's loop the forward orbit wraps around to the loop head
         start = t if run.lasso is None else min(t, run.lasso.start)
-        first = next(t2 for t2 in range(start, run.horizon + 1) if sub[i - t + t2])
+        sub = islice(_per_point(sys, *memo[id(f.sub)]), i - t + start, i - t + run.horizon + 1)
+        first = next(t2 for t2, v in enumerate(sub, start) if v)
         return Verdict(TRUE, ((run_idx, first),))
     return Verdict(_NAMES[value])
 
@@ -434,8 +456,8 @@ def valid(sys: InterpretedSystem, f: Formula) -> Verdict:
     """
     labels = _label(sys, f, {})
     for value in (False, None):
-        points = tuple(islice(compress(sys.points, map(is_, labels, repeat(value))),
-                              MAX_WITNESSES))
+        points = tuple(islice(compress(sys.points, map(is_, _per_point(sys, *labels),
+                                                       repeat(value))), MAX_WITNESSES))
         if points:
             return Verdict(_NAMES[value], points)
     return Verdict(TRUE)

@@ -256,9 +256,9 @@ class InterpretedSystem:
     Points are numbered by their position in `points`: run by run, t ascending,
     so run i's point at time t sits at `starts[i] + t`, and its configuration is
     `configs[config_of[starts[i] + t]]`. `configs` joins the tables of the runs
-    into one id space. The frame stores no partition: `distributed_relation`
-    computes a group's indistinguishability partition on demand, from the
-    configurations, each time it is called.
+    into one id space. The frame stores no partition: `config_classes` numbers
+    a group's classes per configuration on each call, and `distributed_relation`
+    gathers them along the points.
     """
 
     runs: list[SystemRun]
@@ -300,19 +300,15 @@ class InterpretedSystem:
         return replace(self, atoms=atoms)
 
 
-def _partitions(configs: list[StepState], config_of: array, group: Sequence[int]) -> list[int]:
-    """Class ids per point: points share an id when their configurations give every
-    robot of the group the same epistemic state.
-
-    Each configuration is numbered once, in the order the points first meet it,
-    and the numbers are gathered along the points, so ids are in first-occurrence order.
-    """
+def _number_classes(configs: list[StepState], config_of: array,
+                    group: Sequence[int]) -> dict[int, int]:
+    """Class id per configuration that some point has, keyed in the order the points
+    first meet them, so ids are in first-occurrence order: configurations share an id
+    when they give every robot of the group the same epistemic state."""
     key = itemgetter(*group)
     numbering: dict[Hashable, int] = {}
-    per_config = [0] * len(configs)
-    for c in dict.fromkeys(config_of):
-        per_config[c] = numbering.setdefault(key(configs[c].epis), len(numbering))
-    return list(map(per_config.__getitem__, config_of))
+    return {c: numbering.setdefault(key(configs[c].epis), len(numbering))
+            for c in dict.fromkeys(config_of)}
 
 
 def build_interpreted_system(
@@ -348,16 +344,22 @@ def build_interpreted_system(
                              config_of, dict(atoms or {}))
 
 
-def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
-    """Intersection of the group's indistinguishability relations, as class ids per
-    point in first-occurrence order. Each call computes the partition anew."""
+def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> dict[int, int]:
+    """The group's indistinguishability classes, as a class id per configuration id that
+    some point has, in first-occurrence order. Each call numbers the classes anew."""
     group = sorted(set(group))
     if not group:
         raise ValueError("distributed knowledge needs a nonempty group")
     for r in group:
         if not 0 <= r < sys.n_robots:
             raise ValueError(f"robot {r} outside the system")
-    return _partitions(sys.configs, sys.config_of, group)
+    return _number_classes(sys.configs, sys.config_of, group)
+
+
+def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
+    """Intersection of the group's indistinguishability relations, as class ids per
+    point in first-occurrence order: `config_classes` gathered along the points."""
+    return list(map(config_classes(sys, group).__getitem__, sys.config_of))
 
 
 def canon(value) -> str:

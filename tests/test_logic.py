@@ -78,6 +78,11 @@ def flood_system(cycles=8):
     return grid, sys.with_atoms(sp_valuation(sys, regions))
 
 
+def point_labels(sys, f):
+    """The labels of f in sys.points order, whether labelled per point or per configuration."""
+    return list(logic._per_point(sys, *logic._label(sys, f, {})))
+
+
 def symbols(grid, n_robots=1, regions=None):
     regs = {"UX": frozenset(grid.all_cells())}
     regs.update(regions or {})
@@ -315,8 +320,8 @@ class TestS5:
     def test_distributed_singleton_equals_knowledge(self):
         grid, sys = self.install_all_sp(flood_system())
         f = sp_atom(frozenset({0, 1}))
-        truth = dict(zip(sys.points, logic._label(sys, f, {})))
-        labels = logic._label(sys, dknow([0], f), {})
+        truth = dict(zip(sys.points, point_labels(sys, f)))
+        labels = point_labels(sys, dknow([0], f))
         for p, label in zip(sys.points, labels):
             same = [q for q in sys.points if sys.epi_at(q, 0) == sys.epi_at(p, 0)]
             assert label == kleene_and(truth[q] for q in same), p
@@ -341,6 +346,26 @@ class TestPartitionsOnDemand:
         calls.clear()
         eval_at(sys, (0, 0), f)
         assert sorted(calls) == groups
+
+
+class TestLabelShapes:
+    def test_state_subformulas_hold_one_label_per_configuration(self):
+        # a fall-back to labels per point would pass every oracle test, and lose the gain
+        grid, sys = flood_system()
+        f = parse("[] (K[r1] sp(UX) -> K[r2] sp(UX))", symbols(grid, n_robots=2))
+        ev = f.sub  # [] (a -> b) is !<> !!(a & !b)
+        both = ev.sub.sub.sub
+        k1, not_k2 = both.left, both.right
+        assert (type(both), type(k1), type(not_k2.sub)) == (And, DKnow, DKnow)
+        memo = {}
+        logic._label(sys, f, memo)
+        assert len(sys.configs) < len(sys.points)
+        for g in (ev.sub, ev.sub.sub, both, k1, not_k2, not_k2.sub):
+            labels, per_config = memo[id(g)]
+            assert per_config and len(labels) == len(sys.configs), str(g)
+        for g in (k1.sub, ev, f):
+            labels, per_config = memo[id(g)]
+            assert not per_config and len(labels) == len(sys.points), str(g)
 
 
 class TestDeepFormulas:
@@ -552,6 +577,18 @@ DIFFERENTIAL = {
 }
 
 
+def assert_labels_match_oracle(sys, f, oracle):
+    """Every subformula's labels, read per point, equal the oracle's, so an outer
+    operator cannot mask a wrong label."""
+    memo = {}
+    logic._label(sys, f, memo)
+    nodes = [f]
+    while nodes:
+        g = nodes.pop()
+        assert list(logic._per_point(sys, *memo[id(g)])) == oracle.values(g, sys.points), str(g)
+        nodes.extend(logic._subformulas(g))
+
+
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_labelling_matches_pointwise_oracle(name):
     builder, count, samples, extra_atoms = DIFFERENTIAL[name]
@@ -561,7 +598,7 @@ def test_labelling_matches_pointwise_oracle(name):
     rng = random.Random(name)
     seen = set()
     for f in TestS5().random_formulas(sys, grid, count=count, extra_atoms=extra_atoms):
-        assert logic._label(sys, f, {}) == oracle.values(f, sys.points), f
+        assert_labels_match_oracle(sys, f, oracle)
         verdict = valid(sys, f)
         assert verdict == oracle.valid(f), f
         seen.add(verdict.value)
@@ -600,6 +637,19 @@ def formulas(draw, groups, depth=4):
     return node(depth)
 
 
+class DrawnCase:
+    """A drawn system and formula. A failing example prints its repr: the formula's
+    text and the system's sizes, not the whole system."""
+
+    def __init__(self, sys, formula):
+        self.sys, self.formula = sys, formula
+
+    def __repr__(self):
+        sys = self.sys
+        return (f"DrawnCase({str(self.formula)!r}, robots={sys.n_robots}, runs={len(sys.runs)}, "
+                f"points={len(sys.points)}, configs={len(sys.configs)})")
+
+
 @st.composite
 def labelled_table_systems(draw):
     """A random table_fn system, each of SET_ATOMS true on a random point set, and a
@@ -615,22 +665,14 @@ def labelled_table_systems(draw):
         valuation[atom.key] = frozenset(p for p in sys.points if rng.random() < density)
     robots = range(sys.n_robots)
     groups = [(r,) for r in robots] + list(itertools.combinations(robots, 2))
-    return sys.with_atoms(valuation), draw(formulas(groups))
+    return DrawnCase(sys.with_atoms(valuation), draw(formulas(groups)))
 
 
 @settings(max_examples=50, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(labelled_table_systems())
 def test_random_formulas_label_as_pointwise_oracle(case):
-    sys, f = case
-    memo = {}
-    logic._label(sys, f, memo)
-    oracle = PointwiseOracle(sys)
-    nodes = [f]
-    while nodes:  # every subformula, so an outer operator cannot mask a wrong label
-        g = nodes.pop()
-        assert memo[id(g)] == oracle.values(g, sys.points), g
-        nodes.extend(logic._subformulas(g))
+    assert_labels_match_oracle(case.sys, case.formula, PointwiseOracle(case.sys))
 
 
 def run_lists():
@@ -665,7 +707,73 @@ def test_frame_from_any_run_list_matches_pointwise_definition(name):
     oracle = PointwiseOracle(sys)
     verdicts = set()
     for f in TestS5().random_formulas(sys, grid, count=20, depth=3, seed=13):
+        assert_labels_match_oracle(sys, f, oracle)
         verdict = valid(sys, f)
         assert verdict == oracle.valid(f), f
         verdicts.add(verdict.value)
+        for p in (sys.points[0], sys.points[-1]):
+            assert eval_at(sys, p, f) == oracle.eval_at(p, f), (f, p)
     assert verdicts == {TRUE, FALSE, UNKNOWN}
+
+
+def class_values(sys, robot, values):
+    """Per point, the set of the per-point `values` over the point's class for one robot."""
+    members = {}
+    for p, v in zip(sys.points, values):
+        members.setdefault(sys.epi_at(p, robot), set()).add(v)
+    return [members[sys.epi_at(p, robot)] for p in sys.points]
+
+
+def sweepers():
+    """Two sweepers under SSYNC from cells 0 and 2: 12 of the 17 runs are open, and
+    the other 5 close on a loop."""
+    return two_robot_system(Grid(1, 4), FULL, EXPLORE_SWEEP,
+                            gen_schedules(2, 3, SSYNC, fairness_bound=2), [0, 2])[1]
+
+
+# K[r1] over <> a (labelled per point) and over K[r2] <> a (labelled per configuration)
+KNOWLEDGE_OVER_EVENTUALLY = {
+    "per-point": DKnow((0,), Eventually(SET_ATOMS[0])),
+    "per-configuration": DKnow((0,), DKnow((1,), Eventually(SET_ATOMS[0]))),
+}
+
+
+def off_first_open_run(sys):
+    """a everywhere but on the first open run: <> a is UNKNOWN along that run, else TRUE."""
+    first = next(i for i, run in enumerate(sys.runs) if run.is_open)
+    return frozenset(p for p in sys.points if p[0] != first)
+
+
+def before_loops(sys):
+    """a on each closed run before its loop: <> a is FALSE inside the loops and UNKNOWN
+    on the open runs."""
+    return frozenset((i, t) for i, t in sys.points
+                     if sys.runs[i].lasso is not None and t < sys.runs[i].lasso.start)
+
+
+@pytest.mark.parametrize("kind", sorted(KNOWLEDGE_OVER_EVENTUALLY))
+@pytest.mark.parametrize("valuation, mix, value", [
+    (off_first_open_run, {True, None}, None),
+    (before_loops, {False, None}, False),
+], ids=["true-and-unknown", "false-and-unknown"])
+def test_knowledge_of_a_class_with_unknown_points(kind, valuation, mix, value):
+    # TRUE and UNKNOWN give UNKNOWN; FALSE and UNKNOWN give FALSE
+    f = KNOWLEDGE_OVER_EVENTUALLY[kind]
+    sys = sweepers()
+    sys = sys.with_atoms({SET_ATOMS[0].key: valuation(sys)})
+    classes = class_values(sys, 0, point_labels(sys, f.sub))
+    labels = point_labels(sys, f)
+    assert labels == list(map(kleene_and, classes))
+    mixed = {label for label, members in zip(labels, classes) if members == mix}
+    assert mixed == {value}  # the system has such a class, so the case is tested
+
+
+@pytest.mark.parametrize("name", ["subset", "two-calls"])
+def test_knowledge_counts_only_configurations_that_points_have(name):
+    robot, env, lists = run_lists()
+    sys = build_interpreted_system(lists[name], env, robot)
+    assert set(sys.config_of) != set(range(len(sys.configs)))
+    sys = sys.with_atoms({SET_ATOMS[0].key: off_first_open_run(sys)})
+    f = KNOWLEDGE_OVER_EVENTUALLY["per-configuration"]
+    classes = class_values(sys, 0, point_labels(sys, f.sub))
+    assert point_labels(sys, f) == list(map(kleene_and, classes))

@@ -53,15 +53,15 @@ def sweep_runs(n_cells=4, cycles=6):
 
 
 def count_partitions(monkeypatch):
-    """The group of every partition computed from here on, in call order."""
+    """The group of every class numbering computed from here on, in call order."""
     calls = []
-    compute = runs_module._partitions
+    compute = runs_module._number_classes
 
     def counting(configs, config_of, group):
         calls.append(tuple(group))
         return compute(configs, config_of, group)
 
-    monkeypatch.setattr(runs_module, "_partitions", counting)
+    monkeypatch.setattr(runs_module, "_number_classes", counting)
     return calls
 
 
