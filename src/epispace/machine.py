@@ -54,12 +54,14 @@ class RobotMachine:
     """One robot's LCM program, shared by every robot of a homogeneous fleet.
 
     Every callable must be deterministic and free of side effects: equal
-    arguments give equal results. Runs are built from one table per
-    `enumerate_runs` call, which runs `control` once per distinct epistemic
-    state, `step` once per distinct (epi, obs) pair and `footprint` once per
-    distinct (robot, obs) pair. Epistemic states and observations must be
-    hashable, since configurations are compared by equality, as the
-    indistinguishability frame already does. Actions need not be hashable.
+    arguments give equal results, and equal values are interchangeable. Runs are
+    built from one table per `enumerate_runs` call, which runs `control` once per
+    distinct epistemic state, `step` once per distinct (epi, obs) pair and
+    `footprint` once per distinct (robot, obs) pair, and keeps the first of equal
+    epistemic-state tuples, observation tuples and explored sets. Epistemic states
+    and observations must be hashable, since configurations are compared by
+    equality, as the indistinguishability frame already does. Actions need not be
+    hashable.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation
@@ -76,10 +78,12 @@ class EnvMachine:
     """The environment: robot cells and lights, how MOVEs change them, what LOOKs see.
 
     As for `RobotMachine`, every callable must be deterministic and free of side
-    effects: equal arguments give equal results. States and adversary choices
-    must be hashable. One `enumerate_runs` call runs `emit_obs` once per distinct
-    (env state, adversary choice) pair, and `evolve` once per distinct
-    transition with a MOVE, since the actions it takes need not be hashable.
+    effects: equal arguments give equal results, and equal values are
+    interchangeable. States and adversary choices must be hashable. One
+    `enumerate_runs` call runs `emit_obs` once per distinct (env state, adversary
+    choice) pair, and `evolve` once per distinct transition with a MOVE, since the
+    actions it takes need not be hashable; its table keeps the first of equal env
+    states.
     """
 
     n_robots: int

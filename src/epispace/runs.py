@@ -5,7 +5,9 @@ per-robot epistemic states and last observations, the environment state, and
 the cumulative explored cell set. Each `enumerate_runs` call keeps one table of
 the distinct configurations it reaches, numbered 0, 1, ... in creation order,
 and a run is a row of ids into that table, one per step edge. So the ids of a
-call's runs, read run by run, meet each configuration first in id order. Each
+call's runs, read run by run, meet each configuration first in id order. The
+table stores each distinct part once as well: equal `epis`, `obss`, env states
+and explored sets of its configurations are one object, the first stored. Each
 distinct transition (configuration id, step, adversary choice) is computed
 once. A new transition is assembled from per-component tables that live for
 the same call: `control` results by epi, `step` results by (epi, obs),
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -100,14 +103,17 @@ class _Transitions:
 
     `configs` is the call's table: configuration id -> `StepState`, ids given in
     creation order. Each configuration is one object, both the key of its id in
-    `config_ids` and its entry in `configs`. Steps are numbered too, and `plans`
-    maps a step id to the step's movers, lookers and computers. `succ` maps each
-    distinct (config id, step id, adversary choice) to the id it leads to. A new
-    transition is computed from machine components that are each memoized by
-    their own arguments: `control` by epi, `step` by (epi, obs), `footprint` by
-    (robot, obs), and `emit_obs` by the (env state, adversary choice) that the
-    LOOK reads, which is the pre-move env under `pre_move_look`. `evolve` is not
-    memoized, because actions need not be hashable.
+    `config_ids` and its entry in `configs`, and it is made of shared parts: `parts`
+    holds one dict per field, value -> the first equal value stored, so a new
+    configuration reuses the `epis`, `obss`, env state and explored set of earlier
+    ones where they are equal. `parts` lives as long as `config_ids`. Steps are
+    numbered too, and `plans` maps a step id to the step's movers, lookers and
+    computers. `succ` maps each distinct (config id, step id, adversary choice) to
+    the id it leads to. A new transition is computed from machine components that
+    are each memoized by their own arguments: `control` by epi, `step` by (epi,
+    obs), `footprint` by (robot, obs), and `emit_obs` by the (env state, adversary
+    choice) that the LOOK reads, which is the pre-move env under `pre_move_look`.
+    `evolve` is not memoized, because actions need not be hashable.
     """
 
     def __init__(self, robot: RobotMachine, env: EnvMachine, pre_move_look: bool):
@@ -115,6 +121,7 @@ class _Transitions:
         self.env = env
         self.pre_move_look = pre_move_look
         self.config_ids: dict[StepState, int] = {}
+        self.parts: tuple[dict, ...] = tuple({} for _ in StepState._fields)
         self.configs: list[StepState] = []
         self.succ: dict[tuple, int] = {}
         self.step_ids: dict[tuple, int] = {}
@@ -125,9 +132,10 @@ class _Transitions:
         self.emit_obs = _memoized(env.emit_obs)
 
     def intern(self, state: StepState) -> int:
-        """The id of the configuration `state`, new ones last."""
+        """The id of the configuration `state`, new ones last, stored from shared parts."""
         cid = self.config_ids.get(state)
         if cid is None:
+            state = StepState._make(map(dict.setdefault, self.parts, state, state))
             cid = self.config_ids[state] = len(self.configs)
             self.configs.append(state)
         return cid
@@ -170,7 +178,9 @@ class _Transitions:
         for r in computers:
             epis[r] = self.compute(epis[r], obss[r])
             if self.footprint is not None:
-                explored = explored | self.footprint(r, obss[r])
+                cells = self.footprint(r, obss[r])
+                if not cells <= explored:
+                    explored = explored | cells
         return self.intern(StepState(tuple(epis), tuple(obss), env_state, explored))
 
     def run(self, path: TimePath, steps: tuple[int, ...], init_cells: tuple, start: int,
@@ -274,6 +284,12 @@ class InterpretedSystem:
     def n_robots(self) -> int:
         return self.env_machine.n_robots
 
+    @cached_property
+    def config_order(self) -> list[int]:
+        """The configuration ids that some point has, in the order the points first meet
+        them; computed on first use, once per system, since no group changes it."""
+        return list(dict.fromkeys(self.config_of))
+
     @property
     def classes(self) -> list[list[tuple[Point, ...]]]:
         """Per robot: class id -> member points, in points order."""
@@ -300,15 +316,14 @@ class InterpretedSystem:
         return replace(self, atoms=atoms)
 
 
-def _number_classes(configs: list[StepState], config_of: array,
+def _number_classes(configs: list[StepState], order: list[int],
                     group: Sequence[int]) -> dict[int, int]:
-    """Class id per configuration that some point has, keyed in the order the points
-    first meet them, so ids are in first-occurrence order: configurations share an id
-    when they give every robot of the group the same epistemic state."""
+    """Class id per configuration id of `order`, keyed in that order, so ids are in
+    first-occurrence order: configurations share an id when they give every robot of
+    the group the same epistemic state."""
     key = itemgetter(*group)
     numbering: dict[Hashable, int] = {}
-    return {c: numbering.setdefault(key(configs[c].epis), len(numbering))
-            for c in dict.fromkeys(config_of)}
+    return {c: numbering.setdefault(key(configs[c].epis), len(numbering)) for c in order}
 
 
 def build_interpreted_system(
@@ -353,7 +368,7 @@ def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> dict[int, in
     for r in group:
         if not 0 <= r < sys.n_robots:
             raise ValueError(f"robot {r} outside the system")
-    return _number_classes(sys.configs, sys.config_of, group)
+    return _number_classes(sys.configs, sys.config_order, group)
 
 
 def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:

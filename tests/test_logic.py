@@ -39,7 +39,12 @@ from epispace.machine import (
     Capabilities,
     make_grid_walker,
 )
-from epispace.runs import build_interpreted_system, distributed_relation, enumerate_runs
+from epispace.runs import (
+    InterpretedSystem,
+    build_interpreted_system,
+    distributed_relation,
+    enumerate_runs,
+)
 from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
 from epispace.space import Grid
 
@@ -346,6 +351,23 @@ class TestPartitionsOnDemand:
         calls.clear()
         eval_at(sys, (0, 0), f)
         assert sorted(calls) == groups
+
+    def test_first_occurrence_order_computed_once_per_system(self, monkeypatch):
+        grid, sys = flood_system()
+        order = InterpretedSystem.__dict__["config_order"]
+        calls = []
+
+        def counting(frame, compute=order.func):
+            calls.append(frame)
+            return compute(frame)
+
+        monkeypatch.setattr(order, "func", counting)
+        # <> over an atom asks for no partition, so it must not pay for the order
+        valid(sys, parse("<> sp(UX)", symbols(grid, n_robots=2)))
+        assert calls == []
+        for text in ("K[r1] sp(UX)", "K[r2] sp(UX)", "D[{r1,r2}] sp(UX)"):
+            valid(sys, parse(text, symbols(grid, n_robots=2)))
+        assert len(calls) == 1 and calls[0] is sys
 
 
 class TestLabelShapes:

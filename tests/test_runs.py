@@ -57,9 +57,9 @@ def count_partitions(monkeypatch):
     calls = []
     compute = runs_module._number_classes
 
-    def counting(configs, config_of, group):
+    def counting(configs, order, group):
         calls.append(tuple(group))
-        return compute(configs, config_of, group)
+        return compute(configs, order, group)
 
     monkeypatch.setattr(runs_module, "_number_classes", counting)
     return calls
@@ -140,6 +140,25 @@ class TestSimulate:
         states = runs[0].states
         for before, after in zip(states, states[1:]):
             assert before.explored <= after.explored
+
+    def test_compute_adding_no_cell_keeps_explored_object(self):
+        # a COMPUTE on explored cells must not copy the explored set: count the unions
+        unions = []
+
+        class Cells(frozenset):
+            def __ror__(self, explored):
+                unions.append(self)
+                return frozenset.__ror__(self, explored)
+
+        robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
+        robot = replace(robot, footprint=lambda r, obs, own=robot.footprint: Cells(own(r, obs)))
+        run, = enumerate_runs(robot, env, [[0]], gen_schedules(1, 6, FSYNC, fairness_bound=1))
+        states = run.states
+        computes = range(len(PHASES) - 1, run.horizon, len(PHASES))
+        grew = [t for t in computes if states[t + 1].explored != states[t].explored]
+        assert 0 < len(unions) == len(grew) < len(computes)
+        for t in set(computes) - set(grew):
+            assert states[t + 1].explored is states[t].explored
 
     def test_parked_walker_gets_unit_cycle_lasso(self):
         _, _, _, runs = sweep_runs(cycles=6)
@@ -540,6 +559,17 @@ def test_golden_traces(name):
     for line in export_traces(runs, env):
         h.update(line.encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_tables_store_each_part_once(name):
+    runs, _ = golden_runs(name)
+    table = runs[0].table
+    assert all(run.table is table for run in runs)
+    for field_name in StepState._fields:
+        first = {}
+        assert all(first.setdefault(part, part) is part
+                   for part in (getattr(state, field_name) for state in table)), field_name
 
 
 def brute_lasso(run):
