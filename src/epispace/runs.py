@@ -12,8 +12,10 @@ distinct transition (configuration id, step, adversary choice) is computed
 once. A new transition is assembled from per-component tables that live for
 the same call: `control` results by epi, `step` results by (epi, obs),
 `footprint` results by (robot, obs), and `emit_obs` results by (env state,
-adversary choice). Indistinguishability for robot r is equality of r's
-epistemic state across (run, step) points, regardless of run or step.
+adversary choice). `enumerate_runs` walks a run only past the prefix it shares
+with the run before it, in any schedule order, and closes it as a lasso where
+its configuration and phase residues repeat. Indistinguishability for robot r
+is equality of r's epistemic state between any two (run, step) points.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from functools import cache, cached_property
+from operator import itemgetter, ne
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 from .machine import EnvMachine, RobotMachine
 from .scheduler import PHASES, CapExceededError, TimePath
@@ -47,7 +49,7 @@ class Lasso:
     length: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SystemRun:
     """One run: a row of configuration ids, one per step edge, into `table`.
 
@@ -84,20 +86,6 @@ class SystemRun:
                 and self.states == other.states)
 
 
-def _memoized(fn: Callable) -> Callable:
-    """`fn` run once per distinct argument tuple, for as long as the wrapper lives."""
-    table: dict = {}
-    missing = object()
-
-    def call(*args):
-        value = table.get(args, missing)
-        if value is missing:
-            value = table[args] = fn(*args)
-        return value
-
-    return call
-
-
 class _Transitions:
     """The distinct configurations and transitions of one `enumerate_runs` call.
 
@@ -107,8 +95,9 @@ class _Transitions:
     holds one dict per field, value -> the first equal value stored, so a new
     configuration reuses the `epis`, `obss`, env state and explored set of earlier
     ones where they are equal. `parts` lives as long as `config_ids`. Steps are
-    numbered too, and `plans` maps a step id to the step's movers, lookers and
-    computers. `succ` maps each distinct (config id, step id, adversary choice) to
+    numbered too: `plans` maps a step id to the step's movers, lookers and computers,
+    and `phase_steps` maps (phase residues, robot set) to the step id and the next
+    residues. `succ` maps each distinct (config id, step id, adversary choice) to
     the id it leads to. A new transition is computed from machine components that
     are each memoized by their own arguments: `control` by epi, `step` by (epi,
     obs), `footprint` by (robot, obs), and `emit_obs` by the (env state, adversary
@@ -126,10 +115,11 @@ class _Transitions:
         self.succ: dict[tuple, int] = {}
         self.step_ids: dict[tuple, int] = {}
         self.plans: list[tuple] = []
-        self.control = _memoized(robot.control)
-        self.compute = _memoized(robot.step)
-        self.footprint = _memoized(robot.footprint) if robot.footprint is not None else None
-        self.emit_obs = _memoized(env.emit_obs)
+        self.phase_steps: dict[tuple, tuple[int, tuple]] = {}
+        self.control = cache(robot.control)
+        self.compute = cache(robot.step)
+        self.footprint = cache(robot.footprint) if robot.footprint is not None else None
+        self.emit_obs = cache(env.emit_obs)
 
     def intern(self, state: StepState) -> int:
         """The id of the configuration `state`, new ones last, stored from shared parts."""
@@ -146,16 +136,17 @@ class _Transitions:
         return self.intern(StepState(epis, (None,) * n, self.env.make_initial_env(init_cells),
                                      frozenset()))
 
-    def number_steps(self, steps: Iterable[tuple]) -> tuple[int, ...]:
-        """Step ids for a path's `phased_steps()`; each new step is planned once."""
-        ids = []
-        for step in steps:
-            sid = self.step_ids.get(step)
-            if sid is None:
-                sid = self.step_ids[step] = len(self.plans)
-                self.plans.append(tuple(tuple(r for r, p in step if p == ph) for ph in PHASES))
-            ids.append(sid)
-        return tuple(ids)
+    def phase_step(self, residues: tuple, robots: tuple) -> tuple[int, tuple]:
+        """The step id of `robots` firing at phase `residues`, and the residues after it."""
+        found = self.phase_steps.get((residues, robots))
+        if found is None:
+            plan = tuple(tuple(r for r in robots if residues[r] == ph) for ph in range(len(PHASES)))
+            sid = self.step_ids.setdefault(plan, len(self.plans))
+            if sid == len(self.plans):
+                self.plans.append(plan)
+            after = tuple((n + (r in robots)) % len(PHASES) for r, n in enumerate(residues))
+            found = self.phase_steps[residues, robots] = (sid, after)
+        return found
 
     def step(self, cid: int, sid: int, adv) -> int:
         """The transition function: one global step, step id `sid`, from configuration `cid`."""
@@ -183,39 +174,19 @@ class _Transitions:
                     explored = explored | cells
         return self.intern(StepState(tuple(epis), tuple(obss), env_state, explored))
 
-    def run(self, path: TimePath, steps: tuple[int, ...], init_cells: tuple, start: int,
-            adv_seq: tuple) -> SystemRun:
-        """The run of a checked path from `start`, the initial configuration of `init_cells`.
 
-        `steps` is `number_steps(path.phased_steps())`, so a caller with many runs
-        per path computes it once.
-        """
-        succ = self.succ
-        cid = start
-        row = array("i", [cid])
-        for sid, adv in zip(steps, adv_seq):
-            nxt = succ.get((cid, sid, adv))
-            if nxt is None:
-                nxt = succ[cid, sid, adv] = self.step(cid, sid, adv)
-            cid = nxt
-            row.append(cid)
-        return SystemRun(path, adv_seq, init_cells, row, self.configs, _detect_lasso(path, row))
+def _common_prefix(a: Sequence, b: Sequence) -> int:
+    """The length of the longest common prefix of `a` and `b`."""
+    return next(itertools.compress(itertools.count(), map(ne, a, b)), min(len(a), len(b)))
 
 
-def _detect_lasso(path: TimePath, row: array) -> Lasso | None:
-    """Tail lasso: smallest replayable window whose end configuration equals its start."""
+def _tail_lasso(row: array, residues: list[tuple]) -> Lasso | None:
+    """Tail lasso: the shortest tail window that ends in its start's configuration and residues."""
     horizon = len(row) - 1
     last = row[horizon]
-    for length in range(1, horizon + 1):
-        start = horizon - length
-        if row[start] != last:
-            continue
-        fired = [0] * path.n_robots
-        for t in range(start, horizon):
-            for r in path.steps[t]:
-                fired[r] += 1
-        if all(f % len(PHASES) == 0 for f in fired):
-            return Lasso(start, length)
+    for start in range(horizon - 1, row.index(last) - 1, -1):
+        if row[start] == last and residues[start] == residues[horizon]:
+            return Lasso(start, horizon - start)
     return None
 
 
@@ -231,7 +202,11 @@ def enumerate_runs(
     """One run per (schedule, adversary sequence, initial placement), deterministic order.
 
     The adversary sequences draw from `env.adversary_choices`. All runs share one
-    table of distinct states and transitions.
+    table of distinct states and transitions. Each run is walked on from the longest
+    prefix of placement, steps and adversary choices it shares with the run before it.
+    A tail window closes a run as a lasso when its configuration and phase residues
+    both repeat. Any schedule order gives the same runs; `gen_schedules`' depth-first
+    order shares the most.
     """
     if not schedules:
         return []
@@ -245,14 +220,45 @@ def enumerate_runs(
         branching = " (adversary branching)" if len(adv_choices) > 1 else ""
         raise CapExceededError(f"run enumeration exceeds cap {cap}{branching}")
     table = _Transitions(robot, env, pre_move_look)
-    paths = [(path, table.number_steps(path.phased_steps())) for path in schedules]
+    succ = table.succ
+    # per path: the steps it shares with the one before, then its other steps' ids and
+    # the phase residues (phases fired per robot, mod 3) after each
+    walks = []
+    residues = [(0,) * env.n_robots]
+    for before, path in zip([(), *(path.steps for path in schedules)], schedules):
+        shared = _common_prefix(before, path.steps)
+        del residues[shared + 1:]
+        new_sids = []
+        for robots in path.steps[shared:]:
+            sid, after = table.phase_step(residues[-1], robots)
+            new_sids.append(sid)
+            residues.append(after)
+        walks.append((path, shared, new_sids, residues[shared + 1:]))
+    sids: list[int] = []                         # the current path's step ids
+    seq: tuple = ()                              # the current run's adversary choices
     runs = []
     for init in init_cells:
         init = tuple(init)
-        start = table.initial(init)
-        for path, steps in paths:
-            for seq in itertools.product(adv_choices, repeat=path.horizon_steps):
-                runs.append(table.run(path, steps, init, start, seq))
+        row = array("i", [table.initial(init)])  # the current run's configuration ids
+        for path, shared, new_sids, new_residues in walks:
+            sids[shared:] = new_sids
+            residues[shared + 1:] = new_residues
+            keep = shared
+            for adv_seq in itertools.product(adv_choices, repeat=path.horizon_steps):
+                if seq[:keep] != adv_seq[:keep]:
+                    keep = _common_prefix(seq, adv_seq)
+                seq = adv_seq
+                del row[keep + 1:]
+                cid = row[keep]
+                for sid, adv in zip(sids[keep:], seq[keep:]):
+                    nxt = succ.get((cid, sid, adv))
+                    if nxt is None:
+                        nxt = succ[cid, sid, adv] = table.step(cid, sid, adv)
+                    cid = nxt
+                    row.append(cid)
+                runs.append(SystemRun(path, seq, init, row[:], table.configs,
+                                      _tail_lasso(row, residues)))
+                keep = path.horizon_steps
     return runs
 
 
@@ -312,8 +318,11 @@ class InterpretedSystem:
         return run.table[run.row[t]].explored
 
     def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
-        """Same frame, different valuation (shares runs and configurations)."""
-        return replace(self, atoms=atoms)
+        """Same frame, different valuation; shares runs, configurations, any `config_order`."""
+        valued = replace(self, atoms=atoms)
+        if "config_order" in self.__dict__:
+            valued.config_order = self.config_order
+        return valued
 
 
 def _number_classes(configs: list[StepState], order: list[int],

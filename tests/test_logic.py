@@ -369,6 +369,24 @@ class TestPartitionsOnDemand:
             valid(sys, parse(text, symbols(grid, n_robots=2)))
         assert len(calls) == 1 and calls[0] is sys
 
+    def test_valued_copies_reuse_the_frames_order(self, monkeypatch):
+        grid, sys = flood_system()
+        order = InterpretedSystem.__dict__["config_order"]
+        calls = []
+
+        def counting(frame, compute=order.func):
+            calls.append(frame)
+            return compute(frame)
+
+        monkeypatch.setattr(order, "func", counting)
+        k1 = parse("K[r1] sp(UX)", symbols(grid, n_robots=2))
+        expected = valid(sys, k1)
+        copies = [sys.with_atoms(dict(sys.atoms))]
+        copies.append(copies[0].with_atoms(dict(sys.atoms)))
+        assert [valid(copy, k1) for copy in copies] == [expected] * 2
+        assert calls == [sys]
+        assert all(copy.config_order is sys.config_order for copy in copies)
+
 
 class TestLabelShapes:
     def test_state_subformulas_hold_one_label_per_configuration(self):

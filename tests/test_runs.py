@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -121,6 +121,17 @@ class TestSimulate:
         r1 = enumerate_runs(robot, env, [[0]], [path])[0]
         r2 = enumerate_runs(robot, env, [[0]], [path])[0]
         assert r1 == r2
+
+    def test_runs_have_slots_and_compare_by_content(self):
+        _, _, _, (run,) = sweep_runs()
+        assert not hasattr(run, "__dict__") and run.lasso is not None
+        with pytest.raises(FrozenInstanceError):
+            run.lasso = None
+        # a copy with its own table and row is equal; another lasso or state is not
+        copy = replace(run, row=array("i", range(run.horizon + 1)), table=run.states)
+        assert copy == run and copy.states == run.states and copy.row != run.row
+        assert replace(run, lasso=None) != run
+        assert replace(run, table=[*run.table[:-1], run.states[0]]) != run
 
     def test_frozen_robot_rule(self):
         grid = Grid(1, 4)
@@ -644,13 +655,15 @@ def naive_enumerate(robot, env, placements, schedules, pre_move_look):
             for seq in itertools.product(env.adversary_choices, repeat=path.horizon_steps)]
 
 
+def run_fields(runs):
+    """What a run is, field by field; export_traces prints a function of it."""
+    return [(run.path, run.adv_seq, run.init_cells, tuple(run.states), run.lasso)
+            for run in runs]
+
+
 def assert_same_runs(runs, oracle, env):
-    assert len(runs) == len(oracle)
     assert export_traces(runs, env) == export_traces(oracle, env)
-    for run, ref in zip(runs, oracle):
-        assert (run.path, run.adv_seq, run.init_cells) == (ref.path, ref.adv_seq, ref.init_cells)
-        assert run.states == list(ref.states)
-        assert run.lasso == ref.lasso
+    assert run_fields(runs) == run_fields(oracle)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -719,3 +732,87 @@ def test_enumerate_runs_matches_naive_simulation(system):
     robot, env, placements, schedules, pre_move_look = system
     runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
     assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules, pre_move_look), env)
+
+
+def reordered(schedules):
+    """The schedule list in orders that share prefixes less than, or differently from,
+    gen_schedules' depth-first order."""
+    shuffled = random.Random(15).sample(schedules, len(schedules))
+    return {
+        "reversed": schedules[::-1],
+        "shuffled": shuffled,
+        "duplicated": [path for path in schedules for _ in range(2)],
+        # the last path is the first one, so the next placement starts on the path just walked
+        "palindrome": schedules + schedules[::-1],
+        # a path, then its prefixes, some of them empty or prefixes of the next path too
+        "mixed-horizon": [TimePath(path.n_robots, path.steps[:h]) for path in shuffled
+                          for h in (path.horizon_steps, 2, path.horizon_steps - 1, 0)],
+    }
+
+
+def nonrigid_gather_second_move():
+    """golden_nonrigid_gather's machines on 4-step paths whose last step is a MOVE that
+    the adversary can freeze, so runs that differ in their adversary choices differ."""
+    robot, env, placements, _, _ = golden_nonrigid_gather()
+    schedules = [TimePath(2, path.steps[:4])
+                 for path in gen_schedules(2, 2, SSYNC, fairness_bound=3)[6::2]]
+    return robot, env, placements, schedules, False
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled", "duplicated", "palindrome",
+                                   "mixed-horizon"])
+@pytest.mark.parametrize("scenario", [golden_myopic_sight, golden_nonrigid_gather,
+                                      nonrigid_gather_second_move],
+                         ids=["myopic-sight", "nonrigid-gather", "nonrigid-gather-second-move"])
+def test_schedule_order_changes_no_run(scenario, order):
+    robot, env, placements, schedules, pre_move_look = scenario()
+    schedules = reordered(schedules)[order]
+    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+    oracle = naive_enumerate(robot, env, placements, schedules, pre_move_look)
+    assert run_fields(runs) == run_fields(oracle)
+
+
+@pytest.mark.parametrize("scenario", [s1_h5, nonrigid_gather_second_move],
+                         ids=["s1-h5", "nonrigid-gather-second-move"])
+def test_each_run_walked_from_where_it_leaves_the_previous_one(monkeypatch, scenario):
+    robot, env, placements, schedules, _ = scenario()
+    oracle = naive_enumerate(robot, env, placements, schedules, False)
+    lookups = []
+
+    class CountingSucc(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    init = runs_module._Transitions.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        self.succ = CountingSucc()
+
+    def refuse(path):
+        raise AssertionError("a path was phased from step 0")
+
+    monkeypatch.setattr(runs_module._Transitions, "__init__", counting_init)
+    monkeypatch.setattr(TimePath, "phased_steps", refuse)
+    runs = enumerate_runs(robot, env, placements, schedules)
+    assert run_fields(runs) == run_fields(oracle)
+
+    # one transition lookup per step after the prefix a run shares with the run before it
+    walked = 0
+    for before, run in zip([None, *runs], runs):
+        edges = list(zip(run.path.steps, run.adv_seq))
+        shared = 0
+        if before is not None and before.init_cells == run.init_cells:
+            shared = len(list(itertools.takewhile(
+                bool, map(tuple.__eq__, zip(before.path.steps, before.adv_seq), edges))))
+        walked += len(edges) - shared
+    assert len(lookups) == walked < sum(run.horizon for run in runs)
+    # each distinct (placement, schedule prefix, adversary prefix) at least once, and in
+    # gen_schedules' order with one adversary choice exactly once; with more choices each
+    # path restarts the adversary sequences, so a prefix may be walked again
+    prefixes = {(run.init_cells, run.path.steps[:t], run.adv_seq[:t])
+                for run in runs for t in range(1, run.horizon + 1)}
+    assert walked >= len(prefixes)
+    if len(env.adversary_choices) == 1:
+        assert walked == len(prefixes)
