@@ -7,8 +7,10 @@ distributed knowledge of the one-robot group {r}. Disjunction, implication,
 checked by labelling its subformulas bottom-up. A state subformula (knowledge,
 and negations and conjunctions of state subformulas) is labelled once per
 configuration: knowledge reduces its subformula's labels over each class of its
-group. Atoms and "eventually" are labelled per point, and "eventually" takes a
-reverse OR along each run's slice of the labels.
+group. Atoms and "eventually" are labelled per point, by position: an atom marks
+the positions of its own point set, and "eventually" takes a reverse OR along
+each run's slice of the labels. Subformula labels are dropped once no node above
+them waits for them.
 Verdicts are three-valued (Kleene): temporal operators on runs without a closed
 lasso may come back UNKNOWN rather than guessing.
 """
@@ -16,9 +18,10 @@ lasso may come back UNKNOWN rather than guessing.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import compress, islice, repeat
+from itertools import compress, count, islice, repeat
 from operator import is_
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -339,19 +342,30 @@ def _subformulas(f: Formula) -> tuple:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[list, bool]:
+def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple],
+           keep: Iterable[Formula] = ()) -> tuple[list, bool]:
     """The Kleene values of f, and whether they are per configuration (else per point).
 
     A DKnow, and a Not or And over such nodes only, gets one value per configuration
     id in sys.configs (meaningless for a configuration no point has). Atoms, <> and
-    nodes above them get one per point, in sys.points order (run by run, t ascending).
-    Subformulas are labelled bottom-up, once each, from an explicit post-order
-    stack, so no nesting depth reaches Python's recursion limit. `memo` maps
-    id(node) to the node's labels and shape. It is meant for one call: `f` keeps all
-    its nodes, and so their ids, alive while it lasts. `relation` numbers each
-    group's classes once, when a knowledge node first asks for them.
+    nodes above them get one per point, by position: run i's point at t is at
+    sys.starts[i] + t. Subformulas are labelled bottom-up, once each, from an explicit
+    post-order stack, so no nesting depth reaches Python's recursion limit. `memo`
+    maps id(node) to the node's labels and shape. A node's entry is dropped once every
+    node above it is labelled, so `memo` ends with the entries of f and of the nodes
+    in `keep`. It is meant for one call: `f` keeps all its nodes, and so their ids,
+    alive while it lasts. `relation` numbers each group's classes once, when a
+    knowledge node first asks for them.
     """
     relation = cache(partial(config_classes, sys))
+    kept = {id(f), *map(id, keep)}
+    users: Counter[int] = Counter()  # per node below f: edges into it from unlabelled nodes
+    todo = [f]
+    while todo:
+        for g in _subformulas(todo.pop()):
+            if not users[id(g)]:
+                todo.append(g)
+            users[id(g)] += 1
     stack = [f]
     while stack:
         node = stack[-1]
@@ -365,11 +379,15 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[
             continue
         stack.pop()
         memo[id(node)] = _label_node(sys, node, [memo[id(g)] for g in subs], relation)
+        for g in subs:
+            users[id(g)] -= 1
+            if not users[id(g)] and id(g) not in kept:
+                del memo[id(g)]
     return memo[id(f)]
 
 
 def _per_point(sys: InterpretedSystem, labels: list, per_config: bool) -> Iterable:
-    """Labels in sys.points order; per-configuration ones are gathered lazily."""
+    """Labels by position; per-configuration ones are gathered lazily."""
     return map(labels.__getitem__, sys.config_of) if per_config else labels
 
 
@@ -379,7 +397,10 @@ def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[list, bool]
     if isinstance(f, Atom):
         if f.key not in sys.atoms:
             raise UnknownAtomError(f"no valuation installed for atom {f.label}")
-        return list(map(sys.atoms[f.key].__contains__, sys.points)), False
+        try:
+            return sys.points.indicator(sys.atoms[f.key]), False
+        except ValueError as e:
+            raise ValueError(f"atom {f.label}: {e}") from None
     if isinstance(f, Not):
         sub, per_config = subs[0]
         return list(map(_NOT.__getitem__, sub)), per_config
@@ -431,12 +452,10 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     Each call labels the whole system, so calling it point by point is quadratic
     in the points. A caller with many points should use `valid`, or label once.
     """
+    i = sys.points.index(point)
     run_idx, t = point
-    if not (0 <= run_idx < len(sys.runs) and 0 <= t <= sys.runs[run_idx].horizon):
-        raise ValueError(f"point {point} outside the system")
-    i = sys.starts[run_idx] + t
     memo: dict[int, tuple] = {}
-    labels, per_config = _label(sys, f, memo)
+    labels, per_config = _label(sys, f, memo, keep=_subformulas(f))
     value = labels[sys.config_of[i] if per_config else i]
     if value is True and isinstance(f, Eventually):
         run = sys.runs[run_idx]
@@ -451,13 +470,13 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
 def valid(sys: InterpretedSystem, f: Formula) -> Verdict:
     """Validity: the formula holds at every point; counterexamples are witnesses.
 
-    Witnesses are the first MAX_WITNESSES FALSE points in sys.points order, else
-    the first MAX_WITNESSES UNKNOWN ones.
+    Witnesses are the first MAX_WITNESSES FALSE points by position, else the first
+    MAX_WITNESSES UNKNOWN ones; only these are named as (run, t).
     """
     labels = _label(sys, f, {})
     for value in (False, None):
-        points = tuple(islice(compress(sys.points, map(is_, _per_point(sys, *labels),
-                                                       repeat(value))), MAX_WITNESSES))
-        if points:
-            return Verdict(_NAMES[value], points)
+        hits = tuple(islice(compress(count(), map(is_, _per_point(sys, *labels),
+                                                  repeat(value))), MAX_WITNESSES))
+        if hits:
+            return Verdict(_NAMES[value], tuple(map(sys.points.__getitem__, hits)))
     return Verdict(TRUE)

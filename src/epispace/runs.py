@@ -14,18 +14,23 @@ the same call: `control` results by epi, `step` results by (epi, obs),
 `footprint` results by (robot, obs), and `emit_obs` results by (env state,
 adversary choice). `enumerate_runs` walks a run only past the prefix it shares
 with the run before it, in any schedule order, and closes it as a lasso where
-its configuration and phase residues repeat. Indistinguishability for robot r
-is equality of r's epistemic state between any two (run, step) points.
+its configuration and phase residues repeat. A point (run, step) of the frame
+is its position: the frame lays its runs' rows end to end and stores only the
+configuration id at each position, and `Points` reads a point off its position
+and back. Indistinguishability for robot r is equality of r's epistemic state
+between any two points.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from operator import itemgetter, ne
-from typing import Hashable, Iterable, NamedTuple, Sequence
+from operator import index, itemgetter, ne
+from typing import Hashable, Iterable, NamedTuple
 
 from .machine import EnvMachine, RobotMachine
 from .scheduler import PHASES, CapExceededError, TimePath
@@ -262,33 +267,93 @@ def enumerate_runs(
     return runs
 
 
-Point = tuple[int, int]  # (run index, step)
+Point = tuple[int, int]  # (run index, step): a name for a position, made when asked for
+
+
+class Points(Sequence):
+    """The points of a frame, read off their positions: run by run, t ascending, so
+    run i's point at t is at position `starts[i] + t`. Holds per run only where its
+    row starts and ends, and makes each (run, t) tuple when asked for it."""
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self, starts: list[int], n_points: int):
+        self.starts = starts
+        self.ends = [*starts[1:], n_points]  # per run: the position after its last point
+
+    def __len__(self) -> int:
+        return self.ends[-1]
+
+    def __getitem__(self, k: int) -> Point:
+        n = len(self)
+        k = index(k)
+        if not -n <= k < n:
+            raise IndexError(f"point position {k} out of range for {n} points")
+        k %= n
+        run = bisect_right(self.starts, k) - 1
+        return run, k - self.starts[run]
+
+    def __iter__(self) -> Iterator[Point]:
+        return itertools.chain.from_iterable(
+            zip(itertools.repeat(i), range(end - start))
+            for i, (start, end) in enumerate(zip(self.starts, self.ends)))
+
+    def __contains__(self, point) -> bool:
+        try:
+            self.index(point)
+        except ValueError:
+            return False
+        return True
+
+    def index(self, point: Point) -> int:
+        """The position of `point`; ValueError if it names no point of the frame."""
+        run, t = point
+        if 0 <= run < len(self.starts) and 0 <= t < self.ends[run] - self.starts[run]:
+            return self.starts[run] + t
+        raise ValueError(f"point {point!r} outside the system")
+
+    def indicator(self, points: Iterable[Point]) -> list[bool]:
+        """Per position, whether its point is one of `points`. ValueError names the
+        first of them that is no point of the frame: its run index is out of range, its
+        t negative, or its t past its run's row."""
+        starts, ends, n_runs = self.starts, self.ends, len(self.starts)
+        marks = [False] * len(self)
+        for run, t in points:
+            if not (0 <= run < n_runs and 0 <= t < ends[run] - starts[run]):
+                raise ValueError(f"point {(run, t)!r} outside the system")
+            marks[starts[run] + t] = True
+        return marks
 
 
 @dataclass
 class InterpretedSystem:
     """Runs, their points and configurations, and the atom valuation.
 
-    Points are numbered by their position in `points`: run by run, t ascending,
-    so run i's point at time t sits at `starts[i] + t`, and its configuration is
-    `configs[config_of[starts[i] + t]]`. `configs` joins the tables of the runs
-    into one id space. The frame stores no partition: `config_classes` numbers
-    a group's classes per configuration on each call, and `distributed_relation`
-    gathers them along the points.
+    A point is its position: the runs' rows lie end to end, so run i's point at
+    time t sits at `starts[i] + t`, and its configuration is
+    `configs[config_of[starts[i] + t]]`. `config_of` is the only per-point
+    storage; `points` names the positions as (run, t) when asked. `configs`
+    joins the tables of the runs into one id space. The frame stores no
+    partition: `config_classes` numbers a group's classes per configuration on
+    each call.
     """
 
     runs: list[SystemRun]
     env_machine: EnvMachine
     robot_machine: RobotMachine
-    points: list[Point]
-    starts: list[int]                        # per run: position of its t=0 point in points
+    starts: list[int]                        # per run: the position of its t=0 point
     configs: list[StepState]
-    config_of: array                         # configuration id per position in points
+    config_of: array                         # 'i': configuration id per position
     atoms: dict[Hashable, frozenset[Point]] = field(default_factory=dict)
 
     @property
     def n_robots(self) -> int:
         return self.env_machine.n_robots
+
+    @property
+    def points(self) -> Points:
+        """The points in position order, as a read-only sequence of (run, t)."""
+        return Points(self.starts, len(self.config_of))
 
     @cached_property
     def config_order(self) -> list[int]:
@@ -298,19 +363,15 @@ class InterpretedSystem:
 
     @property
     def classes(self) -> list[list[tuple[Point, ...]]]:
-        """Per robot: class id -> member points, in points order."""
+        """Per robot: class id -> member points, in position order."""
         out = []
-        for ids in (distributed_relation(self, [r]) for r in range(self.n_robots)):
-            members: list[list[Point]] = [[] for _ in range(max(ids) + 1)]
-            for p, cid in zip(self.points, ids):
-                members[cid].append(p)
+        for r in range(self.n_robots):
+            ids = config_classes(self, [r])
+            members: list[list[Point]] = [[] for _ in range(max(ids.values()) + 1)]
+            for p, c in zip(self.points, self.config_of):
+                members[ids[c]].append(p)
             out.append([tuple(m) for m in members])
         return out
-
-    def epi_at(self, point: Point, robot: int):
-        run_idx, t = point
-        run = self.runs[run_idx]
-        return run.table[run.row[t]].epis[robot]
 
     def explored_at(self, point: Point) -> frozenset[int]:
         run_idx, t = point
@@ -341,7 +402,8 @@ def build_interpreted_system(
     robot_machine: RobotMachine,
     atoms: dict[Hashable, frozenset[Point]] | None = None,
 ) -> InterpretedSystem:
-    """The frame of the runs: their points and the configuration id of each.
+    """The frame of the runs: where each run's row starts, and the configuration id at
+    each position.
 
     The runs may come in any order and from several calls: each table's ids are
     shifted into one id space, so equal configurations of two tables get two ids
@@ -363,8 +425,7 @@ def build_interpreted_system(
         starts.append(len(config_of))
         offset = offsets[id(run.table)]
         config_of.extend(run.row if offset == 0 else [c + offset for c in run.row])
-    points = [(i, t) for i, run in enumerate(runs) for t in range(len(run.row))]
-    return InterpretedSystem(list(runs), env_machine, robot_machine, points, starts, configs,
+    return InterpretedSystem(list(runs), env_machine, robot_machine, starts, configs,
                              config_of, dict(atoms or {}))
 
 
@@ -378,12 +439,6 @@ def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> dict[int, in
         if not 0 <= r < sys.n_robots:
             raise ValueError(f"robot {r} outside the system")
     return _number_classes(sys.configs, sys.config_order, group)
-
-
-def distributed_relation(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
-    """Intersection of the group's indistinguishability relations, as class ids per
-    point in first-occurrence order: `config_classes` gathered along the points."""
-    return list(map(config_classes(sys, group).__getitem__, sys.config_of))
 
 
 def canon(value) -> str:

@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_runs import count_partitions, table_systems
+from test_runs import count_partitions, epi, point_classes, table_systems
 
 from epispace import logic
 from epispace.logic import (
@@ -42,7 +43,6 @@ from epispace.machine import (
 from epispace.runs import (
     InterpretedSystem,
     build_interpreted_system,
-    distributed_relation,
     enumerate_runs,
 )
 from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
@@ -81,6 +81,15 @@ def flood_system(cycles=8):
     sys = build_interpreted_system(runs, env, robot)
     regions = [frozenset(range(4)), frozenset({0, 1}), frozenset({2, 3})]
     return grid, sys.with_atoms(sp_valuation(sys, regions))
+
+
+def nodes_of(f):
+    """Every node of f, f first; a node shared by two parents is listed once per parent."""
+    nodes, todo = [], [f]
+    while todo:
+        nodes.append(todo.pop())
+        todo.extend(logic._subformulas(nodes[-1]))
+    return nodes
 
 
 def point_labels(sys, f):
@@ -239,6 +248,18 @@ class TestEval:
         with pytest.raises(UnknownAtomError):
             eval_at(sys, (0, 0), Atom(("nonsense",), "nonsense"))
 
+    @pytest.mark.parametrize("bad", [(1, 0), (-1, 0), (0, -1), (0, 19)],
+                             ids=["run-past-runs", "negative-run", "negative-t", "t-past-row"])
+    def test_atom_point_outside_system_rejected(self, bad):
+        # the sweep has one run of 19 points; each bad point's position would land
+        # inside or just past the labels if it were not checked
+        _, sys = sweep_system()
+        a = Atom(("set", 0), "a0")
+        sys = sys.with_atoms({a.key: frozenset({(0, 3), bad})})
+        with pytest.raises(ValueError, match=rf"^atom a0: point {re.escape(str(bad))} "
+                                             "outside the system$"):
+            valid(sys, a)
+
     def test_temporary_formulas_do_not_collide(self):
         _, sys = sweep_system()
         a = sp_atom(frozenset(range(4)))
@@ -328,7 +349,7 @@ class TestS5:
         truth = dict(zip(sys.points, point_labels(sys, f)))
         labels = point_labels(sys, dknow([0], f))
         for p, label in zip(sys.points, labels):
-            same = [q for q in sys.points if sys.epi_at(q, 0) == sys.epi_at(p, 0)]
+            same = [q for q in sys.points if epi(sys, q, 0) == epi(sys, p, 0)]
             assert label == kleene_and(truth[q] for q in same), p
 
     def test_distributed_monotone_in_group(self):
@@ -398,7 +419,7 @@ class TestLabelShapes:
         k1, not_k2 = both.left, both.right
         assert (type(both), type(k1), type(not_k2.sub)) == (And, DKnow, DKnow)
         memo = {}
-        logic._label(sys, f, memo)
+        logic._label(sys, f, memo, keep=nodes_of(f))
         assert len(sys.configs) < len(sys.points)
         for g in (ev.sub, ev.sub.sub, both, k1, not_k2, not_k2.sub):
             labels, per_config = memo[id(g)]
@@ -406,6 +427,44 @@ class TestLabelShapes:
         for g in (k1.sub, ev, f):
             labels, per_config = memo[id(g)]
             assert not per_config and len(labels) == len(sys.points), str(g)
+
+
+class RecordingMemo(dict):
+    """A labelling memo that records, as each node's entry is stored, the nodes it holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+
+    def __setitem__(self, key, value):
+        self.held.append((key, set(self)))
+        super().__setitem__(key, value)
+
+
+def test_labels_dropped_once_every_parent_is_labelled():
+    grid, sys = flood_system()
+    # sp(UX) has five parents, and E shares its subformula between two K nodes
+    f = parse("[] (K[r1] sp(UX) -> K[r2] sp(UX)) & <> (sp(UX) & E sp(UX))",
+              symbols(grid, n_robots=2))
+    nodes = {id(g): g for g in nodes_of(f)}
+    parents = {key: set() for key in nodes}
+    for key, g in nodes.items():
+        for sub in logic._subformulas(g):
+            parents[id(sub)].add(key)
+    memo = RecordingMemo()
+    labels = logic._label(sys, f, memo)
+    assert list(logic._per_point(sys, *labels)) == point_labels(sys, f)
+    assert sorted(key for key, _ in memo.held) == sorted(nodes)  # each node labelled once
+    labelled = set()
+    for key, held in memo.held:
+        # an entry stays only while some node above it still waits for it
+        assert all(parents[k] - labelled for k in held), str(nodes[key])
+        labelled.add(key)
+    assert set(memo) == {id(f)}
+    kept = f.left.sub  # the <> under []
+    memo = {}
+    logic._label(sys, f, memo, keep=[kept])
+    assert set(memo) == {id(f), id(kept)}
 
 
 class TestDeepFormulas:
@@ -519,7 +578,7 @@ class PointwiseOracle:
     values and memoized on the formula. K and D scan every point for those where
     each robot of the group has the same epistemic state; <> scans the run's
     future times. Nothing goes through the partitions of the frame,
-    distributed_relation or the labelling in logic.
+    config_classes or the labelling in logic.
     """
 
     def __init__(self, sys):
@@ -549,7 +608,7 @@ class PointwiseOracle:
             for p in points:
                 if p not in table:  # every member of p's class scans the same points
                     same = [q for q in points
-                            if all(sys.epi_at(q, r) == sys.epi_at(p, r) for r in f.group)]
+                            if all(epi(sys, q, r) == epi(sys, p, r) for r in f.group)]
                     table.update(dict.fromkeys(same, kleene_and(sub[q] for q in same)))
             return table
         if isinstance(f, Eventually):
@@ -621,12 +680,10 @@ def assert_labels_match_oracle(sys, f, oracle):
     """Every subformula's labels, read per point, equal the oracle's, so an outer
     operator cannot mask a wrong label."""
     memo = {}
-    logic._label(sys, f, memo)
-    nodes = [f]
-    while nodes:
-        g = nodes.pop()
+    nodes = nodes_of(f)
+    logic._label(sys, f, memo, keep=nodes)
+    for g in nodes:
         assert list(logic._per_point(sys, *memo[id(g)])) == oracle.values(g, sys.points), str(g)
-        nodes.extend(logic._subformulas(g))
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
@@ -736,12 +793,12 @@ def test_frame_from_any_run_list_matches_pointwise_definition(name):
     sys = build_interpreted_system(lists[name], env, robot)
     for group in ([0], [1], [0, 1]):
         first = {}
-        expected = [first.setdefault(tuple(sys.epi_at(p, r) for r in group), len(first))
+        expected = [first.setdefault(tuple(epi(sys, p, r) for r in group), len(first))
                     for p in sys.points]
-        assert distributed_relation(sys, group) == expected, group
+        assert point_classes(sys, group) == expected, group
     assert sys.classes == [
         [tuple(p for p, cid in zip(sys.points, ids) if cid == k) for k in range(max(ids) + 1)]
-        for ids in (distributed_relation(sys, [r]) for r in (0, 1))]
+        for ids in (point_classes(sys, [r]) for r in (0, 1))]
     grid, sys = TestS5().install_all_sp((Grid(1, 4), sys))
     sys = sys.with_atoms({**sys.atoms, **pos_valuation(sys, grid)})
     oracle = PointwiseOracle(sys)
@@ -756,12 +813,40 @@ def test_frame_from_any_run_list_matches_pointwise_definition(name):
     assert verdicts == {TRUE, FALSE, UNKNOWN}
 
 
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL) + ["reordered", "subset", "two-calls"])
+def test_points_view_matches_the_point_list(name):
+    if name in DIFFERENTIAL:
+        sys = DIFFERENTIAL[name][0]()[1]
+    else:
+        robot, env, lists = run_lists()
+        sys = build_interpreted_system(lists[name], env, robot)
+    expected = [(i, t) for i, run in enumerate(sys.runs) for t in range(len(run.row))]
+    points, n = sys.points, len(expected)
+    assert len(points) == n and list(points) == expected
+    assert [points[k] for k in range(-n, n)] == expected * 2
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            points[k]
+    assert list(map(points.index, expected)) == list(range(n))
+    assert all(p in points for p in expected)
+    past_rows = [(i, len(run.row)) for i, run in enumerate(sys.runs)]
+    assert not any(p in points for p in past_rows)
+    for p in [(len(sys.runs), 0), (-1, 0), (0, -1), past_rows[0], past_rows[-1]]:
+        assert p not in points
+        with pytest.raises(ValueError, match=rf"^point {re.escape(str(p))} outside the system$"):
+            points.index(p)
+    k = min(n, 50)
+    assert random.Random(name).sample(points, k) == random.Random(name).sample(expected, k)
+    chosen = set(random.Random(name).sample(expected, n // 3))
+    assert points.indicator(chosen) == [p in chosen for p in expected]
+
+
 def class_values(sys, robot, values):
     """Per point, the set of the per-point `values` over the point's class for one robot."""
     members = {}
     for p, v in zip(sys.points, values):
-        members.setdefault(sys.epi_at(p, robot), set()).add(v)
-    return [members[sys.epi_at(p, robot)] for p in sys.points]
+        members.setdefault(epi(sys, p, robot), set()).add(v)
+    return [members[epi(sys, p, robot)] for p in sys.points]
 
 
 def sweepers():

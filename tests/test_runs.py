@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, replace
 
@@ -26,7 +27,7 @@ from epispace.runs import (
     SystemRun,
     build_interpreted_system,
     canon,
-    distributed_relation,
+    config_classes,
     enumerate_runs,
     export_traces,
 )
@@ -65,9 +66,21 @@ def count_partitions(monkeypatch):
     return calls
 
 
+def epi(sys, point, robot):
+    """The robot's epistemic state at a point, read from the run's own row and table."""
+    run_idx, t = point
+    run = sys.runs[run_idx]
+    return run.table[run.row[t]].epis[robot]
+
+
+def point_classes(sys, group):
+    """The group's class id at each position: `config_classes` gathered along the points."""
+    return list(map(config_classes(sys, group).__getitem__, sys.config_of))
+
+
 def brute_partition(sys, robot):
     # O(n^2) oracle: pairwise epistemic-state comparison, then closure
-    points = sys.points
+    points = list(sys.points)
     parent = {p: p for p in points}
 
     def find(p):
@@ -78,7 +91,7 @@ def brute_partition(sys, robot):
 
     for i, p in enumerate(points):
         for q in points[i + 1:]:
-            if sys.epi_at(p, robot) == sys.epi_at(q, robot):
+            if epi(sys, p, robot) == epi(sys, q, robot):
                 parent[find(p)] = find(q)
     groups = {}
     for p in points:
@@ -370,6 +383,19 @@ class TestFrame:
         assert len(sys.classes) == 2
         assert calls == [(0,), (1,)]
 
+    def test_build_allocates_no_per_point_object(self):
+        robot, env, placements, schedules, _ = s1_h5()
+        runs = enumerate_runs(robot, env, placements, schedules)
+        tracemalloc.start()
+        try:
+            sys = build_interpreted_system(runs, env, robot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # config_of takes 4 bytes a point; a list of (run, t) tuples would take over 60
+        assert len(sys.config_of) == 7776
+        assert peak <= 16 * len(sys.config_of)
+
     @pytest.mark.parametrize("env_robots", [1, 3])
     def test_robot_count_mismatch_rejected(self, env_robots):
         robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP, n_robots=2)
@@ -419,7 +445,7 @@ class TestFrame:
         sys = build_interpreted_system(runs, env, robot)
         # robot 0 idles in schedules that only activate robot 1: those points
         # collapse into robot 0's initial class together across runs
-        ids = distributed_relation(sys, [0])
+        ids = point_classes(sys, [0])
         init_class = ids[sys.points.index((0, 0))]
         sharing = {p for p, cid in zip(sys.points, ids) if cid == init_class}
         assert len({run_idx for run_idx, _ in sharing}) > 1
@@ -431,13 +457,13 @@ class TestFrame:
         runs = enumerate_runs(robot, env, [[0, 2]], gen_schedules(2, 2, SSYNC, fairness_bound=3))
         sys = build_interpreted_system(runs, env, robot)
         for r in range(2):
-            ids = distributed_relation(sys, [r])
+            ids = point_classes(sys, [r])
             assert isinstance(ids, list) and len(ids) == len(sys.points)
             first = {}
             for p, cid in zip(sys.points, ids):
-                first.setdefault(sys.epi_at(p, r), len(first))
-                assert cid == first[sys.epi_at(p, r)]
-            assert distributed_relation(sys, [r]) == ids
+                first.setdefault(epi(sys, p, r), len(first))
+                assert cid == first[epi(sys, p, r)]
+            assert point_classes(sys, [r]) == ids
             assert [list(c) for c in sys.classes[r]] == [
                 [p for p, cid in zip(sys.points, ids) if cid == k] for k in range(len(first))]
 
@@ -447,7 +473,7 @@ class TestDistributed:
         _, robot, env, runs = sweep_runs()
         sys = build_interpreted_system(runs, env, robot)
         members = {}
-        for p, cid in zip(sys.points, distributed_relation(sys, [0])):
+        for p, cid in zip(sys.points, point_classes(sys, [0])):
             members.setdefault(cid, set()).add(p)
         assert {frozenset(m) for m in members.values()} == brute_partition(sys, 0)
 
@@ -458,10 +484,10 @@ class TestDistributed:
         schedules = gen_schedules(2, 2, SSYNC, fairness_bound=3)
         runs = enumerate_runs(robot, env, [[0, 2]], schedules)
         sys = build_interpreted_system(runs, env, robot)
-        both = distributed_relation(sys, [0, 1])
+        both = point_classes(sys, [0, 1])
         n = len(sys.points)
         for r in range(2):
-            ids = distributed_relation(sys, [r])
+            ids = point_classes(sys, [r])
             for i in range(n):
                 for j in range(n):
                     if both[i] == both[j]:
@@ -474,8 +500,8 @@ class TestDistributed:
         schedules = gen_schedules(2, 2, SSYNC, fairness_bound=3)
         runs = enumerate_runs(robot, env, [[0, 2]], schedules)
         sys = build_interpreted_system(runs, env, robot)
-        both = distributed_relation(sys, [0, 1])
-        singles = [distributed_relation(sys, [r]) for r in range(2)]
+        both = point_classes(sys, [0, 1])
+        singles = [point_classes(sys, [r]) for r in range(2)]
         n = len(sys.points)
         for i in range(n):
             for j in range(n):
@@ -486,7 +512,7 @@ class TestDistributed:
         _, robot, env, runs = sweep_runs()
         sys = build_interpreted_system(runs, env, robot)
         with pytest.raises(ValueError):
-            distributed_relation(sys, [])
+            config_classes(sys, [])
 
 
 class TestTraces:
