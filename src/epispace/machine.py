@@ -24,7 +24,8 @@ PROTOCOLS = (EXPLORE_SWEEP, FLOOD_EXPLORE, GATHER_MIN_REGION, GATHER_OSCILLATE)
 
 
 class ModelDefinitionError(ValueError):
-    """A machine table has no entry for an argument it was called with."""
+    """A machine table has no entry for an argument it was called with, or a machine
+    component gave a value that must be hashable and is not."""
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ class RobotMachine:
     `footprint` once per distinct (robot, obs) pair, and keeps the first of equal
     epistemic-state tuples, observation tuples and explored sets. Epistemic states
     and observations must be hashable, since configurations are compared by
-    equality, as the indistinguishability frame already does. Actions need not be
-    hashable.
+    equality, as the indistinguishability frame already does. Actions must be
+    hashable too, since the environment's `evolve` is memoized by them; an
+    unhashable one raises `ModelDefinitionError`.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation
@@ -81,9 +83,8 @@ class EnvMachine:
     effects: equal arguments give equal results, and equal values are
     interchangeable. States and adversary choices must be hashable. One
     `enumerate_runs` call runs `emit_obs` once per distinct (env state, adversary
-    choice) pair, and `evolve` once per distinct transition with a MOVE, since the
-    actions it takes need not be hashable; its table keeps the first of equal env
-    states.
+    choice) pair and `evolve` once per distinct (env state, actions, adversary
+    choice) triple, and its table keeps the first of equal env states.
     """
 
     n_robots: int

@@ -9,16 +9,18 @@ call's runs, read run by run, meet each configuration first in id order. The
 table stores each distinct part once as well: equal `epis`, `obss`, env states
 and explored sets of its configurations are one object, the first stored. Each
 distinct transition (configuration id, step, adversary choice) is computed
+once, builds only the parts its phases change, and looks its configuration up
 once. A new transition is assembled from per-component tables that live for
 the same call: `control` results by epi, `step` results by (epi, obs),
-`footprint` results by (robot, obs), and `emit_obs` results by (env state,
-adversary choice). `enumerate_runs` walks a run only past the prefix it shares
-with the run before it, in any schedule order, and closes it as a lasso where
-its configuration and phase residues repeat. A point (run, step) of the frame
-is its position: the frame lays its runs' rows end to end and stores only the
-configuration id at each position, and `Points` reads a point off its position
-and back. Indistinguishability for robot r is equality of r's epistemic state
-between any two points.
+`footprint` results by (robot, obs), `evolve` results by (env state, actions,
+adversary choice), and `emit_obs` results by (env state, adversary choice), so
+actions must be hashable. `enumerate_runs` walks a run only past the prefix it
+shares with the run before it, in any schedule order, and closes it as a lasso
+where its configuration and phase residues repeat. A point (run, step) of the
+frame is its position: the frame lays its runs' rows end to end and stores only
+the configuration id at each position, and `Points` reads a point off its
+position and back. Indistinguishability for robot r is equality of r's
+epistemic state between any two points.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cache, cached_property
 from operator import index, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
-from .machine import EnvMachine, RobotMachine
+from .machine import EnvMachine, ModelDefinitionError, RobotMachine
 from .scheduler import PHASES, CapExceededError, TimePath
 
 
@@ -105,9 +107,10 @@ class _Transitions:
     residues. `succ` maps each distinct (config id, step id, adversary choice) to
     the id it leads to. A new transition is computed from machine components that
     are each memoized by their own arguments: `control` by epi, `step` by (epi,
-    obs), `footprint` by (robot, obs), and `emit_obs` by the (env state, adversary
-    choice) that the LOOK reads, which is the pre-move env under `pre_move_look`.
-    `evolve` is not memoized, because actions need not be hashable.
+    obs), `footprint` by (robot, obs), `evolve` by (env state, actions, adversary
+    choice), and `emit_obs` by the (env state, adversary choice) that the LOOK
+    reads, which is the pre-move env under `pre_move_look`. So actions must be
+    hashable; `control` raises `ModelDefinitionError` on one that is not.
     """
 
     def __init__(self, robot: RobotMachine, env: EnvMachine, pre_move_look: bool):
@@ -121,25 +124,43 @@ class _Transitions:
         self.step_ids: dict[tuple, int] = {}
         self.plans: list[tuple] = []
         self.phase_steps: dict[tuple, tuple[int, tuple]] = {}
-        self.control = cache(robot.control)
         self.compute = cache(robot.step)
         self.footprint = cache(robot.footprint) if robot.footprint is not None else None
         self.emit_obs = cache(env.emit_obs)
+        envs = self.parts[2]
+
+        @cache
+        def control(epi):
+            action = robot.control(epi)
+            try:
+                hash(action)
+            except TypeError:
+                raise ModelDefinitionError(f"control gave the unhashable action {action!r} "
+                                           f"for epistemic state {epi!r}") from None
+            return action
+
+        @cache
+        def evolve(env_state, actions, adv):
+            moved = env.evolve(env_state, actions, adv)
+            return envs.setdefault(moved, moved)
+
+        self.control = control
+        self.evolve = evolve
 
     def intern(self, state: StepState) -> int:
-        """The id of the configuration `state`, new ones last, stored from shared parts."""
-        cid = self.config_ids.get(state)
-        if cid is None:
-            state = StepState._make(map(dict.setdefault, self.parts, state, state))
-            cid = self.config_ids[state] = len(self.configs)
+        """The id of the configuration `state`, new ones last, in one table lookup.
+
+        `state`'s parts must already be the ones `parts` stores."""
+        cid = self.config_ids.setdefault(state, len(self.configs))
+        if cid == len(self.configs):
             self.configs.append(state)
         return cid
 
     def initial(self, init_cells: Sequence[int]) -> int:
         n = self.env.n_robots
         epis = tuple(self.robot.initial_epi(r) for r in range(n))
-        return self.intern(StepState(epis, (None,) * n, self.env.make_initial_env(init_cells),
-                                     frozenset()))
+        state = (epis, (None,) * n, self.env.make_initial_env(init_cells), frozenset())
+        return self.intern(StepState._make(map(dict.setdefault, self.parts, state, state)))
 
     def phase_step(self, residues: tuple, robots: tuple) -> tuple[int, tuple]:
         """The step id of `robots` firing at phase `residues`, and the residues after it."""
@@ -154,30 +175,42 @@ class _Transitions:
         return found
 
     def step(self, cid: int, sid: int, adv) -> int:
-        """The transition function: one global step, step id `sid`, from configuration `cid`."""
-        state = self.configs[cid]
+        """The transition function: one global step, step id `sid`, from configuration `cid`.
+
+        Builds only the parts the step changes, each stored through its `parts` dict
+        where it is made: a MOVE a new env state, a LOOK new `obss`, a COMPUTE new
+        `epis`, and a new explored set when a footprint adds a cell. The other parts
+        are the source configuration's own objects."""
+        epis, obss, env_state, explored = self.configs[cid]
         movers, lookers, computers = self.plans[sid]
-        epis = list(state.epis)
-        obss = list(state.obss)
-        env_state = state.env
-        explored = state.explored
+        pre_move = env_state
 
         if movers:
             actions: list = [None] * self.env.n_robots
             for r in movers:
                 actions[r] = self.control(epis[r])
-            env_state = self.env.evolve(env_state, tuple(actions), adv)
+            env_state = self.evolve(env_state, tuple(actions), adv)
         if lookers:
-            raws = self.emit_obs(state.env if self.pre_move_look else env_state, adv)
+            raws = self.emit_obs(pre_move if self.pre_move_look else env_state, adv)
+            seen = list(obss)
             for r in lookers:
-                obss[r] = self.robot.observe(raws[r])
-        for r in computers:
-            epis[r] = self.compute(epis[r], obss[r])
-            if self.footprint is not None:
-                cells = self.footprint(r, obss[r])
-                if not cells <= explored:
-                    explored = explored | cells
-        return self.intern(StepState(tuple(epis), tuple(obss), env_state, explored))
+                seen[r] = self.robot.observe(raws[r])
+            obss = tuple(seen)
+            obss = self.parts[1].setdefault(obss, obss)
+        if computers:
+            grown = explored
+            stepped = list(epis)
+            for r in computers:
+                stepped[r] = self.compute(epis[r], obss[r])
+                if self.footprint is not None:
+                    cells = self.footprint(r, obss[r])
+                    if not cells <= grown:
+                        grown = grown | cells
+            epis = tuple(stepped)
+            epis = self.parts[0].setdefault(epis, epis)
+            if grown is not explored:
+                explored = self.parts[3].setdefault(grown, grown)
+        return self.intern(tuple.__new__(StepState, (epis, obss, env_state, explored)))
 
 
 def _common_prefix(a: Sequence, b: Sequence) -> int:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, replace
@@ -17,6 +18,7 @@ from epispace.machine import (
     GATHER_OSCILLATE,
     Capabilities,
     EnvMachine,
+    ModelDefinitionError,
     RobotMachine,
     make_grid_walker,
     table_fn,
@@ -115,6 +117,12 @@ def phase_maps(path):
         for r in step:
             fired[r] += 1
     return maps
+
+
+def move_actions(control, state, act, n_robots):
+    """The actions `evolve` gets for a step with phases `act` from `state`: each mover's
+    `control` of its epistemic state, None for the others."""
+    return tuple(control(state.epis[r]) if act.get(r) == "M" else None for r in range(n_robots))
 
 
 class TestSimulate:
@@ -291,10 +299,34 @@ class TestEnumerate:
                        for state, step, adv in zip(run.states, phase_maps(run.path), run.adv_seq)}
         moving = {tr for tr in transitions if any(ph == "M" for _, ph in tr[1])}
         assert (len(transitions), len(moving)) == (1311, 474)
-        assert len(calls) == len(moving)
+        # evolve runs once per distinct (env state, actions, adversary choice) of them
+        moves = {(state.env, move_actions(robot.control, state, dict(step), env.n_robots), adv)
+                 for state, step, adv in moving}
+        assert len(calls) == len(set(calls)) == len(moves) < len(moving)
+        assert set(calls) == moves
         states = {id(state) for run in runs for state in run.states}
         configs = {state for run in runs for state in run.states}
         assert len(states) == len(configs) == 1031
+
+    def test_unhashable_action_named(self):
+        robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
+        listed = replace(robot, control=lambda epi: list(robot.control(epi)))
+        epi = robot.initial_epi(0)
+        message = f"control gave the unhashable action [None, None] for epistemic state {epi!r}"
+        with pytest.raises(ModelDefinitionError, match=re.escape(message)):
+            enumerate_runs(listed, env, [[0]], gen_schedules(1, 2, FSYNC, fairness_bound=1))
+
+    def test_type_error_in_evolve_propagates(self):
+        robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
+        wrapped = replace(robot, control=lambda epi: robot.control(epi))
+
+        def evolve(env_state, actions, adv):
+            raise TypeError("evolve's own error")
+
+        with pytest.raises(TypeError, match="^evolve's own error$") as raised:
+            enumerate_runs(wrapped, replace(env, evolve=evolve), [[0]],
+                           gen_schedules(1, 2, FSYNC, fairness_bound=1))
+        assert type(raised.value) is TypeError
 
     def test_rows_index_one_table_and_frame_and_labels_never_read_states(self, monkeypatch):
         robot, env, placements, schedules, _ = s1_h5()
@@ -333,6 +365,7 @@ class TestEnumerate:
     ], ids=["s1-h5", "myopic-fsync-sweep", "ssync-flood", "kasync-pre-move-look"])
     def test_each_component_runs_once_per_distinct_argument(self, scenario):
         robot, env, placements, schedules, pre_move_look = scenario()
+        control = robot.control
         calls = {name: [] for name in ("control", "step", "footprint", "emit_obs", "evolve")}
 
         def logged(name, fn):
@@ -364,12 +397,11 @@ class TestEnumerate:
                         needed["step"].add((before.epis[r], after.obss[r]))
                         needed["footprint"].add((r, after.obss[r]))
                 if "M" in act.values():
-                    needed["evolve"].add((id(before), tuple(sorted(act.items())), run.adv_seq[t]))
-        for name in ("control", "step", "footprint", "emit_obs"):
+                    actions = move_actions(control, before, act, env.n_robots)
+                    needed["evolve"].add((before.env, actions, run.adv_seq[t]))
+        for name in calls:
             assert len(calls[name]) == len(set(calls[name])), f"{name} repeated an argument"
             assert set(calls[name]) == needed[name], name
-        # evolve is memoized only through the transition table: once per distinct moving transition
-        assert len(calls["evolve"]) == len(needed["evolve"])
 
 
 class TestFrame:
@@ -607,6 +639,29 @@ def test_golden_tables_store_each_part_once(name):
         first = {}
         assert all(first.setdefault(part, part) is part
                    for part in (getattr(state, field_name) for state in table)), field_name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_one_table_lookup_per_computed_transition(monkeypatch, name):
+    # each placement and each distinct (configuration, step, adversary choice) hashes
+    # the configuration it reaches once, whether that configuration is new or known
+    robot, env, placements, schedules, pre_move_look = GOLDEN[name][0]()
+    hashes = []
+
+    class CountingState(StepState):
+        __slots__ = ()
+
+        def __hash__(self):
+            hashes.append(None)
+            return tuple.__hash__(self)
+
+    monkeypatch.setattr(runs_module, "StepState", CountingState)
+    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+    n_hashes = len(hashes)
+    assert all(type(state) is CountingState for state in runs[0].table)
+    transitions = {(run.row[t], tuple(sorted(act.items())), run.adv_seq[t])
+                   for run in runs for t, act in enumerate(phase_maps(run.path))}
+    assert n_hashes == len(placements) + len(transitions)
 
 
 def brute_lasso(run):
