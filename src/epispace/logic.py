@@ -4,13 +4,17 @@ The semantics handles five constructs: atoms, negation, conjunction,
 distributed knowledge, and "eventually". Individual knowledge K[r] is
 distributed knowledge of the one-robot group {r}. Disjunction, implication,
 "always" and mutual knowledge are expanded at construction time. A formula is
-checked by labelling its subformulas bottom-up. A state subformula (knowledge,
-and negations and conjunctions of state subformulas) is labelled once per
+checked by labelling its subformulas bottom-up. A label is one byte, so a node's
+labels are one `bytes` string: FALSE is 0, UNKNOWN 1 and TRUE 3 (bit 0 says "not
+FALSE", bit 1 says "TRUE"). Negation is a `translate` that swaps 0 and 3, and
+conjunction the bitwise AND of two strings. A state subformula (knowledge, and
+negations and conjunctions of state subformulas) is labelled once per
 configuration: knowledge reduces its subformula's labels over each class of its
 group. Atoms and "eventually" are labelled per point, by position: an atom marks
-the positions of its own point set, and "eventually" takes a reverse OR along
-each run's slice of the labels. Subformula labels are dropped once no node above
-them waits for them.
+the positions of its own point set, once per system, and "eventually" splits
+each run's slice of the labels into a TRUE, an UNKNOWN and a FALSE block with
+two searches. Subformula labels are dropped once no node above them waits for
+them.
 Verdicts are three-valued (Kleene): temporal operators on runs without a closed
 lasso may come back UNKNOWN rather than guessing.
 """
@@ -21,11 +25,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import compress, count, islice, repeat
-from operator import is_
+from itertools import compress, repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .runs import InterpretedSystem, Point, config_classes
+from .runs import InterpretedSystem, Lasso, Point, config_classes
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -327,8 +330,13 @@ class Verdict:
     witnesses: tuple[Point, ...] = ()
 
 
-_NAMES = {True: TRUE, False: FALSE, None: UNKNOWN}
-_NOT = {True: False, False: True, None: None}
+# A Kleene label is one byte: bit 0 says "not FALSE" and bit 1 says "TRUE".
+_F, _U, _T = 0, 1, 3
+_VALUE = (False, None, None, True)  # code -> Kleene value
+_NAMES = {_F: FALSE, _U: UNKNOWN, _T: TRUE}
+_NEGATE = bytes.maketrans(b"\0\3", b"\3\0")
+_MARKED = bytes.maketrans(b"\1", b"\3")  # an atom's 0/1 marks to FALSE/TRUE codes
+_SELECT = {code: bytes(c == code for c in range(256)) for code in (_F, _U)}  # code -> 1, else 0
 MAX_WITNESSES = 20  # points a valid() verdict names
 
 
@@ -343,19 +351,20 @@ def _subformulas(f: Formula) -> tuple:
 
 
 def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple],
-           keep: Iterable[Formula] = ()) -> tuple[list, bool]:
-    """The Kleene values of f, and whether they are per configuration (else per point).
+           keep: Iterable[Formula] = ()) -> tuple[bytes, bool]:
+    """The Kleene codes of f, and whether they are per configuration (else per point).
 
-    A DKnow, and a Not or And over such nodes only, gets one value per configuration
+    A DKnow, and a Not or And over such nodes only, gets one code per configuration
     id in sys.configs (meaningless for a configuration no point has). Atoms, <> and
     nodes above them get one per point, by position: run i's point at t is at
-    sys.starts[i] + t. Subformulas are labelled bottom-up, once each, from an explicit
-    post-order stack, so no nesting depth reaches Python's recursion limit. `memo`
-    maps id(node) to the node's labels and shape. A node's entry is dropped once every
-    node above it is labelled, so `memo` ends with the entries of f and of the nodes
-    in `keep`. It is meant for one call: `f` keeps all its nodes, and so their ids,
-    alive while it lasts. `relation` numbers each group's classes once, when a
-    knowledge node first asks for them.
+    sys.starts[i] + t. Either way the codes are one `bytes` string. Subformulas are
+    labelled bottom-up, once each, from an explicit post-order stack, so no nesting
+    depth reaches Python's recursion limit. `memo` maps id(node) to the node's
+    labels and shape. A node's entry is dropped once every node above it is
+    labelled, so `memo` ends with the entries of f and of the nodes in `keep`. It is
+    meant for one call: `f` keeps all its nodes, and so their ids, alive while it
+    lasts. `relation` numbers each group's classes once, when a knowledge node
+    first asks for them.
     """
     relation = cache(partial(config_classes, sys))
     kept = {id(f), *map(id, keep)}
@@ -386,64 +395,86 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple],
     return memo[id(f)]
 
 
-def _per_point(sys: InterpretedSystem, labels: list, per_config: bool) -> Iterable:
-    """Labels by position; per-configuration ones are gathered lazily."""
-    return map(labels.__getitem__, sys.config_of) if per_config else labels
+def _by_position(sys: InterpretedSystem, labels: bytes, per_config: bool) -> bytes:
+    """The codes by position; per-configuration ones are gathered along config_of."""
+    return bytes(map(list(labels).__getitem__, sys.config_of)) if per_config else labels
 
 
-def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[list, bool]],
-                relation: Callable[[tuple[int, ...]], dict[int, int]]) -> tuple[list, bool]:
-    """The labels and shape of f from those of its direct subformulas and `relation`."""
-    if isinstance(f, Atom):
-        if f.key not in sys.atoms:
-            raise UnknownAtomError(f"no valuation installed for atom {f.label}")
+def _per_point(sys: InterpretedSystem, labels: bytes, per_config: bool) -> Iterable:
+    """The Kleene values (True, False or None) by position."""
+    return map(_VALUE.__getitem__, _by_position(sys, labels, per_config))
+
+
+def _atom(sys: InterpretedSystem, f: Atom) -> bytes:
+    """The atom's codes by position, made once per system and point set."""
+    if f.key not in sys.atoms:
+        raise UnknownAtomError(f"no valuation installed for atom {f.label}")
+    points = sys.atoms[f.key]
+    made = sys.atom_labels.get(f.key)
+    if made is None or made[0] is not points:
         try:
-            return sys.points.indicator(sys.atoms[f.key]), False
+            marks = sys.points.indicator(points)
         except ValueError as e:
             raise ValueError(f"atom {f.label}: {e}") from None
+        made = sys.atom_labels[f.key] = points, bytes(marks).translate(_MARKED)
+    return made[1]
+
+
+def _eventually(values: bytes, lasso: Lasso | None) -> bytes:
+    """<> over one run's codes: TRUE up to the last TRUE, then UNKNOWN up to the last
+    UNKNOWN, or to the end on an open run, which may still reach f later, then FALSE.
+    On a lasso every time in the loop reaches the whole loop, so the codes from the
+    loop head on take the head's code."""
+    n = len(values)
+    true_end = values.rfind(_T) + 1
+    if lasso is None:
+        unknown_end = n
+    else:
+        unknown_end = len(values.rstrip(b"\0"))
+        if lasso.start < true_end:
+            true_end = unknown_end = n
+        elif lasso.start < unknown_end:
+            unknown_end = n
+    return b"\3" * true_end + b"\1" * (unknown_end - true_end) + b"\0" * (n - unknown_end)
+
+
+def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[bytes, bool]],
+                relation: Callable[[tuple[int, ...]], dict[int, int]]) -> tuple[bytes, bool]:
+    """The codes and shape of f from those of its direct subformulas and `relation`."""
+    if isinstance(f, Atom):
+        return _atom(sys, f), False
     if isinstance(f, Not):
         sub, per_config = subs[0]
-        return list(map(_NOT.__getitem__, sub)), per_config
+        return sub.translate(_NEGATE), per_config
     if isinstance(f, And):
-        # FALSE if either side is FALSE, else UNKNOWN if either is UNKNOWN
+        # 0 & x = 0, 1 & 3 = 1 and 3 & 3 = 3: FALSE if either side is, else UNKNOWN if
+        # either side is
         per_config = subs[0][1] and subs[1][1]
-        left, right = (node[0] if per_config else _per_point(sys, *node) for node in subs)
-        return [False if a is False or b is False else b if a else None
-                for a, b in zip(left, right)], per_config
+        left, right = (node[0] if per_config else _by_position(sys, *node) for node in subs)
+        both = int.from_bytes(left, "little") & int.from_bytes(right, "little")
+        return both.to_bytes(len(left), "little"), per_config
     if isinstance(f, DKnow):
         # reduce over each class the configurations whose points take each value
         sub, per_config = subs[0]
         classes = relation(f.group)
         owners = sys.config_of
         if per_config:  # count only the configurations that some point has
-            owners, sub = list(classes), list(map(sub.__getitem__, classes))
-        per_class: list[bool | None] = [True] * (max(classes.values()) + 1)
-        for value in (None, False):  # FALSE, set last, beats UNKNOWN
+            owners, sub = list(classes), bytes(map(sub.__getitem__, classes))
+        per_class = bytearray([_T]) * (max(classes.values()) + 1)
+        for value in (_U, _F):  # FALSE, set last, beats UNKNOWN
             if value in sub:
-                for c in set(compress(owners, map(is_, sub, repeat(value)))):
+                for c in set(compress(owners, sub.translate(_SELECT[value]))):
                     per_class[classes[c]] = value
-        return [per_class[classes.get(c, 0)] for c in range(len(sys.configs))], True
-    # Eventually: per run, a reverse Kleene OR over its row's slice; an open run may
-    # still reach f later. On a lasso every time in the loop reaches the whole loop,
-    # so it takes the loop head's value.
-    sub, per_config = subs[0]
-    out = []
+        n_configs = len(sys.configs)
+        return bytes(map(per_class.__getitem__, map(classes.get, range(n_configs),
+                                                    repeat(0)))), True
+    # Eventually: each run's slice of the labels in three blocks
+    sub = _by_position(sys, *subs[0])
+    out = bytearray(len(sub))
     for run, start in zip(sys.runs, sys.starts):
         end = start + len(run.row)
-        values = (list(map(sub.__getitem__, sys.config_of[start:end])) if per_config
-                  else sub[start:end])
-        acc = None if run.lasso is None else False
-        labels = []
-        for v in reversed(values):
-            if v or (v is None and acc is False):
-                acc = v
-            labels.append(acc)
-        labels.reverse()
-        if run.lasso is not None:
-            head = run.lasso.start
-            labels[head:] = [labels[head]] * (len(labels) - head)
-        out += labels
-    return out, False
+        out[start:end] = _eventually(sub[start:end], run.lasso)
+    return bytes(out), False
 
 
 def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
@@ -456,27 +487,31 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     run_idx, t = point
     memo: dict[int, tuple] = {}
     labels, per_config = _label(sys, f, memo, keep=_subformulas(f))
-    value = labels[sys.config_of[i] if per_config else i]
-    if value is True and isinstance(f, Eventually):
+    code = labels[sys.config_of[i] if per_config else i]
+    if code == _T and isinstance(f, Eventually):
         run = sys.runs[run_idx]
         # inside a lasso's loop the forward orbit wraps around to the loop head
         start = t if run.lasso is None else min(t, run.lasso.start)
-        sub = islice(_per_point(sys, *memo[id(f.sub)]), i - t + start, i - t + run.horizon + 1)
-        first = next(t2 for t2, v in enumerate(sub, start) if v)
+        sub = _by_position(sys, *memo[id(f.sub)])
+        first = sub.find(_T, i - t + start, i - t + run.horizon + 1) - (i - t)
         return Verdict(TRUE, ((run_idx, first),))
-    return Verdict(_NAMES[value])
+    return Verdict(_NAMES[code])
 
 
 def valid(sys: InterpretedSystem, f: Formula) -> Verdict:
     """Validity: the formula holds at every point; counterexamples are witnesses.
 
     Witnesses are the first MAX_WITNESSES FALSE points by position, else the first
-    MAX_WITNESSES UNKNOWN ones; only these are named as (run, t).
+    MAX_WITNESSES UNKNOWN ones, each found with one `find` on the codes; only these
+    are named as (run, t).
     """
-    labels = _label(sys, f, {})
-    for value in (False, None):
-        hits = tuple(islice(compress(count(), map(is_, _per_point(sys, *labels),
-                                                  repeat(value))), MAX_WITNESSES))
+    labels = _by_position(sys, *_label(sys, f, {}))
+    for code in (_F, _U):
+        hits = []
+        at = labels.find(code)
+        while at >= 0 and len(hits) < MAX_WITNESSES:
+            hits.append(at)
+            at = labels.find(code, at + 1)
         if hits:
-            return Verdict(_NAMES[value], tuple(map(sys.points.__getitem__, hits)))
+            return Verdict(_NAMES[code], tuple(map(sys.points.__getitem__, hits)))
     return Verdict(TRUE)

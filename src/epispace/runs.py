@@ -345,16 +345,16 @@ class Points(Sequence):
             return self.starts[run] + t
         raise ValueError(f"point {point!r} outside the system")
 
-    def indicator(self, points: Iterable[Point]) -> list[bool]:
-        """Per position, whether its point is one of `points`. ValueError names the
-        first of them that is no point of the frame: its run index is out of range, its
-        t negative, or its t past its run's row."""
+    def indicator(self, points: Iterable[Point]) -> bytearray:
+        """Per position, one byte: 1 if its point is one of `points`, else 0. ValueError
+        names the first of them that is no point of the frame: its run index is out of
+        range, its t negative, or its t past its run's row."""
         starts, ends, n_runs = self.starts, self.ends, len(self.starts)
-        marks = [False] * len(self)
+        marks = bytearray(len(self))
         for run, t in points:
             if not (0 <= run < n_runs and 0 <= t < ends[run] - starts[run]):
                 raise ValueError(f"point {(run, t)!r} outside the system")
-            marks[starts[run] + t] = True
+            marks[starts[run] + t] = 1
         return marks
 
 
@@ -368,7 +368,9 @@ class InterpretedSystem:
     storage; `points` names the positions as (run, t) when asked. `configs`
     joins the tables of the runs into one id space. The frame stores no
     partition: `config_classes` numbers a group's classes per configuration on
-    each call.
+    each call. `atom_labels` keeps, per atom key, the point set `atoms` held when
+    `logic` labelled the atom and the labels it made from it, so each atom is
+    labelled once per system.
     """
 
     runs: list[SystemRun]
@@ -394,6 +396,12 @@ class InterpretedSystem:
         them; computed on first use, once per system, since no group changes it."""
         return list(dict.fromkeys(self.config_of))
 
+    @cached_property
+    def atom_labels(self) -> dict[Hashable, tuple[frozenset[Point], bytes]]:
+        """Per atom key: the point set its labels were made from, and the labels, one
+        Kleene code per position; filled by `logic`, and empty on each new system."""
+        return {}
+
     @property
     def classes(self) -> list[list[tuple[Point, ...]]]:
         """Per robot: class id -> member points, in position order."""
@@ -412,7 +420,8 @@ class InterpretedSystem:
         return run.table[run.row[t]].explored
 
     def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
-        """Same frame, different valuation; shares runs, configurations, any `config_order`."""
+        """Same frame, different valuation; shares runs, configurations, any
+        `config_order`, but not `atom_labels`."""
         valued = replace(self, atoms=atoms)
         if "config_order" in self.__dict__:
             valued.config_order = self.config_order

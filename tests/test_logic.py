@@ -42,6 +42,8 @@ from epispace.machine import (
 )
 from epispace.runs import (
     InterpretedSystem,
+    Lasso,
+    Points,
     build_interpreted_system,
     enumerate_runs,
 )
@@ -421,12 +423,118 @@ class TestLabelShapes:
         memo = {}
         logic._label(sys, f, memo, keep=nodes_of(f))
         assert len(sys.configs) < len(sys.points)
+        # and a fall-back to lists would pass them too: every label string is bytes
+        assert all(type(labels) is bytes for labels, _ in memo.values())
         for g in (ev.sub, ev.sub.sub, both, k1, not_k2, not_k2.sub):
             labels, per_config = memo[id(g)]
             assert per_config and len(labels) == len(sys.configs), str(g)
         for g in (k1.sub, ev, f):
             labels, per_config = memo[id(g)]
             assert not per_config and len(labels) == len(sys.points), str(g)
+
+    def test_not_and_and_on_codes_are_kleenes_strong_tables(self):
+        code = {False: 0, None: 1, True: 3}
+        negation = {True: False, None: None, False: True}
+        conjunction = {
+            (True, True): True, (True, None): None, (True, False): False,
+            (None, True): None, (None, None): None, (None, False): False,
+            (False, True): False, (False, None): False, (False, False): False,
+        }
+        _, sys = sweep_system()
+        a, b = sp_atom(frozenset()), sp_atom(frozenset(range(4)))
+
+        def apply(f, *operands):
+            labels = logic._label_node(sys, f, [(bytes(map(code.get, values)), True)
+                                                for values in operands], None)
+            return list(logic._per_point(sys, labels[0], False))
+
+        values = list(negation)
+        assert apply(Not(a), values) == list(map(negation.get, values))
+        lefts, rights = zip(*conjunction)
+        assert apply(And(a, b), lefts, rights) == list(conjunction.values())
+
+
+def reverse_scan(values, lasso):
+    """<> over one run's Kleene values by a reverse OR from the run's end: an open run
+    starts from UNKNOWN, since it may still reach f later, a closed one from FALSE. On
+    a lasso every time from the loop head on takes the head's value."""
+    acc = None if lasso is None else False
+    labels = []
+    for v in reversed(values):
+        if v or (v is None and acc is False):
+            acc = v
+        labels.append(acc)
+    labels.reverse()
+    if lasso is not None:
+        labels[lasso.start:] = [labels[lasso.start]] * (len(labels) - lasso.start)
+    return labels
+
+
+def test_eventually_blocks_match_the_reverse_scan_on_every_short_row():
+    code = {False: 0, None: 1, True: 3}
+    cases = 0
+    for n in range(1, 7):
+        for values in itertools.product([False, None, True], repeat=n):
+            row = bytes(map(code.get, values))
+            for lasso in [None] + [Lasso(head, n - 1 - head) for head in range(n)]:
+                labels = list(map(logic._VALUE.__getitem__, logic._eventually(row, lasso)))
+                assert labels == reverse_scan(values, lasso), (values, lasso)
+                cases += 1
+    assert cases == 7107
+
+
+class TestAtomLabels:
+    def counted_indicator(self, monkeypatch):
+        calls = []
+        indicator = Points.indicator
+
+        def counting(points, marked):
+            calls.append(marked)
+            return indicator(points, marked)
+
+        monkeypatch.setattr(Points, "indicator", counting)
+        return calls
+
+    def test_each_atom_labelled_once_per_system(self, monkeypatch):
+        grid, sys = flood_system()
+        calls = self.counted_indicator(monkeypatch)
+        f = parse("<> (sp(UX) & K[r1] sp(UX)) | D[{r1,r2}] sp(UX) -> sp(UX)",
+                  symbols(grid, n_robots=2))
+        g = parse("K[r2] sp(UX)", symbols(grid, n_robots=2))
+        verdicts = [valid(sys, f), valid(sys, g)]
+        assert valid(sys, f) == verdicts[0] and valid(sys, g) == verdicts[1]
+        assert calls == [sys.atoms[("sp", frozenset(range(4)))]]
+        copy = sys.with_atoms(dict(sys.atoms))  # a new system labels its atoms anew
+        assert [valid(copy, f), valid(copy, g)] == verdicts
+        assert len(calls) == 2
+
+    def test_with_atoms_relabels(self):
+        _, sys = sweep_system()
+        a = Atom(("set", 0), "a0")
+        everywhere = sys.with_atoms({a.key: frozenset(sys.points)})
+        assert valid(everywhere, a).value == TRUE
+        nowhere = everywhere.with_atoms({a.key: frozenset()})
+        assert valid(nowhere, a) == Verdict(FALSE, tuple(sys.points)[:logic.MAX_WITNESSES])
+        assert valid(everywhere, a).value == TRUE
+
+    def test_a_new_point_set_is_seen_by_the_next_call(self):
+        _, sys = sweep_system()
+        a = Atom(("set", 0), "a0")
+        sys = sys.with_atoms({a.key: frozenset(sys.points)})
+        assert valid(sys, a).value == TRUE
+        sys.atoms[a.key] = frozenset(sys.points) - {(0, 5)}
+        assert valid(sys, a) == Verdict(FALSE, ((0, 5),))
+        sys.atoms[a.key] = frozenset(sys.points)
+        assert valid(sys, a).value == TRUE
+
+    def test_point_outside_the_frame_raises_on_every_call_and_caches_nothing(self):
+        _, sys = sweep_system()
+        a = Atom(("set", 0), "a0")
+        sys = sys.with_atoms({a.key: frozenset({(0, 3), (0, 19)})})
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^atom a0: point \(0, 19\) outside the system$"):
+                valid(sys, a)
+            assert a.key not in sys.atom_labels
 
 
 class RecordingMemo(dict):
@@ -838,7 +946,7 @@ def test_points_view_matches_the_point_list(name):
     k = min(n, 50)
     assert random.Random(name).sample(points, k) == random.Random(name).sample(expected, k)
     chosen = set(random.Random(name).sample(expected, n // 3))
-    assert points.indicator(chosen) == [p in chosen for p in expected]
+    assert points.indicator(chosen) == bytes(p in chosen for p in expected)
 
 
 def class_values(sys, robot, values):
