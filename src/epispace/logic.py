@@ -160,6 +160,8 @@ class Symbols:
 # Each level of parentheses costs the recursive-descent parser five Python frames.
 MAX_NESTING = 100
 _EVERYONE = re.compile(r"E\b")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_ATOM_KIND = re.compile(r"(sp|pos)\b")
 
 
 class _Parser:
@@ -193,10 +195,10 @@ class _Parser:
 
     def name(self) -> str:
         self.skip_ws()
-        m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", self.text[self.pos:])
+        m = _NAME.match(self.text, self.pos)
         if not m:
             self.error("expected a name")
-        self.pos += m.end()
+        self.pos = m.end()
         return m.group()
 
     def robot(self) -> int:
@@ -236,7 +238,7 @@ class _Parser:
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while not self.peek("->") and self.take("|"):
+        while self.take("|"):
             parts.append(self.conjunction())
         return parts[0] if len(parts) == 1 else disj(parts)
 
@@ -291,25 +293,22 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return f
-        self.skip_ws()
-        start = self.pos
-        if re.match(r"sp\b", self.text[self.pos:]):
-            self.pos += 2
+        kind = _ATOM_KIND.match(self.text, self.pos)  # take("(") skipped the whitespace
+        if kind is None:
+            self.error("expected a formula")
+        self.pos = kind.end()
+        if kind.group() == "sp":
             self.expect("(")
             name, cells = self.region()
             self.expect(")")
             return self.atom(sp_atom(cells, f"sp({name})"))
-        if re.match(r"pos\b", self.text[self.pos:]):
-            self.pos += 3
-            self.expect("[")
-            r = self.robot()
-            self.expect("]")
-            self.expect("(")
-            c = self.cell()
-            self.expect(")")
-            return self.atom(pos_atom(r, c))
-        self.pos = start
-        self.error("expected a formula")
+        self.expect("[")
+        r = self.robot()
+        self.expect("]")
+        self.expect("(")
+        c = self.cell()
+        self.expect(")")
+        return self.atom(pos_atom(r, c))
 
 
 def parse(text: str, symbols: Symbols) -> Formula:
@@ -332,7 +331,6 @@ class Verdict:
 
 # A Kleene label is one byte: bit 0 says "not FALSE" and bit 1 says "TRUE".
 _F, _U, _T = 0, 1, 3
-_VALUE = (False, None, None, True)  # code -> Kleene value
 _NAMES = {_F: FALSE, _U: UNKNOWN, _T: TRUE}
 _NEGATE = bytes.maketrans(b"\0\3", b"\3\0")
 _MARKED = bytes.maketrans(b"\1", b"\3")  # an atom's 0/1 marks to FALSE/TRUE codes
@@ -350,8 +348,7 @@ def _subformulas(f: Formula) -> tuple:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple],
-           keep: Iterable[Formula] = ()) -> tuple[bytes, bool]:
+def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[bytes, bool]:
     """The Kleene codes of f, and whether they are per configuration (else per point).
 
     A DKnow, and a Not or And over such nodes only, gets one code per configuration
@@ -360,14 +357,13 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple],
     sys.starts[i] + t. Either way the codes are one `bytes` string. Subformulas are
     labelled bottom-up, once each, from an explicit post-order stack, so no nesting
     depth reaches Python's recursion limit. `memo` maps id(node) to the node's
-    labels and shape. A node's entry is dropped once every node above it is
-    labelled, so `memo` ends with the entries of f and of the nodes in `keep`. It is
-    meant for one call: `f` keeps all its nodes, and so their ids, alive while it
-    lasts. `relation` numbers each group's classes once, when a knowledge node
-    first asks for them.
+    labels and shape; a node already in it is not labelled again. A node's entry is
+    dropped once every node above it is labelled, so `memo` ends with f's entry
+    alone. It is meant for one formula: `f` keeps all its nodes, and so their ids,
+    alive while it lasts. `relation` numbers each group's classes once, when a
+    knowledge node first asks for them.
     """
     relation = cache(partial(config_classes, sys))
-    kept = {id(f), *map(id, keep)}
     users: Counter[int] = Counter()  # per node below f: edges into it from unlabelled nodes
     todo = [f]
     while todo:
@@ -388,9 +384,12 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple],
             continue
         stack.pop()
         memo[id(node)] = _label_node(sys, node, [memo[id(g)] for g in subs], relation)
+        # freed though ssync-flood's peak RSS did not rise without it (26.30 against
+        # 26.43 MB): a per-point label holds a byte per point, 96 KB there, and deep
+        # formulas have dozens of per-point nodes
         for g in subs:
             users[id(g)] -= 1
-            if not users[id(g)] and id(g) not in kept:
+            if not users[id(g)]:
                 del memo[id(g)]
     return memo[id(f)]
 
@@ -398,11 +397,6 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple],
 def _by_position(sys: InterpretedSystem, labels: bytes, per_config: bool) -> bytes:
     """The codes by position; per-configuration ones are gathered along config_of."""
     return bytes(map(list(labels).__getitem__, sys.config_of)) if per_config else labels
-
-
-def _per_point(sys: InterpretedSystem, labels: bytes, per_config: bool) -> Iterable:
-    """The Kleene values (True, False or None) by position."""
-    return map(_VALUE.__getitem__, _by_position(sys, labels, per_config))
 
 
 def _atom(sys: InterpretedSystem, f: Atom) -> bytes:
@@ -486,14 +480,15 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     i = sys.points.index(point)
     run_idx, t = point
     memo: dict[int, tuple] = {}
-    labels, per_config = _label(sys, f, memo, keep=_subformulas(f))
+    # a <>'s operand first, so its codes outlive f's labelling for the witness search
+    sub = _label(sys, f.sub, memo) if isinstance(f, Eventually) else None
+    labels, per_config = _label(sys, f, memo)
     code = labels[sys.config_of[i] if per_config else i]
-    if code == _T and isinstance(f, Eventually):
+    if code == _T and sub is not None:
         run = sys.runs[run_idx]
         # inside a lasso's loop the forward orbit wraps around to the loop head
         start = t if run.lasso is None else min(t, run.lasso.start)
-        sub = _by_position(sys, *memo[id(f.sub)])
-        first = sub.find(_T, i - t + start, i - t + run.horizon + 1) - (i - t)
+        first = _by_position(sys, *sub).find(_T, i - t + start, i - t + run.horizon + 1) - (i - t)
         return Verdict(TRUE, ((run_idx, first),))
     return Verdict(_NAMES[code])
 

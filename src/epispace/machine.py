@@ -55,15 +55,13 @@ class RobotMachine:
     """One robot's LCM program, shared by every robot of a homogeneous fleet.
 
     Every callable must be deterministic and free of side effects: equal
-    arguments give equal results, and equal values are interchangeable. Runs are
-    built from one table per `enumerate_runs` call, which runs `control` once per
-    distinct epistemic state, `step` once per distinct (epi, obs) pair and
-    `footprint` once per distinct (robot, obs) pair, and keeps the first of equal
-    epistemic-state tuples, observation tuples and explored sets. Epistemic states
-    and observations must be hashable, since configurations are compared by
-    equality, as the indistinguishability frame already does. Actions must be
-    hashable too, since the environment's `evolve` is memoized by them; an
-    unhashable one raises `ModelDefinitionError`.
+    arguments give equal results, and equal values are interchangeable, since one
+    `enumerate_runs` call makes each call once per distinct arguments and keeps
+    the first of equal values (`runs._Transitions` lists the memo keys).
+    Epistemic states and observations must be hashable, since configurations are
+    compared by equality, as the indistinguishability frame already does. Actions
+    must be hashable too, since the environment's `evolve` is memoized by them;
+    an unhashable one raises `ModelDefinitionError`.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation
@@ -81,10 +79,8 @@ class EnvMachine:
 
     As for `RobotMachine`, every callable must be deterministic and free of side
     effects: equal arguments give equal results, and equal values are
-    interchangeable. States and adversary choices must be hashable. One
-    `enumerate_runs` call runs `emit_obs` once per distinct (env state, adversary
-    choice) pair and `evolve` once per distinct (env state, actions, adversary
-    choice) triple, and its table keeps the first of equal env states.
+    interchangeable, and one `enumerate_runs` call makes each call once per
+    distinct arguments. States and adversary choices must be hashable.
     """
 
     n_robots: int

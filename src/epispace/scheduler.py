@@ -2,13 +2,15 @@
 
 A path is a sequence of global steps, each a nonempty set of robots; each of
 them fires its next phase of the cyclic M -> L -> C order, so the sets fix
-every phase (`TimePath.phased_steps`). One depth-first walk generates every
-synchrony class, extending a prefix one move at a time. Under FSYNC and SSYNC a
-move is a whole round: three steps of one robot set, so each activation is one
-full LCM cycle, and FSYNC's only set is all robots.
-Under k-ASYNC a move is a single step. The walk keeps a prefix only while
-window fairness, the k-ASYNC drift bound and the cycle floor can all still
-hold, and undoes a move when it backtracks.
+every phase. `fire` states that rule once: from the phases each robot has fired,
+mod 3, it splits a step's robots by the phase they fire, and both
+`TimePath.activations` and the run simulation read phases only through it.
+One depth-first walk generates every synchrony class, extending a prefix one
+move at a time. Under FSYNC and SSYNC a move is a whole round: three steps of
+one robot set, so each activation is one full LCM cycle, and FSYNC's only set
+is all robots. Under k-ASYNC a move is a single step. The walk keeps a prefix
+only while window fairness, the k-ASYNC drift bound and the cycle floor can all
+still hold, and undoes a move when it backtracks.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class TimePath:
     `steps[t]` is the sorted tuple of the distinct robots activated at step t;
     the constructor takes any tuple or frozenset of robot ids and sorts it.
     Every activated robot fires the next phase of its M -> L -> C cycle, so the
-    steps fix each phase (`phased_steps`) and no step can break the cycle order.
+    steps fix each phase (`fire`) and no step can break the cycle order.
     """
 
     n_robots: int
@@ -60,25 +62,24 @@ class TimePath:
     def horizon_steps(self) -> int:
         return len(self.steps)
 
-    def phased_steps(self) -> list[tuple[tuple[int, str], ...]]:
-        """Per step, the (robot, phase) pairs it fires, in robot order.
-
-        A robot that is in n earlier steps fires PHASES[n % 3].
-        """
-        fired = [0] * self.n_robots
-        out = []
-        for step in self.steps:
-            pairs = []
-            for r in step:
-                pairs.append((r, PHASES[fired[r] % len(PHASES)]))
-                fired[r] += 1
-            out.append(tuple(pairs))
-        return out
-
     @property
     def activations(self) -> tuple[Mapping[int, str], ...]:
-        """Per step, a read-only map robot -> the phase it fires, derived from `steps`."""
-        return tuple(MappingProxyType(dict(pairs)) for pairs in self.phased_steps())
+        """Per step, a read-only map robot -> the phase it fires, folding `fire` over `steps`."""
+        out, residues = [], (0,) * self.n_robots
+        for robots in self.steps:
+            plan, residues = fire(residues, robots)
+            out.append(MappingProxyType({r: ph for ph, fired in zip(PHASES, plan) for r in fired}))
+        return tuple(out)
+
+
+def fire(residues: tuple[int, ...],
+         robots: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The LCM phase rule for one step of `robots`, whose phases fired so far, mod 3, are
+    `residues`: per phase of PHASES, the robots that fire it, and the residues after the
+    step. A robot that has fired n phases fires PHASES[n % 3]."""
+    plan = tuple(tuple(r for r in robots if residues[r] == ph) for ph in range(len(PHASES)))
+    after = tuple((n + (r in robots)) % len(PHASES) for r, n in enumerate(residues))
+    return plan, after
 
 
 def _step_problem(n_robots: int, step) -> str | None:

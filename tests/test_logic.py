@@ -94,9 +94,25 @@ def nodes_of(f):
     return nodes
 
 
+VALUE = (False, None, None, True)  # Kleene code -> value: bit 0 "not FALSE", bit 1 "TRUE"
+
+
+def per_point(sys, labels, per_config):
+    """Decode Kleene codes to values (True, False or None) by position; codes per
+    configuration are read through config_of."""
+    return list(map(VALUE.__getitem__, logic._by_position(sys, labels, per_config)))
+
+
+class KeepingMemo(dict):
+    """A labelling memo that ignores deletions, so it ends with every node's labels."""
+
+    def __delitem__(self, key):
+        pass
+
+
 def point_labels(sys, f):
     """The labels of f in sys.points order, whether labelled per point or per configuration."""
-    return list(logic._per_point(sys, *logic._label(sys, f, {})))
+    return per_point(sys, *logic._label(sys, f, {}))
 
 
 def symbols(grid, n_robots=1, regions=None):
@@ -392,23 +408,13 @@ class TestPartitionsOnDemand:
             valid(sys, parse(text, symbols(grid, n_robots=2)))
         assert len(calls) == 1 and calls[0] is sys
 
-    def test_valued_copies_reuse_the_frames_order(self, monkeypatch):
+    def test_valued_copies_give_the_frames_verdicts(self):
         grid, sys = flood_system()
-        order = InterpretedSystem.__dict__["config_order"]
-        calls = []
-
-        def counting(frame, compute=order.func):
-            calls.append(frame)
-            return compute(frame)
-
-        monkeypatch.setattr(order, "func", counting)
         k1 = parse("K[r1] sp(UX)", symbols(grid, n_robots=2))
         expected = valid(sys, k1)
         copies = [sys.with_atoms(dict(sys.atoms))]
         copies.append(copies[0].with_atoms(dict(sys.atoms)))
         assert [valid(copy, k1) for copy in copies] == [expected] * 2
-        assert calls == [sys]
-        assert all(copy.config_order is sys.config_order for copy in copies)
 
 
 class TestLabelShapes:
@@ -420,8 +426,8 @@ class TestLabelShapes:
         both = ev.sub.sub.sub
         k1, not_k2 = both.left, both.right
         assert (type(both), type(k1), type(not_k2.sub)) == (And, DKnow, DKnow)
-        memo = {}
-        logic._label(sys, f, memo, keep=nodes_of(f))
+        memo = KeepingMemo()
+        logic._label(sys, f, memo)
         assert len(sys.configs) < len(sys.points)
         # and a fall-back to lists would pass them too: every label string is bytes
         assert all(type(labels) is bytes for labels, _ in memo.values())
@@ -446,7 +452,7 @@ class TestLabelShapes:
         def apply(f, *operands):
             labels = logic._label_node(sys, f, [(bytes(map(code.get, values)), True)
                                                 for values in operands], None)
-            return list(logic._per_point(sys, labels[0], False))
+            return per_point(sys, labels[0], False)
 
         values = list(negation)
         assert apply(Not(a), values) == list(map(negation.get, values))
@@ -477,7 +483,7 @@ def test_eventually_blocks_match_the_reverse_scan_on_every_short_row():
         for values in itertools.product([False, None, True], repeat=n):
             row = bytes(map(code.get, values))
             for lasso in [None] + [Lasso(head, n - 1 - head) for head in range(n)]:
-                labels = list(map(logic._VALUE.__getitem__, logic._eventually(row, lasso)))
+                labels = list(map(VALUE.__getitem__, logic._eventually(row, lasso)))
                 assert labels == reverse_scan(values, lasso), (values, lasso)
                 cases += 1
     assert cases == 7107
@@ -561,7 +567,7 @@ def test_labels_dropped_once_every_parent_is_labelled():
             parents[id(sub)].add(key)
     memo = RecordingMemo()
     labels = logic._label(sys, f, memo)
-    assert list(logic._per_point(sys, *labels)) == point_labels(sys, f)
+    assert per_point(sys, *labels) == point_labels(sys, f)
     assert sorted(key for key, _ in memo.held) == sorted(nodes)  # each node labelled once
     labelled = set()
     for key, held in memo.held:
@@ -569,10 +575,6 @@ def test_labels_dropped_once_every_parent_is_labelled():
         assert all(parents[k] - labelled for k in held), str(nodes[key])
         labelled.add(key)
     assert set(memo) == {id(f)}
-    kept = f.left.sub  # the <> under []
-    memo = {}
-    logic._label(sys, f, memo, keep=[kept])
-    assert set(memo) == {id(f), id(kept)}
 
 
 class TestDeepFormulas:
@@ -787,11 +789,10 @@ DIFFERENTIAL = {
 def assert_labels_match_oracle(sys, f, oracle):
     """Every subformula's labels, read per point, equal the oracle's, so an outer
     operator cannot mask a wrong label."""
-    memo = {}
-    nodes = nodes_of(f)
-    logic._label(sys, f, memo, keep=nodes)
-    for g in nodes:
-        assert list(logic._per_point(sys, *memo[id(g)])) == oracle.values(g, sys.points), str(g)
+    memo = KeepingMemo()
+    logic._label(sys, f, memo)
+    for g in nodes_of(f):
+        assert per_point(sys, *memo[id(g)]) == oracle.values(g, sys.points), str(g)
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))

@@ -1,6 +1,7 @@
 """The package declares and defines only what exists: entry points, package data,
-dependencies, functions, classes and methods that some code names, and class
-fields that some code reads."""
+dependencies, functions, classes and methods that some code names, private ones
+that some code other than the tests names, and class fields that some code
+reads."""
 
 import ast
 import importlib
@@ -127,15 +128,37 @@ def source_definitions(trees):
                         yield f"{path.stem}.{node.name}.{item.name}", item
 
 
+def unnamed_definitions(trees, folders=("src", "bench", "tests")):
+    """Labels of the definitions in src/ that no code under `folders` names outside
+    the definition itself."""
+    uses: dict[str, list[frozenset]] = {}
+    for path, tree in trees.items():
+        if path.relative_to(ROOT).parts[0] in folders:
+            for name, enclosing in referenced_names(tree):
+                uses.setdefault(name, []).append(enclosing)
+    return [label for label, node in source_definitions(trees)
+            if all(node in enclosing for enclosing in uses.get(node.name, []))]
+
+
+def helpers_only_tests_name(trees):
+    """Labels of the private (_-prefixed) definitions in src/ that only tests name."""
+    return [label for label in unnamed_definitions(trees, ("src", "bench"))
+            if label.rpartition(".")[2].startswith("_")]
+
+
 def test_every_definition_is_named_outside_itself():
     trees = all_trees()
-    uses: dict[str, list[frozenset]] = {}
-    for tree in trees.values():
-        for name, enclosing in referenced_names(tree):
-            uses.setdefault(name, []).append(enclosing)
-    unused = [label for label, node in source_definitions(trees)
-              if all(node in enclosing for enclosing in uses.get(node.name, []))]
+    unused = unnamed_definitions(trees)
     assert not unused, unused
+    # a private helper that only tests call is test code: it belongs under tests/
+    assert helpers_only_tests_name(trees) == []
+
+
+def test_a_private_helper_only_tests_name_fails_the_check():
+    trees = all_trees()
+    trees[SRC / "epispace" / "logic.py"].body.append(ast.parse("def _decode(): pass").body[0])
+    trees[ROOT / "tests" / "test_logic.py"].body.append(ast.parse("logic._decode()").body[0])
+    assert helpers_only_tests_name(trees) == ["logic._decode"]
 
 
 # Fields that nothing reads yet, each with the ROADMAP item that removes it.

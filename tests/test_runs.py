@@ -871,13 +871,28 @@ def test_each_run_walked_from_where_it_leaves_the_previous_one(monkeypatch, scen
         init(self, *args)
         self.succ = CountingSucc()
 
-    def refuse(path):
-        raise AssertionError("a path was phased from step 0")
+    fired = []
+    fire = runs_module.fire
+
+    def counting_fire(residues, robots):
+        fired.append((residues, robots))
+        return fire(residues, robots)
 
     monkeypatch.setattr(runs_module._Transitions, "__init__", counting_init)
-    monkeypatch.setattr(TimePath, "phased_steps", refuse)
+    monkeypatch.setattr(runs_module, "fire", counting_fire)
     runs = enumerate_runs(robot, env, placements, schedules)
     assert run_fields(runs) == run_fields(oracle)
+
+    # the phase rule once per distinct (residues, robot set) that the paths meet, with the
+    # residues (phases fired per robot, mod 3) counted here from phase_maps
+    met = set()
+    for path in schedules:
+        residues = [0] * path.n_robots
+        for robots, phases in zip(path.steps, phase_maps(path)):
+            met.add((tuple(residues), robots))
+            for r, phase in phases.items():
+                residues[r] = (PHASES.index(phase) + 1) % len(PHASES)
+    assert sorted(fired) == sorted(met)
 
     # one transition lookup per step after the prefix a run shares with the run before it
     walked = 0
