@@ -11,13 +11,14 @@ and explored sets of its configurations are one object, the first stored. Each
 distinct transition (configuration id, step, adversary choice) is computed
 once, from machine calls memoized for the call (`_Transitions` lists their
 keys), builds only the parts its phases change, and looks its configuration up
-once. `enumerate_runs` walks a run only past the prefix it shares with the run
-before it, in any schedule order, and closes it as a lasso where its
-configuration and phase residues repeat; `scheduler.fire` gives the phases. A
-point (run, step) of the frame is its position: the frame lays its runs' rows
-end to end and stores only the configuration id at each position, and `Points`
-reads a point off its position and back. Indistinguishability for robot r is equality of r's
-epistemic state between any two points.
+once. A step's LOOKs read the env state after its MOVEs. `enumerate_runs` walks
+a run only past the prefix it shares with the run before it, in any schedule
+order, and closes it as a lasso where its configuration and phase residues
+repeat; `scheduler.fire` gives the phases. An interpreted system is the frame
+of one call's runs: it lays their rows end to end and stores only the
+configuration id at each position, so a point (run, step) is its position, and
+`Points` reads a point off its position and back. Indistinguishability for robot
+r is equality of r's epistemic state between any two points.
 """
 
 from __future__ import annotations
@@ -58,8 +59,7 @@ class SystemRun:
     """One run: a row of configuration ids, one per step edge, into `table`.
 
     `table` is the configuration list of the `enumerate_runs` call that made the
-    run, shared with the call's other runs. Two runs are equal when their
-    schedule, adversary choices, placement, configurations and lasso are.
+    run, shared with the call's other runs.
     """
 
     path: TimePath
@@ -82,13 +82,6 @@ class SystemRun:
     def is_open(self) -> bool:
         return self.lasso is None
 
-    def __eq__(self, other):
-        if not isinstance(other, SystemRun):
-            return NotImplemented
-        return ((self.path, self.adv_seq, self.init_cells, self.lasso)
-                == (other.path, other.adv_seq, other.init_cells, other.lasso)
-                and self.states == other.states)
-
 
 class _Transitions:
     """The distinct configurations and transitions of one `enumerate_runs` call.
@@ -108,15 +101,13 @@ class _Transitions:
     transition is computed from machine calls that are each memoized by their own
     arguments, `control` by epi, `step` by (epi, obs), `footprint` by (robot, obs),
     `evolve` by (env state, actions, adversary choice), and `emit_obs` by the (env
-    state, adversary choice) that the LOOK reads, which is the pre-move env under
-    `pre_move_look`. So actions must be hashable; `control` raises
-    `ModelDefinitionError` on one that is not.
+    state, adversary choice) that the LOOK reads. So actions must be hashable;
+    `control` raises `ModelDefinitionError` on one that is not.
     """
 
-    def __init__(self, robot: RobotMachine, env: EnvMachine, pre_move_look: bool):
+    def __init__(self, robot: RobotMachine, env: EnvMachine):
         self.robot = robot
         self.env = env
-        self.pre_move_look = pre_move_look
         self.config_ids: dict[StepState, int] = {}
         # sharing equal parts holds sweep-long's peak RSS at 56.2 MB; without it, 62.4 MB
         self.parts: tuple[dict, ...] = tuple({} for _ in StepState._fields)
@@ -184,7 +175,6 @@ class _Transitions:
         are the source configuration's own objects."""
         epis, obss, env_state, explored = self.configs[cid]
         movers, lookers, computers = self.plans[sid]
-        pre_move = env_state
 
         if movers:
             actions: list = [None] * self.env.n_robots
@@ -192,7 +182,7 @@ class _Transitions:
                 actions[r] = self.control(epis[r])
             env_state = self.evolve(env_state, tuple(actions), adv)
         if lookers:
-            raws = self.emit_obs(pre_move if self.pre_move_look else env_state, adv)
+            raws = self.emit_obs(env_state, adv)
             seen = list(obss)
             for r in lookers:
                 seen[r] = self.robot.observe(raws[r])
@@ -236,16 +226,16 @@ def enumerate_runs(
     schedules: Sequence[TimePath],
     *,
     cap: int = 100_000,
-    pre_move_look: bool = False,
 ) -> list[SystemRun]:
     """One run per (schedule, adversary sequence, initial placement), deterministic order.
 
-    The adversary sequences draw from `env.adversary_choices`. All runs share one
-    table of distinct states and transitions. Each run is walked on from the longest
-    prefix of placement, steps and adversary choices it shares with the run before it.
-    A tail window closes a run as a lasso when its configuration and phase residues
-    both repeat. Any schedule order gives the same runs; `gen_schedules`' depth-first
-    order shares the most.
+    The adversary sequences draw from `env.adversary_choices`. A step's LOOKs read
+    the env state after its MOVEs. All runs share one table of distinct states and
+    transitions, and their interpreted system takes that table as its `configs`.
+    Each run is walked on from the longest prefix of placement, steps and adversary
+    choices it shares with the run before it. A tail window closes a run as a lasso
+    when its configuration and phase residues both repeat. Any schedule order gives
+    the same runs; `gen_schedules`' depth-first order shares the most.
     """
     if not schedules:
         return []
@@ -258,7 +248,7 @@ def enumerate_runs(
     if n_runs * len(init_cells) > cap:
         branching = " (adversary branching)" if len(adv_choices) > 1 else ""
         raise CapExceededError(f"run enumeration exceeds cap {cap}{branching}")
-    table = _Transitions(robot, env, pre_move_look)
+    table = _Transitions(robot, env)
     succ = table.succ
     # per path: the steps it shares with the one before, then its other steps' ids and
     # the phase residues (phases fired per robot, mod 3) after each
@@ -368,8 +358,9 @@ class InterpretedSystem:
     A point is its position: the runs' rows lie end to end, so run i's point at
     time t sits at `starts[i] + t`, and its configuration is
     `configs[config_of[starts[i] + t]]`. `config_of` is the only per-point
-    storage; `points` names the positions as (run, t) when asked. `configs`
-    joins the tables of the runs into one id space. The frame stores no
+    storage; `points` names the positions as (run, t) when asked. `configs` is
+    the table of the `enumerate_runs` call that made the runs, so a
+    configuration id names one configuration of the frame. The frame stores no
     partition: `config_classes` numbers a group's classes per configuration on
     each call. `atom_labels` keeps, per atom key, the point set `atoms` held when
     `logic` labelled the atom and the labels it made from it, so each atom is
@@ -446,26 +437,22 @@ def build_interpreted_system(
     """The frame of the runs: where each run's row starts, and the configuration id at
     each position.
 
-    The runs may come in any order and from several calls: each table's ids are
-    shifted into one id space, so equal configurations of two tables get two ids
-    but always the same classes.
+    The runs may be any order and subset of one `enumerate_runs` call's runs, whose
+    table is the frame's `configs`. Runs of several calls raise `ValueError("runs
+    from several enumerate_runs calls")`.
     """
     if not runs:
         raise ValueError("cannot build an interpreted system from zero runs")
     configs = runs[0].table
-    offsets = {id(configs): 0}
-    for run in runs:
-        if run.path.n_robots != env_machine.n_robots:
-            raise ValueError("runs and environment disagree on the robot count")
-        if id(run.table) not in offsets:
-            offsets[id(run.table)] = len(configs)
-            configs = configs + run.table  # a new list: each table stays as its call left it
     config_of = array("i")
     starts = []
     for run in runs:
+        if run.path.n_robots != env_machine.n_robots:
+            raise ValueError("runs and environment disagree on the robot count")
+        if run.table is not configs:
+            raise ValueError("runs from several enumerate_runs calls")
         starts.append(len(config_of))
-        offset = offsets[id(run.table)]
-        config_of.extend(run.row if offset == 0 else [c + offset for c in run.row])
+        config_of.extend(run.row)
     return InterpretedSystem(list(runs), env_machine, robot_machine, starts, configs, config_of)
 
 

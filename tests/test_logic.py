@@ -5,7 +5,17 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_runs import count_partitions, epi, point_classes, table_systems
+from test_runs import (
+    FULL,
+    GOLDEN,
+    count_partitions,
+    epi,
+    flood_pair,
+    golden_ssync_flood,
+    point_classes,
+    sweep_runs,
+    table_systems,
+)
 
 from epispace import logic
 from epispace.logic import (
@@ -35,9 +45,7 @@ from epispace.logic import (
 )
 from epispace.machine import (
     EXPLORE_SWEEP,
-    FLOOD_EXPLORE,
     GATHER_OSCILLATE,
-    Capabilities,
     make_grid_walker,
 )
 from epispace.runs import (
@@ -47,11 +55,8 @@ from epispace.runs import (
     build_interpreted_system,
     enumerate_runs,
 )
-from epispace.scheduler import ASYNC_K, FSYNC, SSYNC, gen_schedules
+from epispace.scheduler import FSYNC, SSYNC, gen_schedules
 from epispace.space import Grid
-
-MYOPIC = Capabilities(visibility="myopic", view_radius=0.01)
-FULL = Capabilities()
 
 
 def sp_valuation(sys, regions):
@@ -66,23 +71,19 @@ def sp_valuation(sys, regions):
 
 
 def sweep_system(n_cells=4, cycles=6, regions=None):
-    grid = Grid(1, n_cells)
-    robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
-    runs = enumerate_runs(robot, env, [[0]], gen_schedules(1, cycles, FSYNC, fairness_bound=1))
+    grid, robot, env, runs = sweep_runs(n_cells, cycles)
     sys = build_interpreted_system(runs, env, robot)
     region_list = regions if regions is not None else [frozenset(range(n_cells))]
     return grid, sys.with_atoms(sp_valuation(sys, region_list))
 
 
 def flood_system(cycles=8):
-    grid = Grid(1, 4)
-    robot, env = make_grid_walker(grid, FULL, FLOOD_EXPLORE, n_robots=2,
-                                  strips=[(0, 1), (2, 3)])
+    robot, env = flood_pair()  # on Grid(1, 4)
     runs = enumerate_runs(robot, env, [[0, 2]],
                           gen_schedules(2, cycles, FSYNC, fairness_bound=1))
     sys = build_interpreted_system(runs, env, robot)
     regions = [frozenset(range(4)), frozenset({0, 1}), frozenset({2, 3})]
-    return grid, sys.with_atoms(sp_valuation(sys, regions))
+    return Grid(1, 4), sys.with_atoms(sp_valuation(sys, regions))
 
 
 def nodes_of(f):
@@ -763,23 +764,22 @@ def two_robot_system(grid, caps, protocol, schedules, init, **walker_kw):
     return grid, build_interpreted_system(runs, env, robot)
 
 
-FLOOD_STRIPS = [(0, 1), (2, 3)]
+def golden_system(name, grid):
+    """The frame of test_runs' GOLDEN scenario `name`, whose machines walk `grid`."""
+    robot, env, placements, schedules = GOLDEN[name][0]()
+    return grid, build_interpreted_system(enumerate_runs(robot, env, placements, schedules),
+                                          env, robot)
+
 
 # name -> (system builder, formula count, eval_at points sampled per formula,
 # atoms beyond the sp ones). Only oscillate-lasso has a closed run whose loop
 # changes an atom, so only it tells <> on the lasso unrolling from <> on the prefix.
 DIFFERENTIAL = {
     "sweep-open": (lambda: sweep_system(cycles=2), 50, 4, ()),
-    "sweep-closed": (sweep_system, 50, 4, ()),
-    "ssync-flood": (lambda: two_robot_system(
-        Grid(1, 4), FULL, FLOOD_EXPLORE, gen_schedules(2, 3, SSYNC, fairness_bound=4),
-        [0, 2], strips=FLOOD_STRIPS), 50, 2, ()),
-    "kasync-flood": (lambda: two_robot_system(
-        Grid(1, 4), FULL, FLOOD_EXPLORE, gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1),
-        [0, 2], strips=FLOOD_STRIPS), 6, 1, ()),
-    "nonrigid-gather": (lambda: two_robot_system(
-        Grid(2, 2), Capabilities(movement="non-rigid", min_distance=0.5), GATHER_OSCILLATE,
-        gen_schedules(2, 1, SSYNC, fairness_bound=2), [1, 2], rendezvous=[(0,), (3,)]), 50, 2, ()),
+    "sweep-closed": (lambda: golden_system("fsync-sweep", Grid(1, 4)), 50, 4, ()),
+    "ssync-flood": (lambda: golden_system("ssync-flood", Grid(1, 4)), 50, 2, ()),
+    "kasync-flood": (lambda: golden_system("kasync-flood", Grid(1, 4)), 6, 1, ()),
+    "nonrigid-gather": (lambda: golden_system("nonrigid-gather", Grid(2, 2)), 50, 2, ()),
     "oscillate-lasso": (lambda: two_robot_system(
         Grid(1, 4), FULL, GATHER_OSCILLATE, gen_schedules(2, 5, FSYNC, fairness_bound=1),
         [0, 3], rendezvous=[(1,), (2,)]), 50, 4, [pos_atom(r, c) for r in (0, 1) for c in (1, 2)]),
@@ -860,8 +860,8 @@ class DrawnCase:
 def labelled_table_systems(draw):
     """A random table_fn system, each of SET_ATOMS true on a random point set, and a
     formula over them."""
-    robot, env, placements, schedules, pre_move_look = draw(table_systems())
-    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+    robot, env, placements, schedules = draw(table_systems())
+    runs = enumerate_runs(robot, env, placements, schedules)
     sys = build_interpreted_system(runs, env, robot)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     valuation = {}
@@ -882,21 +882,16 @@ def test_random_formulas_label_as_pointwise_oracle(case):
 
 
 def run_lists():
-    """Run lists whose point order differs from the order their tables were filled in."""
-    robot, env = make_grid_walker(Grid(1, 4), FULL, FLOOD_EXPLORE, n_robots=2,
-                                  strips=FLOOD_STRIPS)
-    schedules = gen_schedules(2, 3, SSYNC, fairness_bound=4)
-    runs = enumerate_runs(robot, env, [[0, 2]], schedules)
+    """Run lists whose point order differs from the order their table was filled in."""
+    robot, env, placements, schedules = golden_ssync_flood()
+    runs = enumerate_runs(robot, env, placements, schedules)
     return robot, env, {
         "reordered": random.Random(5).sample(runs, len(runs)),
         "subset": runs[12:] + runs[1:12:3],
-        # every enumerate_runs call has its own table, so equal configurations get several ids
-        "two-calls": [enumerate_runs(robot, env, [[1, 3]], [schedules[9]])[0],
-                      enumerate_runs(robot, env, [[0, 2]], [schedules[9]])[0]] + runs[5:10],
     }
 
 
-@pytest.mark.parametrize("name", ["reordered", "subset", "two-calls"])
+@pytest.mark.parametrize("name", ["reordered", "subset"])
 def test_frame_from_any_run_list_matches_pointwise_definition(name):
     robot, env, lists = run_lists()
     sys = build_interpreted_system(lists[name], env, robot)
@@ -922,7 +917,7 @@ def test_frame_from_any_run_list_matches_pointwise_definition(name):
     assert verdicts == {TRUE, FALSE, UNKNOWN}
 
 
-@pytest.mark.parametrize("name", sorted(DIFFERENTIAL) + ["reordered", "subset", "two-calls"])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL) + ["reordered", "subset"])
 def test_points_view_matches_the_point_list(name):
     if name in DIFFERENTIAL:
         sys = DIFFERENTIAL[name][0]()[1]
@@ -1002,7 +997,7 @@ def test_knowledge_of_a_class_with_unknown_points(kind, valuation, mix, value):
     assert mixed == {value}  # the system has such a class, so the case is tested
 
 
-@pytest.mark.parametrize("name", ["subset", "two-calls"])
+@pytest.mark.parametrize("name", ["subset"])
 def test_knowledge_counts_only_configurations_that_points_have(name):
     robot, env, lists = run_lists()
     sys = build_interpreted_system(lists[name], env, robot)

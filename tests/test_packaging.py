@@ -70,18 +70,23 @@ def third_party_imports():
                     yield path, top, {normalise(d) for d in dists.get(top, [top])}
 
 
-def test_source_imports_are_stdlib_or_declared():
+@pytest.fixture(scope="module")
+def imports():
+    return list(third_party_imports())
+
+
+def test_source_imports_are_stdlib_or_declared(imports):
     declared = declared_dependencies()
     undeclared = {
         f"{path.relative_to(ROOT)}: {top}"
-        for path, top, provided_by in third_party_imports()
+        for path, top, provided_by in imports
         if not provided_by & declared
     }
     assert not undeclared, sorted(undeclared)
 
 
-def test_declared_dependencies_are_imported():
-    imported = set().union(*(provided_by for _, _, provided_by in third_party_imports()))
+def test_declared_dependencies_are_imported(imports):
+    imported = set().union(*(provided_by for _, _, provided_by in imports))
     unused = declared_dependencies() - imported
     assert not unused, sorted(unused)
 
@@ -110,8 +115,15 @@ def referenced_names(tree):
             yield node.name.rpartition(".")[2], enclosing
 
 
-def all_trees():
-    return {path: ast.parse(path.read_text(), str(path))
+def parse_file(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+@pytest.fixture(scope="module")
+def trees():
+    """Each module's tree, parsed once for the tests of this file. A test that changes
+    a tree parses that file anew: `{**trees, path: parse_file(path)}`."""
+    return {path: parse_file(path)
             for folder in ("src", "bench", "tests") for path in (ROOT / folder).rglob("*.py")}
 
 
@@ -146,25 +158,25 @@ def helpers_only_tests_name(trees):
             if label.rpartition(".")[2].startswith("_")]
 
 
-def test_every_definition_is_named_outside_itself():
-    trees = all_trees()
+def test_every_definition_is_named_outside_itself(trees):
     unused = unnamed_definitions(trees)
     assert not unused, unused
     # a private helper that only tests call is test code: it belongs under tests/
     assert helpers_only_tests_name(trees) == []
 
 
-def test_a_private_helper_only_tests_name_fails_the_check():
-    trees = all_trees()
-    trees[SRC / "epispace" / "logic.py"].body.append(ast.parse("def _decode(): pass").body[0])
-    trees[ROOT / "tests" / "test_logic.py"].body.append(ast.parse("logic._decode()").body[0])
+def test_a_private_helper_only_tests_name_fails_the_check(trees):
+    source, test = SRC / "epispace" / "logic.py", ROOT / "tests" / "test_logic.py"
+    trees = {**trees, source: parse_file(source), test: parse_file(test)}
+    trees[source].body.append(ast.parse("def _decode(): pass").body[0])
+    trees[test].body.append(ast.parse("logic._decode()").body[0])
     assert helpers_only_tests_name(trees) == ["logic._decode"]
 
 
 # Fields that nothing reads yet, each with the ROADMAP item that removes it.
 UNREAD_FIELDS = {
-    "runs.InterpretedSystem.robot_machine": "item 5 (benchmark v2) deletes it",
-    "machine.Capabilities.min_distance": "item 1 decides whether evolve honours it",
+    "runs.InterpretedSystem.robot_machine": "item 2 (benchmark v2) deletes it",
+    "machine.Capabilities.min_distance": "item 7 (non-rigid δ) reads it in one place",
 }
 
 
@@ -188,13 +200,14 @@ def unread_fields(trees):
     return unread
 
 
-def test_every_field_is_read_outside_its_class():
-    assert unread_fields(all_trees()) == set(UNREAD_FIELDS)
+def test_every_field_is_read_outside_its_class(trees):
+    assert unread_fields(trees) == set(UNREAD_FIELDS)
 
 
-def test_a_new_unread_field_fails_the_check():
-    trees = all_trees()
-    frame = next(node for node in ast.walk(trees[SRC / "epispace" / "runs.py"])
+def test_a_new_unread_field_fails_the_check(trees):
+    source = SRC / "epispace" / "runs.py"
+    trees = {**trees, source: parse_file(source)}
+    frame = next(node for node in ast.walk(trees[source])
                  if isinstance(node, ast.ClassDef) and node.name == "InterpretedSystem")
     frame.body.append(ast.parse("spare_partition: list").body[0])
     assert unread_fields(trees) == {*UNREAD_FIELDS, "runs.InterpretedSystem.spare_partition"}

@@ -139,20 +139,24 @@ class TestSimulate:
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
         path = gen_schedules(1, 5, FSYNC, fairness_bound=1)[0]
-        r1 = enumerate_runs(robot, env, [[0]], [path])[0]
-        r2 = enumerate_runs(robot, env, [[0]], [path])[0]
-        assert r1 == r2
+        r1 = enumerate_runs(robot, env, [[0]], [path])
+        r2 = enumerate_runs(robot, env, [[0]], [path])
+        assert run_fields(r1) == run_fields(r2)
+        assert export_traces(r1, env) == export_traces(r2, env)
 
     def test_runs_have_slots_and_compare_by_content(self):
         _, _, _, (run,) = sweep_runs()
         assert not hasattr(run, "__dict__") and run.lasso is not None
         with pytest.raises(FrozenInstanceError):
             run.lasso = None
-        # a copy with its own table and row is equal; another lasso or state is not
+        # runs compare by identity, their contents through run_fields: a copy with its own
+        # table and row has the same fields; another lasso or state has not
         copy = replace(run, row=array("i", range(run.horizon + 1)), table=run.states)
-        assert copy == run and copy.states == run.states and copy.row != run.row
-        assert replace(run, lasso=None) != run
-        assert replace(run, table=[*run.table[:-1], run.states[0]]) != run
+        assert copy != run and copy.row != run.row
+        fields = run_fields([run])
+        assert run_fields([copy]) == fields
+        assert run_fields([replace(run, lasso=None)]) != fields
+        assert run_fields([replace(run, table=[*run.table[:-1], run.states[0]])]) != fields
 
     def test_frozen_robot_rule(self):
         grid = Grid(1, 4)
@@ -203,24 +207,13 @@ class TestSimulate:
         assert runs[0].lasso is None
         assert runs[0].is_open
 
-    def test_pre_move_look_changes_observation(self):
-        grid = Grid(1, 4)
-        robot, env = make_grid_walker(grid, FULL, EXPLORE_SWEEP, n_robots=2)
-        # at the final step robot 0 moves while robot 1 looks
-        path = TimePath(2, ((0, 1), (0, 1), (0, 1), (1,), (0, 1)))
-        post = enumerate_runs(robot, env, [[0, 2]], [path])[0]
-        pre = enumerate_runs(robot, env, [[0, 2]], [path], pre_move_look=True)[0]
-        seen_post = post.states[5].obss[1][0][0]
-        seen_pre = pre.states[5].obss[1][0][0]
-        assert (seen_pre, seen_post) == (0, 1)  # robot 1 sees robot 0 pre vs post move
 
-
-# Scenarios as enumerate_runs arguments: (robot, env, placements, schedules, pre_move_look).
+# Scenarios as enumerate_runs arguments: (robot, env, placements, schedules).
 def s1_h5():
     """bench/workloads.py's S1 at H=5."""
     robot, env = make_grid_walker(Grid(1, 6), FULL, FLOOD_EXPLORE, n_robots=2,
                                   strips=[(0, 1, 2), (3, 4, 5)])
-    return robot, env, [[0, 3], [1, 4]], gen_schedules(2, 5, SSYNC, fairness_bound=6), False
+    return robot, env, [[0, 3], [1, 4]], gen_schedules(2, 5, SSYNC, fairness_bound=6)
 
 
 def myopic_fsync_sweep():
@@ -229,7 +222,7 @@ def myopic_fsync_sweep():
     caps = Capabilities(visibility="myopic", view_radius=grid.cell_width)
     robot, env = make_grid_walker(grid, caps, EXPLORE_SWEEP, n_robots=2)
     placements = [[0, 1], [8, 5], [4, 3], [2, 6]]
-    return robot, env, placements, gen_schedules(2, 8, FSYNC, fairness_bound=1), False
+    return robot, env, placements, gen_schedules(2, 8, FSYNC, fairness_bound=1)
 
 
 class TestEnumerate:
@@ -286,7 +279,7 @@ class TestEnumerate:
     def test_each_distinct_transition_computed_once(self):
         # S1 at H=5: 7,290 step edges, 2,430 of them with a MOVE,
         # over 1,311 distinct transitions and 1,031 distinct configurations
-        robot, env, placements, schedules, _ = s1_h5()
+        robot, env, placements, schedules = s1_h5()
         calls = []
 
         def evolve(*args):
@@ -329,7 +322,7 @@ class TestEnumerate:
         assert type(raised.value) is TypeError
 
     def test_rows_index_one_table_and_frame_and_labels_never_read_states(self, monkeypatch):
-        robot, env, placements, schedules, _ = s1_h5()
+        robot, env, placements, schedules = s1_h5()
         runs = enumerate_runs(robot, env, placements, schedules)
         table = runs[0].table
         assert len(table) == 1031
@@ -361,10 +354,10 @@ class TestEnumerate:
     # the lambdas look the golden scenarios up when called: they are defined further down
     @pytest.mark.parametrize("scenario", [
         s1_h5, myopic_fsync_sweep,
-        lambda: golden_ssync_flood(), lambda: golden_async_flood(True),
-    ], ids=["s1-h5", "myopic-fsync-sweep", "ssync-flood", "kasync-pre-move-look"])
+        lambda: golden_ssync_flood(), lambda: golden_async_flood(),
+    ], ids=["s1-h5", "myopic-fsync-sweep", "ssync-flood", "kasync-flood"])
     def test_each_component_runs_once_per_distinct_argument(self, scenario):
-        robot, env, placements, schedules, pre_move_look = scenario()
+        robot, env, placements, schedules = scenario()
         control = robot.control
         calls = {name: [] for name in ("control", "step", "footprint", "emit_obs", "evolve")}
 
@@ -379,7 +372,7 @@ class TestEnumerate:
                         footprint=logged("footprint", robot.footprint))
         env = replace(env, emit_obs=logged("emit_obs", env.emit_obs),
                       evolve=logged("evolve", env.evolve))
-        runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+        runs = enumerate_runs(robot, env, placements, schedules)
 
         # the arguments each component needs, read off the runs
         needed = {name: set() for name in calls}
@@ -391,8 +384,7 @@ class TestEnumerate:
                     if ph == "M":
                         needed["control"].add((before.epis[r],))
                     elif ph == "L":
-                        looked = before.env if pre_move_look else after.env
-                        needed["emit_obs"].add((looked, run.adv_seq[t]))
+                        needed["emit_obs"].add((after.env, run.adv_seq[t]))
                     else:
                         needed["step"].add((before.epis[r], after.obss[r]))
                         needed["footprint"].add((r, after.obss[r]))
@@ -416,7 +408,7 @@ class TestFrame:
         assert calls == [(0,), (1,)]
 
     def test_build_allocates_no_per_point_object(self):
-        robot, env, placements, schedules, _ = s1_h5()
+        robot, env, placements, schedules = s1_h5()
         runs = enumerate_runs(robot, env, placements, schedules)
         tracemalloc.start()
         try:
@@ -436,6 +428,15 @@ class TestFrame:
                                                   n_robots=env_robots)
         with pytest.raises(ValueError, match="^runs and environment disagree on the robot count$"):
             build_interpreted_system(runs, other_env, other_robot)
+
+    def test_runs_of_two_calls_rejected(self):
+        robot, env, placements, schedules = golden_ssync_flood()
+        runs = enumerate_runs(robot, env, placements, schedules)
+        # the other call's run equals runs[9] field by field, but its ids index its own table
+        again = enumerate_runs(robot, env, placements, schedules[9:10])
+        assert run_fields(again) == run_fields(runs[9:10])
+        with pytest.raises(ValueError, match="^runs from several enumerate_runs calls$"):
+            build_interpreted_system(runs[5:10] + again, env, robot)
 
     def test_single_constant_robot_one_class(self):
         grid = Grid(1, 2)
@@ -567,25 +568,24 @@ def flood_pair():
 # Golden scenarios, as enumerate_runs arguments.
 def golden_sweep():
     robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
-    return robot, env, [[0]], gen_schedules(1, 6, FSYNC, fairness_bound=1), False
+    return robot, env, [[0]], gen_schedules(1, 6, FSYNC, fairness_bound=1)
 
 
 def golden_ssync_flood():
     robot, env = flood_pair()
-    return robot, env, [[0, 2]], gen_schedules(2, 3, SSYNC, fairness_bound=4), False
+    return robot, env, [[0, 2]], gen_schedules(2, 3, SSYNC, fairness_bound=4)
 
 
-def golden_async_flood(pre_move_look):
+def golden_async_flood():
     robot, env = flood_pair()
-    schedules = gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1)
-    return robot, env, [[0, 2]], schedules, pre_move_look
+    return robot, env, [[0, 2]], gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1)
 
 
 def golden_nonrigid_gather():
     caps = Capabilities(movement="non-rigid", min_distance=0.5)
     robot, env = make_grid_walker(Grid(2, 2), caps, GATHER_OSCILLATE, n_robots=2,
                                   rendezvous=[(0,), (3,)])
-    return robot, env, [[1, 2]], gen_schedules(2, 1, SSYNC, fairness_bound=2), False
+    return robot, env, [[1, 2]], gen_schedules(2, 1, SSYNC, fairness_bound=2)
 
 
 def golden_myopic_sight():
@@ -593,7 +593,7 @@ def golden_myopic_sight():
     grid = Grid(2, 3)
     caps = Capabilities(visibility="myopic", view_radius=grid.cell_width)
     robot, env = make_grid_walker(grid, caps, EXPLORE_SWEEP, n_robots=2)
-    return robot, env, [[0, 1], [3, 5]], gen_schedules(2, 3, SSYNC, fairness_bound=4), False
+    return robot, env, [[0, 1], [3, 5]], gen_schedules(2, 3, SSYNC, fairness_bound=4)
 
 
 # sha256 of the export_traces lines, each followed by a newline. These pin the
@@ -603,10 +603,8 @@ GOLDEN = {
                     "98946283d6f220d318226e56006f27599543f96f7d33360b74a2949fdb94e713"),
     "ssync-flood": (golden_ssync_flood, 27,
                     "20bd301897c067963b330ecc4e79ac5676e411e20c0fb509e86f250d44d36dd9"),
-    "kasync-flood-post-move-look": (lambda: golden_async_flood(False), 583,
-                                    "e72562a2b70aebefe5a0ddcd011775a9b4f74d7260d5ff5015e5894931b1d3e9"),
-    "kasync-flood-pre-move-look": (lambda: golden_async_flood(True), 583,
-                                   "b2ec9e7bf4fe2dc3159e13b00ac9081ac86ed0cdfaaee6d251b16fb78f5e18fa"),
+    "kasync-flood": (golden_async_flood, 583,
+                     "e72562a2b70aebefe5a0ddcd011775a9b4f74d7260d5ff5015e5894931b1d3e9"),
     "nonrigid-gather": (golden_nonrigid_gather, 81,
                         "b83e70bec80f6abd6885116757898723e1d87d5db25f3096ed2794763e762831"),
     "myopic-sight": (golden_myopic_sight, 54,
@@ -615,8 +613,8 @@ GOLDEN = {
 
 
 def golden_runs(name):
-    robot, env, placements, schedules, pre_move_look = GOLDEN[name][0]()
-    return enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look), env
+    robot, env, placements, schedules = GOLDEN[name][0]()
+    return enumerate_runs(robot, env, placements, schedules), env
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -645,7 +643,7 @@ def test_golden_tables_store_each_part_once(name):
 def test_one_table_lookup_per_computed_transition(monkeypatch, name):
     # each placement and each distinct (configuration, step, adversary choice) hashes
     # the configuration it reaches once, whether that configuration is new or known
-    robot, env, placements, schedules, pre_move_look = GOLDEN[name][0]()
+    robot, env, placements, schedules = GOLDEN[name][0]()
     hashes = []
 
     class CountingState(StepState):
@@ -656,7 +654,7 @@ def test_one_table_lookup_per_computed_transition(monkeypatch, name):
             return tuple.__hash__(self)
 
     monkeypatch.setattr(runs_module, "StepState", CountingState)
-    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
+    runs = enumerate_runs(robot, env, placements, schedules)
     n_hashes = len(hashes)
     assert all(type(state) is CountingState for state in runs[0].table)
     transitions = {(run.row[t], tuple(sorted(act.items())), run.adv_seq[t])
@@ -694,7 +692,7 @@ class NaiveRun:
         return len(self.states) - 1
 
 
-def naive_simulate(robot, env, path, init_cells, adv_seq, pre_move_look):
+def naive_simulate(robot, env, path, init_cells, adv_seq):
     """Reference simulator: every step of the run recomputed, no table shared with other runs."""
     n = env.n_robots
     epis = [robot.initial_epi(r) for r in range(n)]
@@ -708,14 +706,13 @@ def naive_simulate(robot, env, path, init_cells, adv_seq, pre_move_look):
         lookers = sorted(r for r, ph in chunk.items() if ph == "L")
         computers = sorted(r for r, ph in chunk.items() if ph == "C")
 
-        pre_env = env_state
         if movers:
             actions: list = [None] * n
             for r in movers:
                 actions[r] = robot.control(epis[r])
             env_state = env.evolve(env_state, tuple(actions), adv)
         if lookers:
-            raws = env.emit_obs(pre_env if pre_move_look else env_state, adv)
+            raws = env.emit_obs(env_state, adv)
             for r in lookers:
                 obss[r] = robot.observe(raws[r])
         for r in computers:
@@ -728,9 +725,9 @@ def naive_simulate(robot, env, path, init_cells, adv_seq, pre_move_look):
     return replace(run, lasso=brute_lasso(run))
 
 
-def naive_enumerate(robot, env, placements, schedules, pre_move_look):
+def naive_enumerate(robot, env, placements, schedules):
     """enumerate_runs' runs, in its order, one naive_simulate call each."""
-    return [naive_simulate(robot, env, path, init, seq, pre_move_look)
+    return [naive_simulate(robot, env, path, init, seq)
             for init in placements
             for path in schedules
             for seq in itertools.product(env.adversary_choices, repeat=path.horizon_steps)]
@@ -749,9 +746,9 @@ def assert_same_runs(runs, oracle, env):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_runs_match_naive_simulation(name):
-    robot, env, placements, schedules, pre_move_look = GOLDEN[name][0]()
-    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
-    assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules, pre_move_look), env)
+    robot, env, placements, schedules = GOLDEN[name][0]()
+    runs = enumerate_runs(robot, env, placements, schedules)
+    assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules), env)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -769,7 +766,7 @@ MAX_BRANCHING_RUNS = 600
 
 @st.composite
 def table_systems(draw):
-    """A small random table_fn robot and environment, schedules, placements and look mode."""
+    """A small random table_fn robot and environment, schedules and placements."""
     n, synchrony, rounds = draw(st.sampled_from(FAMILIES))
     schedules = gen_schedules(n, rounds, synchrony, fairness_bound=draw(st.integers(1, rounds + 1)))
     # adversary branching multiplies the runs of a path by 2**steps
@@ -803,16 +800,16 @@ def table_systems(draw):
         adversary_choices=adversary,
         make_initial_env=table_fn({cells: pick(envs) for cells in placements}, "initial env"),
     )
-    return robot, env, placements, schedules, draw(st.booleans())
+    return robot, env, placements, schedules
 
 
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(table_systems())
 def test_enumerate_runs_matches_naive_simulation(system):
-    robot, env, placements, schedules, pre_move_look = system
-    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
-    assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules, pre_move_look), env)
+    robot, env, placements, schedules = system
+    runs = enumerate_runs(robot, env, placements, schedules)
+    assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules), env)
 
 
 def reordered(schedules):
@@ -834,10 +831,10 @@ def reordered(schedules):
 def nonrigid_gather_second_move():
     """golden_nonrigid_gather's machines on 4-step paths whose last step is a MOVE that
     the adversary can freeze, so runs that differ in their adversary choices differ."""
-    robot, env, placements, _, _ = golden_nonrigid_gather()
+    robot, env, placements, _ = golden_nonrigid_gather()
     schedules = [TimePath(2, path.steps[:4])
                  for path in gen_schedules(2, 2, SSYNC, fairness_bound=3)[6::2]]
-    return robot, env, placements, schedules, False
+    return robot, env, placements, schedules
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled", "duplicated", "palindrome",
@@ -846,18 +843,18 @@ def nonrigid_gather_second_move():
                                       nonrigid_gather_second_move],
                          ids=["myopic-sight", "nonrigid-gather", "nonrigid-gather-second-move"])
 def test_schedule_order_changes_no_run(scenario, order):
-    robot, env, placements, schedules, pre_move_look = scenario()
+    robot, env, placements, schedules = scenario()
     schedules = reordered(schedules)[order]
-    runs = enumerate_runs(robot, env, placements, schedules, pre_move_look=pre_move_look)
-    oracle = naive_enumerate(robot, env, placements, schedules, pre_move_look)
+    runs = enumerate_runs(robot, env, placements, schedules)
+    oracle = naive_enumerate(robot, env, placements, schedules)
     assert run_fields(runs) == run_fields(oracle)
 
 
 @pytest.mark.parametrize("scenario", [s1_h5, nonrigid_gather_second_move],
                          ids=["s1-h5", "nonrigid-gather-second-move"])
 def test_each_run_walked_from_where_it_leaves_the_previous_one(monkeypatch, scenario):
-    robot, env, placements, schedules, _ = scenario()
-    oracle = naive_enumerate(robot, env, placements, schedules, False)
+    robot, env, placements, schedules = scenario()
+    oracle = naive_enumerate(robot, env, placements, schedules)
     lookups = []
 
     class CountingSucc(dict):
