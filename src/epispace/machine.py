@@ -80,7 +80,9 @@ class EnvMachine:
     As for `RobotMachine`, every callable must be deterministic and free of side
     effects: equal arguments give equal results, and equal values are
     interchangeable, and one `enumerate_runs` call makes each call once per
-    distinct arguments. States and adversary choices must be hashable.
+    distinct arguments. States and adversary choices must be hashable. The order
+    of `adversary_choices` decides a run's `adv_seq`: per step, the first choice
+    that gives the run's successor.
     """
 
     n_robots: int

@@ -11,14 +11,23 @@ and explored sets of its configurations are one object, the first stored. Each
 distinct transition (configuration id, step, adversary choice) is computed
 once, from machine calls memoized for the call (`_Transitions` lists their
 keys), builds only the parts its phases change, and looks its configuration up
-once. A step's LOOKs read the env state after its MOVEs. `enumerate_runs` walks
-a run only past the prefix it shares with the run before it, in any schedule
-order, and closes it as a lasso where its configuration and phase residues
-repeat; `scheduler.fire` gives the phases. An interpreted system is the frame
-of one call's runs: it lays their rows end to end and stores only the
-configuration id at each position, so a point (run, step) is its position, and
-`Points` reads a point off its position and back. Indistinguishability for robot
-r is equality of r's epistemic state between any two points.
+once. A step's LOOKs read the env state after its MOVEs.
+
+A system is a set of runs, and an adversary choice is no part of a
+configuration: a run is its placement, schedule entry and row, and
+`enumerate_runs` makes each distinct one once. It walks depth first, and at
+each step branches only on the distinct successors that the adversary choices
+give, forking in `adversary_choices` order; a run's `adv_seq` names, per step,
+the first choice that gives its successor. The cap counts runs as they are
+made. The walk goes on from where a run leaves the run before it, in any
+schedule order, and closes a run as a lasso where its configuration and phase
+residues repeat; `scheduler.fire` gives the phases.
+
+An interpreted system is the frame of one call's runs: it lays their rows end
+to end and stores only the configuration id at each position, so a point (run,
+step) is its position, and `Points` reads a point off its position and back.
+Indistinguishability for robot r is equality of r's epistemic state between
+any two points.
 """
 
 from __future__ import annotations
@@ -95,7 +104,8 @@ class _Transitions:
     numbered too: `plans` maps a step id to the plan `scheduler.fire` gives it, the
     step's movers, lookers and computers, and `phase_steps` memoizes `fire` by (phase
     residues, robot set), as the step id and the next residues. `succ` maps each
-    distinct (config id, step id, adversary choice) to the id it leads to.
+    distinct (config id, step id, adversary choice) to the id it leads to; `step`
+    owns it, looking each transition up there and storing each one it computes.
 
     These are the per-call memo keys, the one place they are listed: a new
     transition is computed from machine calls that are each memoized by their own
@@ -172,7 +182,10 @@ class _Transitions:
         Builds only the parts the step changes, each stored through its `parts` dict
         where it is made: a MOVE a new env state, a LOOK new `obss`, a COMPUTE new
         `epis`, and a new explored set when a footprint adds a cell. The other parts
-        are the source configuration's own objects."""
+        are the source configuration's own objects. Each distinct (`cid`, `sid`, `adv`)
+        is computed once: `step` looks it up in `succ` and stores what it computes."""
+        if (nxt := self.succ.get(key := (cid, sid, adv))) is not None:
+            return nxt
         epis, obss, env_state, explored = self.configs[cid]
         movers, lookers, computers = self.plans[sid]
 
@@ -201,7 +214,8 @@ class _Transitions:
             epis = self.parts[0].setdefault(epis, epis)
             if grown is not explored:
                 explored = self.parts[3].setdefault(grown, grown)
-        return self.intern(tuple.__new__(StepState, (epis, obss, env_state, explored)))
+        return self.succ.setdefault(key, self.intern(
+            tuple.__new__(StepState, (epis, obss, env_state, explored))))
 
 
 def _common_prefix(a: Sequence, b: Sequence) -> int:
@@ -227,67 +241,75 @@ def enumerate_runs(
     *,
     cap: int = 100_000,
 ) -> list[SystemRun]:
-    """One run per (schedule, adversary sequence, initial placement), deterministic order.
+    """One run per (placement, schedule entry, distinct row), in one depth-first walk.
 
-    The adversary sequences draw from `env.adversary_choices`. A step's LOOKs read
-    the env state after its MOVEs. All runs share one table of distinct states and
-    transitions, and their interpreted system takes that table as its `configs`.
-    Each run is walked on from the longest prefix of placement, steps and adversary
-    choices it shares with the run before it. A tail window closes a run as a lasso
-    when its configuration and phase residues both repeat. Any schedule order gives
-    the same runs; `gen_schedules`' depth-first order shares the most.
+    Per placement and path, each step branches on the distinct successors that
+    `env.adversary_choices` give, in choice order: the walk follows the first and
+    stacks the others, and walks them after the first one's runs, in that order. A
+    run's `adv_seq` holds, per step, the first choice that gives its successor, so
+    the runs and their `adv_seq` are the first occurrences of the adversary
+    sequences' product, taken in order with equal rows dropped; a path listed
+    twice gives its runs twice. A step's LOOKs read the env state after its MOVEs. All runs share
+    one table of distinct states and transitions, and their interpreted system
+    takes that table as its `configs`. A run is walked on from the step where it
+    leaves the run before it; a new path reuses the row up to the end of the
+    schedule prefix it shares with the previous path, or to the previous run's
+    first forked step if that comes first. A tail window closes a run as a lasso
+    when its configuration and phase residues both repeat. Making run `cap` + 1
+    raises CapExceededError.
     """
-    if not schedules:
-        return []
-    adv_choices = env.adversary_choices
-    n_runs = 0
     for path in schedules:
         if path.n_robots != env.n_robots:
             raise ValueError("path and environment disagree on the robot count")
-        n_runs += len(adv_choices) ** path.horizon_steps
-    if n_runs * len(init_cells) > cap:
-        branching = " (adversary branching)" if len(adv_choices) > 1 else ""
-        raise CapExceededError(f"run enumeration exceeds cap {cap}{branching}")
     table = _Transitions(robot, env)
-    succ = table.succ
-    # per path: the steps it shares with the one before, then its other steps' ids and
-    # the phase residues (phases fired per robot, mod 3) after each
-    walks = []
-    residues = [(0,) * env.n_robots]
-    for before, path in zip([(), *(path.steps for path in schedules)], schedules):
-        shared = _common_prefix(before, path.steps)
-        del residues[shared + 1:]
-        new_sids = []
-        for robots in path.steps[shared:]:
-            sid, after = table.phase_step(residues[-1], robots)
-            new_sids.append(sid)
-            residues.append(after)
-        walks.append((path, shared, new_sids, residues[shared + 1:]))
-    sids: list[int] = []                         # the current path's step ids
-    seq: tuple = ()                              # the current run's adversary choices
+    step = table.step
+    first, *rest = env.adversary_choices
+    steps: tuple = ()                            # the current path's steps
+    sids: list[int] = []                         # and their step ids
+    residues = [(0,) * env.n_robots]             # phase residues (phases fired per robot, mod 3)
     runs = []
     for init in init_cells:
         init = tuple(init)
         row = array("i", [table.initial(init)])  # the current run's configuration ids
-        for path, shared, new_sids, new_residues in walks:
-            sids[shared:] = new_sids
-            residues[shared + 1:] = new_residues
-            keep = shared
-            for adv_seq in itertools.product(adv_choices, repeat=path.horizon_steps):
-                if seq[:keep] != adv_seq[:keep]:
-                    keep = _common_prefix(seq, adv_seq)
-                seq = adv_seq
-                del row[keep + 1:]
-                cid = row[keep]
-                for sid, adv in zip(sids[keep:], seq[keep:]):
-                    nxt = succ.get((cid, sid, adv))
-                    if nxt is None:
-                        nxt = succ[cid, sid, adv] = table.step(cid, sid, adv)
+        seq: list = []                           # and adversary choices
+        unforked = 0                             # its steps before its first forked choice
+        for path in schedules:
+            shared = _common_prefix(steps, path.steps)
+            steps = path.steps
+            del sids[shared:], residues[shared + 1:]
+            for robots in steps[shared:]:
+                sid, after = table.phase_step(residues[-1], robots)
+                sids.append(sid)
+                residues.append(after)
+            start = min(shared, unforked)
+            del row[start + 1:], seq[start:]
+            cid = row[start]
+            unforked = len(steps)
+            forks: list[tuple] = []              # (step, successor, choice), next to walk on top
+            while True:
+                for t, sid in enumerate(sids[start:], start):
+                    nxt = step(cid, sid, first)
+                    if rest:
+                        # each distinct successor with its first choice; all but nxt stacked
+                        successors = {nxt: first}
+                        for adv in rest:
+                            successors.setdefault(step(cid, sid, adv), adv)
+                        forks.extend((t, *fork) for fork in reversed([*successors.items()][1:]))
                     cid = nxt
                     row.append(cid)
-                runs.append(SystemRun(path, seq, init, row[:], table.configs,
+                    seq.append(first)
+                if len(runs) == cap:
+                    raise CapExceededError(f"run enumeration exceeds cap {cap}")
+                runs.append(SystemRun(path, tuple(seq), init, row[:], table.configs,
                                       _tail_lasso(row, residues)))
-                keep = path.horizon_steps
+                if not forks:
+                    break
+                t, cid, adv = forks.pop()
+                unforked = min(unforked, t)
+                del row[t + 1:], seq[t:]
+                row.append(cid)
+                seq.append(adv)
+                start = t + 1
     return runs
 
 

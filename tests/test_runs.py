@@ -7,7 +7,7 @@ from array import array
 from dataclasses import FrozenInstanceError, dataclass, replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from epispace import runs as runs_module
@@ -15,6 +15,7 @@ from epispace.logic import Symbols, parse, valid
 from epispace.machine import (
     EXPLORE_SWEEP,
     FLOOD_EXPLORE,
+    GATHER_MIN_REGION,
     GATHER_OSCILLATE,
     Capabilities,
     EnvMachine,
@@ -216,6 +217,14 @@ def s1_h5():
     return robot, env, [[0, 3], [1, 4]], gen_schedules(2, 5, SSYNC, fairness_bound=6)
 
 
+def nonrigid_min_region(horizon):
+    """Two non-rigid robots (3 adversary choices a step) gathering on a 1x4 grid, SSYNC."""
+    caps = Capabilities(movement="non-rigid", min_distance=0.5)
+    robot, env = make_grid_walker(Grid(1, 4), caps, GATHER_MIN_REGION, n_robots=2,
+                                  rendezvous=[(0,), (3,)])
+    return robot, env, [[0, 2]], gen_schedules(2, horizon, SSYNC, fairness_bound=horizon + 1)
+
+
 def myopic_fsync_sweep():
     """A miniature of bench/workloads.py's sweep-long whose robots see each other one cell apart."""
     grid = Grid(2, 3)
@@ -252,29 +261,19 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="robot count"):
             enumerate_runs(robot, env, [[0, 3]], schedules)
 
-    def test_adversary_branching_over_cap_rejected_before_any_step(self):
-        # 27 SSYNC paths of 9 steps, each step with 3 adversary choices: 27 * 3**9 = 531,441 runs
-        caps = Capabilities(movement="non-rigid", min_distance=0.5)
-        robot, env = make_grid_walker(Grid(2, 2), caps, GATHER_OSCILLATE, n_robots=2,
-                                      rendezvous=[(0,), (3,)])
-        schedules = gen_schedules(2, 3, SSYNC, fairness_bound=4)
-        assert (len(schedules), len(env.adversary_choices)) == (27, 3)
-        calls = []
+    def test_cap_is_exact(self):
+        # the cap counts generated runs: a cap of the run count admits them, one less does not
+        robot, env, placements, schedules = nonrigid_min_region(3)
+        with pytest.raises(CapExceededError, match="^run enumeration exceeds cap 30$"):
+            enumerate_runs(robot, env, placements, schedules, cap=30)
+        assert len(enumerate_runs(robot, env, placements, schedules, cap=31)) == 31
 
-        def logged(fn):
-            def call(*args):
-                calls.append(args)
-                return fn(*args)
-            return call
-
-        robot = replace(robot, **{name: logged(getattr(robot, name)) for name in
-                                  ("observe", "step", "control", "light", "initial_epi",
-                                   "footprint")})
-        env = replace(env, **{name: logged(getattr(env, name)) for name in
-                              ("evolve", "emit_obs", "make_initial_env")})
-        with pytest.raises(CapExceededError, match="adversary branching"):
-            enumerate_runs(robot, env, [[1, 2]], schedules)
-        assert calls == []
+    @pytest.mark.parametrize("horizon, n_runs", [(3, 31), (6, 2665)])
+    def test_adversary_branches_only_where_the_run_changes(self, horizon, n_runs):
+        # 27 and 729 paths; one run per adversary sequence would be 3**(3 * horizon) per path
+        robot, env, placements, schedules = nonrigid_min_region(horizon)
+        assert len(schedules) == 3 ** horizon
+        assert len(enumerate_runs(robot, env, placements, schedules)) == n_runs
 
     def test_each_distinct_transition_computed_once(self):
         # S1 at H=5: 7,290 step edges, 2,430 of them with a MOVE,
@@ -605,8 +604,8 @@ GOLDEN = {
                     "20bd301897c067963b330ecc4e79ac5676e411e20c0fb509e86f250d44d36dd9"),
     "kasync-flood": (golden_async_flood, 583,
                      "e72562a2b70aebefe5a0ddcd011775a9b4f74d7260d5ff5015e5894931b1d3e9"),
-    "nonrigid-gather": (golden_nonrigid_gather, 81,
-                        "b83e70bec80f6abd6885116757898723e1d87d5db25f3096ed2794763e762831"),
+    "nonrigid-gather": (golden_nonrigid_gather, 3,
+                        "57708deca6f8fb70ae4df43eeadf3fcf62452d94844819ce50dfd5f23d4dd5ae"),
     "myopic-sight": (golden_myopic_sight, 54,
                      "498f5ce846259f791e59280a495e3bb96c88b8ebc71bb96d2fa8cfb6cfe856b0"),
 }
@@ -657,8 +656,10 @@ def test_one_table_lookup_per_computed_transition(monkeypatch, name):
     runs = enumerate_runs(robot, env, placements, schedules)
     n_hashes = len(hashes)
     assert all(type(state) is CountingState for state in runs[0].table)
-    transitions = {(run.row[t], tuple(sorted(act.items())), run.adv_seq[t])
-                   for run in runs for t, act in enumerate(phase_maps(run.path))}
+    # the walk tries every adversary choice at each (configuration, step) it walks
+    transitions = {(run.row[t], tuple(sorted(act.items())), adv)
+                   for run in runs for t, act in enumerate(phase_maps(run.path))
+                   for adv in env.adversary_choices}
     assert n_hashes == len(placements) + len(transitions)
 
 
@@ -726,11 +727,18 @@ def naive_simulate(robot, env, path, init_cells, adv_seq):
 
 
 def naive_enumerate(robot, env, placements, schedules):
-    """enumerate_runs' runs, in its order, one naive_simulate call each."""
-    return [naive_simulate(robot, env, path, init, seq)
-            for init in placements
-            for path in schedules
-            for seq in itertools.product(env.adversary_choices, repeat=path.horizon_steps)]
+    """enumerate_runs' runs, in its order: per placement and schedule entry, a
+    naive_simulate call for every adversary sequence in product order, keeping the
+    first run of each distinct row of configurations."""
+    runs = []
+    for init in placements:
+        for path in schedules:
+            rows = {}
+            for seq in itertools.product(env.adversary_choices, repeat=path.horizon_steps):
+                run = naive_simulate(robot, env, path, init, seq)
+                rows.setdefault(run.states, run)
+            runs.extend(rows.values())
+    return runs
 
 
 def run_fields(runs):
@@ -749,6 +757,8 @@ def test_golden_runs_match_naive_simulation(name):
     robot, env, placements, schedules = GOLDEN[name][0]()
     runs = enumerate_runs(robot, env, placements, schedules)
     assert_same_runs(runs, naive_enumerate(robot, env, placements, schedules), env)
+    # a system is a set of runs: no two share placement, path and row
+    assert len({(run.init_cells, run.path, tuple(run.row)) for run in runs}) == len(runs)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -803,9 +813,20 @@ def table_systems(draw):
     return robot, env, placements, schedules
 
 
+def nonrigid_gather_second_move():
+    """golden_nonrigid_gather's machines on 4-step paths whose last step is a MOVE that
+    the adversary can freeze, so runs that differ in their adversary choices differ."""
+    robot, env, placements, _ = golden_nonrigid_gather()
+    schedules = [TimePath(2, path.steps[:4])
+                 for path in gen_schedules(2, 2, SSYNC, fairness_bound=3)[6::2]]
+    return robot, env, placements, schedules
+
+
 @settings(max_examples=40, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(table_systems())
+@example(golden_nonrigid_gather())
+@example(nonrigid_gather_second_move())
 def test_enumerate_runs_matches_naive_simulation(system):
     robot, env, placements, schedules = system
     runs = enumerate_runs(robot, env, placements, schedules)
@@ -826,15 +847,6 @@ def reordered(schedules):
         "mixed-horizon": [TimePath(path.n_robots, path.steps[:h]) for path in shuffled
                           for h in (path.horizon_steps, 2, path.horizon_steps - 1, 0)],
     }
-
-
-def nonrigid_gather_second_move():
-    """golden_nonrigid_gather's machines on 4-step paths whose last step is a MOVE that
-    the adversary can freeze, so runs that differ in their adversary choices differ."""
-    robot, env, placements, _ = golden_nonrigid_gather()
-    schedules = [TimePath(2, path.steps[:4])
-                 for path in gen_schedules(2, 2, SSYNC, fairness_bound=3)[6::2]]
-    return robot, env, placements, schedules
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled", "duplicated", "palindrome",
@@ -891,21 +903,27 @@ def test_each_run_walked_from_where_it_leaves_the_previous_one(monkeypatch, scen
                 residues[r] = (PHASES.index(phase) + 1) % len(PHASES)
     assert sorted(fired) == sorted(met)
 
-    # one transition lookup per step after the prefix a run shares with the run before it
-    walked = 0
+    # one transition lookup per adversary choice at each step after the prefix a run
+    # shares with the run before it; a run that starts at a fork walks from the step after
+    # it, since the walk looked its successor up when it stacked the fork
+    first = env.adversary_choices[0]
+    walked = forked = 0
     for before, run in zip([None, *runs], runs):
         edges = list(zip(run.path.steps, run.adv_seq))
         shared = 0
         if before is not None and before.init_cells == run.init_cells:
             shared = len(list(itertools.takewhile(
                 bool, map(tuple.__eq__, zip(before.path.steps, before.adv_seq), edges))))
+        if shared < len(edges) and run.adv_seq[shared] != first:
+            forked += 1
+            shared += 1
         walked += len(edges) - shared
-    assert len(lookups) == walked < sum(run.horizon for run in runs)
-    # each distinct (placement, schedule prefix, adversary prefix) at least once, and in
-    # gen_schedules' order with one adversary choice exactly once; with more choices each
-    # path restarts the adversary sequences, so a prefix may be walked again
+    assert len(lookups) == walked * len(env.adversary_choices)
+    assert walked < sum(run.horizon for run in runs)
+    # each distinct (placement, schedule prefix, adversary prefix) is made at least once, by
+    # a walked step or by the fork a run starts at, and with one adversary choice exactly once
     prefixes = {(run.init_cells, run.path.steps[:t], run.adv_seq[:t])
                 for run in runs for t in range(1, run.horizon + 1)}
-    assert walked >= len(prefixes)
+    assert walked + forked >= len(prefixes)
     if len(env.adversary_choices) == 1:
         assert walked == len(prefixes)
