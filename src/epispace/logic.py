@@ -170,7 +170,6 @@ class _Parser:
         self.symbols = symbols
         self.pos = 0
         self.depth = 0  # open parentheses
-        self.atoms: dict[Atom, Atom] = {}  # one node per atom, so its labels are computed once
 
     def error(self, message: str):
         raise FormulaError(message, self.pos)
@@ -281,9 +280,6 @@ class _Parser:
             f = wrap(f)
         return f
 
-    def atom(self, atom: Atom) -> Atom:
-        return self.atoms.setdefault(atom, atom)
-
     def primary(self) -> Formula:
         if self.take("("):
             if self.depth == MAX_NESTING:
@@ -301,14 +297,14 @@ class _Parser:
             self.expect("(")
             name, cells = self.region()
             self.expect(")")
-            return self.atom(sp_atom(cells, f"sp({name})"))
+            return sp_atom(cells, f"sp({name})")
         self.expect("[")
         r = self.robot()
         self.expect("]")
         self.expect("(")
         c = self.cell()
         self.expect(")")
-        return self.atom(pos_atom(r, c))
+        return pos_atom(r, c)
 
 
 def parse(text: str, symbols: Symbols) -> Formula:
@@ -354,7 +350,9 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[
     A DKnow, and a Not or And over such nodes only, gets one code per configuration
     id in sys.configs (meaningless for a configuration no point has). Atoms, <> and
     nodes above them get one per point, by position: run i's point at t is at
-    sys.starts[i] + t. Either way the codes are one `bytes` string. Subformulas are
+    i * (H + 1) + t, where H + 1 = sys.points.length is the length of every run.
+    Either way the codes are one `bytes` string. An atom's codes are made once per
+    system and atom key (`_atom`), however many nodes name it. Subformulas are
     labelled bottom-up, once each, from an explicit post-order stack, so no nesting
     depth reaches Python's recursion limit. `memo` maps id(node) to the node's
     labels and shape; a node already in it is not labelled again. A node's entry is
@@ -464,10 +462,10 @@ def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[bytes, bool
                                                     repeat(0)))), True
     # Eventually: each run's slice of the labels in three blocks
     sub = _by_position(sys, *subs[0])
+    length = sys.points.length
     out = bytearray(len(sub))
-    for run, start in zip(sys.runs, sys.starts):
-        end = start + len(run.row)
-        out[start:end] = _eventually(sub[start:end], run.lasso)
+    for run, start in zip(sys.runs, range(0, len(sub), length)):
+        out[start:start + length] = _eventually(sub[start:start + length], run.lasso)
     return bytes(out), False
 
 

@@ -196,7 +196,11 @@ def make_grid_walker(
     rendezvous: Iterable[Iterable[int]] | None = None,
     broadcast_period: int = 1,
 ) -> tuple[RobotMachine, EnvMachine]:
-    """Build one of the named grid protocols.
+    """Build one of the named grid protocols: its robot machine and its environment.
+
+    Each protocol's builder gives only its program (`step`, `control`, `light` and
+    `initial_epi`); every protocol observes its raw emission as it is, marks its own
+    cell explored on each COMPUTE, and walks the same grid environment.
 
     strips: per robot, the cells it is responsible for sweeping (exploration
     protocols); defaults to a contiguous partition of the grid.
@@ -213,24 +217,24 @@ def make_grid_walker(
         raise ValueError(f"{protocol} carries state across cycles, so it cannot be oblivious")
 
     if protocol == EXPLORE_SWEEP:
-        return _build_sweep(grid, caps, n_robots, strips, flood=False, period=1)
-    if protocol == FLOOD_EXPLORE:
+        program = _build_sweep(grid, caps, n_robots, strips, flood=False, period=1)
+    elif protocol == FLOOD_EXPLORE:
         if broadcast_period < 1:
             raise ValueError("broadcast_period must be >= 1")
-        return _build_sweep(grid, caps, n_robots, strips, flood=True, period=broadcast_period)
-
-    if rendezvous is None:
-        raise ValueError(f"{protocol} needs rendezvous regions")
-    regions = [frozenset(r) for r in rendezvous]
-    for i, u in enumerate(regions):
-        if not u or not u <= set(grid.all_cells()):
-            raise ValueError(f"rendezvous region {i} empty or outside the grid")
-        for v in regions[i + 1:]:
-            if u & v:
-                raise ValueError("rendezvous regions must be pairwise disjoint")
-    if protocol == GATHER_MIN_REGION:
-        return _build_gather(grid, caps, n_robots, regions, oscillate=False)
-    return _build_gather(grid, caps, n_robots, regions, oscillate=True)
+        program = _build_sweep(grid, caps, n_robots, strips, flood=True, period=broadcast_period)
+    else:
+        if rendezvous is None:
+            raise ValueError(f"{protocol} needs rendezvous regions")
+        regions = [frozenset(r) for r in rendezvous]
+        for i, u in enumerate(regions):
+            if not u or not u <= set(grid.all_cells()):
+                raise ValueError(f"rendezvous region {i} empty or outside the grid")
+            for v in regions[i + 1:]:
+                if u & v:
+                    raise ValueError("rendezvous regions must be pairwise disjoint")
+        program = _build_gather(grid, regions, oscillate=protocol == GATHER_OSCILLATE)
+    robot = RobotMachine(observe=lambda raw: raw, caps=caps, footprint=_own_cell, **program)
+    return robot, _make_env(grid, caps, n_robots, robot)
 
 
 def _build_sweep(grid, caps, n_robots, strips, flood, period):
@@ -278,19 +282,10 @@ def _build_sweep(grid, caps, n_robots, strips, flood, period):
     def light(epi):
         return epi[4] if flood else None
 
-    robot = RobotMachine(
-        observe=lambda raw: raw,
-        step=step,
-        control=control,
-        light=light,
-        initial_epi=initial_epi,
-        caps=caps,
-        footprint=_own_cell,
-    )
-    return robot, _make_env(grid, caps, n_robots, robot)
+    return dict(step=step, control=control, light=light, initial_epi=initial_epi)
 
 
-def _build_gather(grid, caps, n_robots, regions, oscillate):
+def _build_gather(grid, regions, oscillate):
     m = len(regions)
 
     def region_of(cell):
@@ -343,16 +338,7 @@ def _build_gather(grid, caps, n_robots, regions, oscillate):
     def light(epi):
         return epi[2]
 
-    robot = RobotMachine(
-        observe=lambda raw: raw,
-        step=step,
-        control=control,
-        light=light,
-        initial_epi=initial_epi,
-        caps=caps,
-        footprint=_own_cell,
-    )
-    return robot, _make_env(grid, caps, n_robots, robot)
+    return dict(step=step, control=control, light=light, initial_epi=initial_epi)
 
 
 def validate_machine(robot: RobotMachine, runs: Iterable) -> list[str]:

@@ -4,8 +4,10 @@ A configuration is one semantic state at a step edge, a `StepState` tuple:
 per-robot epistemic states and last observations, the environment state, and
 the cumulative explored cell set. Each `enumerate_runs` call keeps one table of
 the distinct configurations it reaches, numbered 0, 1, ... in creation order,
-and a run is a row of ids into that table, one per step edge. So the ids of a
-call's runs, read run by run, meet each configuration first in id order. The
+and a run is a row of ids into that table, one per step edge. Ids follow the
+walk, not the run list: the walk makes a fork's successor when it finds the fork,
+before it walks on along the first successor, so where the adversary branches,
+the runs read run by run may meet a configuration before one of lower id. The
 table stores each distinct part once as well: equal `epis`, `obss`, env states
 and explored sets of its configurations are one object, the first stored. Each
 distinct transition (configuration id, step, adversary choice) is computed
@@ -23,9 +25,10 @@ made. The walk goes on from where a run leaves the run before it, in any
 schedule order, and closes a run as a lasso where its configuration and phase
 residues repeat; `scheduler.fire` gives the phases.
 
-An interpreted system is the frame of one call's runs: it lays their rows end
-to end and stores only the configuration id at each position, so a point (run,
-step) is its position, and `Points` reads a point off its position and back.
+An interpreted system is the frame of one call's runs, all of one length H + 1:
+it lays their rows end to end and stores only the configuration id at each
+position, so a point (run, t) is its position run·(H + 1) + t, and `Points`
+reads a point off its position and back.
 Indistinguishability for robot r is equality of r's epistemic state between
 any two points.
 """
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -237,7 +239,7 @@ def enumerate_runs(
     robot: RobotMachine,
     env: EnvMachine,
     init_cells: Sequence[Sequence[int]],
-    schedules: Sequence[TimePath],
+    schedules: Iterable[TimePath],
     *,
     cap: int = 100_000,
 ) -> list[SystemRun]:
@@ -256,8 +258,12 @@ def enumerate_runs(
     schedule prefix it shares with the previous path, or to the previous run's
     first forked step if that comes first. A tail window closes a run as a lasso
     when its configuration and phase residues both repeat. Making run `cap` + 1
-    raises CapExceededError.
+    raises CapExceededError, and an empty `env.adversary_choices`
+    ModelDefinitionError. `schedules` is read once, so it may be an iterator.
     """
+    if not env.adversary_choices:
+        raise ModelDefinitionError("env.adversary_choices is empty, so no step has a successor")
+    schedules = list(schedules)
     for path in schedules:
         if path.n_robots != env.n_robots:
             raise ValueError("path and environment disagree on the robot count")
@@ -317,59 +323,56 @@ Point = tuple[int, int]  # (run index, step): a name for a position, made when a
 
 
 class Points(Sequence):
-    """The points of a frame, read off their positions: run by run, t ascending, so
-    run i's point at t is at position `starts[i] + t`. Holds per run only where its
-    row starts and ends, and makes each (run, t) tuple when asked for it."""
+    """The points of a frame, read off their positions: run by run, t ascending. Every
+    run has `length` points, so run i's point at t is at position `i * length + t`.
+    Holds only the two counts, and makes each (run, t) tuple when asked for it."""
 
-    __slots__ = ("starts", "ends")
+    __slots__ = ("n_runs", "length")
 
-    def __init__(self, starts: list[int], n_points: int):
-        self.starts = starts
-        self.ends = [*starts[1:], n_points]  # per run: the position after its last point
+    def __init__(self, n_runs: int, length: int):
+        self.n_runs = n_runs
+        self.length = length
 
     def __len__(self) -> int:
-        return self.ends[-1]
+        return self.n_runs * self.length
 
     def __getitem__(self, k: int) -> Point:
         n = len(self)
         k = index(k)
         if not -n <= k < n:
             raise IndexError(f"point position {k} out of range for {n} points")
-        k %= n
-        run = bisect_right(self.starts, k) - 1
-        return run, k - self.starts[run]
+        return divmod(k % n, self.length)
 
     def __iter__(self) -> Iterator[Point]:
-        return itertools.chain.from_iterable(
-            zip(itertools.repeat(i), range(end - start))
-            for i, (start, end) in enumerate(zip(self.starts, self.ends)))
+        return itertools.product(range(self.n_runs), range(self.length))
 
     def __contains__(self, point) -> bool:
+        """Whether `point` is a pair of integers that names a point of the frame."""
         try:
-            self.index(point)
-        except ValueError:
+            run, t = map(index, point)
+        except (TypeError, ValueError):
             return False
-        return True
+        return 0 <= run < self.n_runs and 0 <= t < self.length
 
     def index(self, point: Point) -> int:
-        """The position of `point`; ValueError if it names no point of the frame."""
-        run, t = point
-        if 0 <= run < len(self.starts) and 0 <= t < self.ends[run] - self.starts[run]:
-            return self.starts[run] + t
-        raise ValueError(f"point {point!r} outside the system")
+        """The position of `point`; ValueError if it is no point of the frame."""
+        if point not in self:
+            raise ValueError(f"point {point!r} outside the system")
+        run, t = map(index, point)
+        return run * self.length + t
 
     def indicator(self, points: Iterable[Point]) -> bytearray:
         """Per position, one byte: 1 if its point is one of `points`, else 0. ValueError
         names the first of them that is no point of the frame: its run index is out of
-        range, its t negative, or its t past its run's row."""
-        starts, ends, n_runs = self.starts, self.ends, len(self.starts)
+        range, its t negative, or its t past the rows' end."""
+        n_runs, length = self.n_runs, self.length
         marks = bytearray(len(self))
         # the bounds test inline, not through `index`: 5.4 against 10.2 ms on ssync-flood's
         # atom, 16.5 against 28.1 ms on sweep-long's (CPython 3.11, shared 2-vCPU VM)
         for run, t in points:
-            if not (0 <= run < n_runs and 0 <= t < ends[run] - starts[run]):
+            if not (0 <= run < n_runs and 0 <= t < length):
                 raise ValueError(f"point {(run, t)!r} outside the system")
-            marks[starts[run] + t] = 1
+            marks[run * length + t] = 1
         return marks
 
 
@@ -377,22 +380,21 @@ class Points(Sequence):
 class InterpretedSystem:
     """Runs, their points and configurations, and the atom valuation.
 
-    A point is its position: the runs' rows lie end to end, so run i's point at
-    time t sits at `starts[i] + t`, and its configuration is
-    `configs[config_of[starts[i] + t]]`. `config_of` is the only per-point
+    A point is its position: the runs' rows, all of one length H + 1, lie end to
+    end, so run i's point at time t sits at `i * (H + 1) + t`, and its configuration
+    is `configs[config_of[i * (H + 1) + t]]`. `config_of` is the only per-point
     storage; `points` names the positions as (run, t) when asked. `configs` is
     the table of the `enumerate_runs` call that made the runs, so a
     configuration id names one configuration of the frame. The frame stores no
     partition: `config_classes` numbers a group's classes per configuration on
     each call. `atom_labels` keeps, per atom key, the point set `atoms` held when
     `logic` labelled the atom and the labels it made from it, so each atom is
-    labelled once per system.
+    labelled once per system, however many formula nodes name it, parsed or built.
     """
 
     runs: list[SystemRun]
     env_machine: EnvMachine
     robot_machine: RobotMachine
-    starts: list[int]                        # per run: the position of its t=0 point
     configs: list[StepState]
     config_of: array                         # 'i': configuration id per position
     atoms: dict[Hashable, frozenset[Point]] = field(default_factory=dict)
@@ -404,7 +406,7 @@ class InterpretedSystem:
     @property
     def points(self) -> Points:
         """The points in position order, as a read-only sequence of (run, t)."""
-        return Points(self.starts, len(self.config_of))
+        return Points(len(self.runs), len(self.runs[0].row))
 
     @cached_property
     def config_order(self) -> list[int]:
@@ -456,26 +458,27 @@ def build_interpreted_system(
     env_machine: EnvMachine,
     robot_machine: RobotMachine,
 ) -> InterpretedSystem:
-    """The frame of the runs: where each run's row starts, and the configuration id at
-    each position.
+    """The frame of the runs: the configuration id at each position, the runs' rows
+    laid end to end.
 
     The runs may be any order and subset of one `enumerate_runs` call's runs, whose
     table is the frame's `configs`. Runs of several calls raise `ValueError("runs
-    from several enumerate_runs calls")`.
+    from several enumerate_runs calls")`, and runs of different lengths, whose
+    points no position arithmetic names, `ValueError("runs of different lengths")`.
     """
     if not runs:
         raise ValueError("cannot build an interpreted system from zero runs")
     configs = runs[0].table
     config_of = array("i")
-    starts = []
     for run in runs:
         if run.path.n_robots != env_machine.n_robots:
             raise ValueError("runs and environment disagree on the robot count")
         if run.table is not configs:
             raise ValueError("runs from several enumerate_runs calls")
-        starts.append(len(config_of))
+        if len(run.row) != len(runs[0].row):
+            raise ValueError("runs of different lengths")
         config_of.extend(run.row)
-    return InterpretedSystem(list(runs), env_machine, robot_machine, starts, configs, config_of)
+    return InterpretedSystem(list(runs), env_machine, robot_machine, configs, config_of)
 
 
 def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> dict[int, int]:

@@ -12,6 +12,7 @@ from test_runs import (
     epi,
     flood_pair,
     golden_ssync_flood,
+    nonrigid_gather_second_move,
     point_classes,
     sweep_runs,
     table_systems,
@@ -558,7 +559,7 @@ class RecordingMemo(dict):
 
 def test_labels_dropped_once_every_parent_is_labelled():
     grid, sys = flood_system()
-    # sp(UX) has five parents, and E shares its subformula between two K nodes
+    # one node has two parents: E's subformula sp(UX), shared by E's two K nodes
     f = parse("[] (K[r1] sp(UX) -> K[r2] sp(UX)) & <> (sp(UX) & E sp(UX))",
               symbols(grid, n_robots=2))
     nodes = {id(g): g for g in nodes_of(f)}
@@ -766,20 +767,28 @@ def two_robot_system(grid, caps, protocol, schedules, init, **walker_kw):
 
 def golden_system(name, grid):
     """The frame of test_runs' GOLDEN scenario `name`, whose machines walk `grid`."""
-    robot, env, placements, schedules = GOLDEN[name][0]()
+    return scenario_system(GOLDEN[name][0], grid)
+
+
+def scenario_system(scenario, grid):
+    """The frame of a test_runs scenario, whose machines walk `grid`."""
+    robot, env, placements, schedules = scenario()
     return grid, build_interpreted_system(enumerate_runs(robot, env, placements, schedules),
                                           env, robot)
 
 
 # name -> (system builder, formula count, eval_at points sampled per formula,
 # atoms beyond the sp ones). Only oscillate-lasso has a closed run whose loop
-# changes an atom, so only it tells <> on the lasso unrolling from <> on the prefix.
+# changes an atom, so only it tells <> on the lasso unrolling from <> on the prefix,
+# and only nonrigid-gather-second-move has runs made by a non-first adversary choice.
 DIFFERENTIAL = {
     "sweep-open": (lambda: sweep_system(cycles=2), 50, 4, ()),
     "sweep-closed": (lambda: golden_system("fsync-sweep", Grid(1, 4)), 50, 4, ()),
     "ssync-flood": (lambda: golden_system("ssync-flood", Grid(1, 4)), 50, 2, ()),
     "kasync-flood": (lambda: golden_system("kasync-flood", Grid(1, 4)), 6, 1, ()),
     "nonrigid-gather": (lambda: golden_system("nonrigid-gather", Grid(2, 2)), 50, 2, ()),
+    "nonrigid-gather-second-move": (
+        lambda: scenario_system(nonrigid_gather_second_move, Grid(2, 2)), 50, 2, ()),
     "oscillate-lasso": (lambda: two_robot_system(
         Grid(1, 4), FULL, GATHER_OSCILLATE, gen_schedules(2, 5, FSYNC, fairness_bound=1),
         [0, 3], rendezvous=[(1,), (2,)]), 50, 4, [pos_atom(r, c) for r in (0, 1) for c in (1, 2)]),
@@ -815,6 +824,9 @@ def test_labelling_matches_pointwise_oracle(name):
         assert seen == {TRUE, FALSE, UNKNOWN}
     if name == "oscillate-lasso":
         assert not sys.runs[0].is_open
+    if name == "nonrigid-gather-second-move":
+        forked = [run for run in sys.runs if any(adv is not None for adv in run.adv_seq)]
+        assert (len(sys.runs), len(forked)) == (5, 3)
 
 
 SET_ATOMS = [Atom(("set", k), f"a{k}") for k in range(3)]
@@ -935,9 +947,11 @@ def test_points_view_matches_the_point_list(name):
     assert all(p in points for p in expected)
     past_rows = [(i, len(run.row)) for i, run in enumerate(sys.runs)]
     assert not any(p in points for p in past_rows)
-    for p in [(len(sys.runs), 0), (-1, 0), (0, -1), past_rows[0], past_rows[-1]]:
+    # and no value that is not a (run, t) pair of integers
+    for p in [(len(sys.runs), 0), (-1, 0), (0, -1), past_rows[0], past_rows[-1],
+              5, "ab", None, (0,), (0, 0, 0), (0.5, 0), ("0", 0)]:
         assert p not in points
-        with pytest.raises(ValueError, match=rf"^point {re.escape(str(p))} outside the system$"):
+        with pytest.raises(ValueError, match=rf"^point {re.escape(repr(p))} outside the system$"):
             points.index(p)
     k = min(n, 50)
     assert random.Random(name).sample(points, k) == random.Random(name).sample(expected, k)

@@ -247,6 +247,19 @@ class TestEnumerate:
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
         assert enumerate_runs(robot, env, [[0]], []) == []
 
+    def test_empty_adversary_named(self):
+        robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP)
+        env = replace(env, adversary_choices=())
+        with pytest.raises(ModelDefinitionError, match=r"^env\.adversary_choices is empty"):
+            enumerate_runs(robot, env, [[0]], gen_schedules(1, 2, FSYNC, fairness_bound=1))
+
+    def test_schedules_read_once(self):
+        # a generator gives the runs of its list, on every placement, not only the first
+        robot, env, placements, schedules = golden_myopic_sight()
+        runs = enumerate_runs(robot, env, placements, (path for path in schedules))
+        assert run_fields(runs) == run_fields(enumerate_runs(robot, env, placements, schedules))
+        assert {run.init_cells for run in runs} == set(map(tuple, placements))
+
     @INVALID_STEPS
     def test_invalid_path_among_valid_schedules_rejected(self, step):
         # the bad step sits among the steps of a generated path, and is named by its index
@@ -436,6 +449,28 @@ class TestFrame:
         assert run_fields(again) == run_fields(runs[9:10])
         with pytest.raises(ValueError, match="^runs from several enumerate_runs calls$"):
             build_interpreted_system(runs[5:10] + again, env, robot)
+
+    def test_runs_of_different_lengths_rejected(self):
+        # positions are run * length + t, so one length must hold for every run
+        robot, env, placements, schedules = golden_myopic_sight()
+        runs = enumerate_runs(robot, env, placements, reordered(schedules)["mixed-horizon"])
+        assert len({len(run.row) for run in runs}) == 4
+        with pytest.raises(ValueError, match="^runs of different lengths$"):
+            build_interpreted_system(runs, env, robot)
+
+    def test_config_order_is_first_occurrence_where_ids_are_not(self):
+        # a fork's successor takes its id when the walk finds the fork, so where the
+        # adversary branches, the runs meet some configurations out of id order
+        robot, env, placements, schedules = nonrigid_min_region(3)
+        runs = enumerate_runs(robot, env, placements, schedules)
+        sys = build_interpreted_system(runs, env, robot)
+        first = []
+        for run in runs:
+            for cid in run.row:
+                if cid not in first:
+                    first.append(cid)
+        assert (len(runs), len(first)) == (31, 24)
+        assert sys.config_order == first != sorted(first)
 
     def test_single_constant_robot_one_class(self):
         grid = Grid(1, 2)
