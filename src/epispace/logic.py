@@ -28,7 +28,7 @@ from functools import cache, partial
 from itertools import compress, repeat
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .runs import InterpretedSystem, Lasso, Point, config_classes
+from .runs import InterpretedSystem, Point, config_classes
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -200,19 +200,16 @@ class _Parser:
         self.pos = m.end()
         return m.group()
 
-    def robot(self) -> int:
+    def named(self, table: dict, what: str) -> tuple:
+        """A name of `table` and its entry; FormulaError at the name if it has none."""
         offset = self.pos
         n = self.name()
-        if n not in self.symbols.robots:
-            raise FormulaError(f"unknown robot name {n!r}", offset)
-        return self.symbols.robots[n]
+        if n not in table:
+            raise FormulaError(f"unknown {what} name {n!r}", offset)
+        return n, table[n]
 
-    def region(self) -> tuple[str, frozenset[int]]:
-        offset = self.pos
-        n = self.name()
-        if n not in self.symbols.regions:
-            raise FormulaError(f"unknown region name {n!r}", offset)
-        return n, self.symbols.regions[n]
+    def robot(self) -> int:
+        return self.named(self.symbols.robots, "robot")[1]
 
     def cell(self) -> int:
         offset = self.pos
@@ -295,7 +292,7 @@ class _Parser:
         self.pos = kind.end()
         if kind.group() == "sp":
             self.expect("(")
-            name, cells = self.region()
+            name, cells = self.named(self.symbols.regions, "region")
             self.expect(")")
             return sp_atom(cells, f"sp({name})")
         self.expect("[")
@@ -412,20 +409,21 @@ def _atom(sys: InterpretedSystem, f: Atom) -> bytes:
     return made[1]
 
 
-def _eventually(values: bytes, lasso: Lasso | None) -> bytes:
+def _eventually(values: bytes, lasso: int | None) -> bytes:
     """<> over one run's codes: TRUE up to the last TRUE, then UNKNOWN up to the last
-    UNKNOWN, or to the end on an open run, which may still reach f later, then FALSE.
-    On a lasso every time in the loop reaches the whole loop, so the codes from the
-    loop head on take the head's code."""
+    UNKNOWN, or to the end on an open run (`lasso` None), which may still reach f
+    later, then FALSE. On a closed run, whose loop starts at step `lasso`, every time
+    in the loop reaches the whole loop, so the codes from the loop head on take the
+    head's code."""
     n = len(values)
     true_end = values.rfind(_T) + 1
     if lasso is None:
         unknown_end = n
     else:
         unknown_end = len(values.rstrip(b"\0"))
-        if lasso.start < true_end:
+        if lasso < true_end:
             true_end = unknown_end = n
-        elif lasso.start < unknown_end:
+        elif lasso < unknown_end:
             unknown_end = n
     return b"\3" * true_end + b"\1" * (unknown_end - true_end) + b"\0" * (n - unknown_end)
 
@@ -485,7 +483,7 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     if code == _T and sub is not None:
         run = sys.runs[run_idx]
         # inside a lasso's loop the forward orbit wraps around to the loop head
-        start = t if run.lasso is None else min(t, run.lasso.start)
+        start = t if run.lasso is None else min(t, run.lasso)
         first = _by_position(sys, *sub).find(_T, i - t + start, i - t + run.horizon + 1) - (i - t)
         return Verdict(TRUE, ((run_idx, first),))
     return Verdict(_NAMES[code])

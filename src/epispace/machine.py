@@ -61,7 +61,10 @@ class RobotMachine:
     Epistemic states and observations must be hashable, since configurations are
     compared by equality, as the indistinguishability frame already does. Actions
     must be hashable too, since the environment's `evolve` is memoized by them;
-    an unhashable one raises `ModelDefinitionError`.
+    an unhashable one raises `ModelDefinitionError`. `step` and `footprint` only
+    get an observation that `observe` made: each robot fires its phases in
+    M -> L -> C order (`scheduler.fire`), so its COMPUTE follows its own LOOK,
+    never the initial observation `None`.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation
@@ -181,8 +184,6 @@ def _default_strips(grid: Grid, n_robots: int) -> list[tuple[int, ...]]:
 
 
 def _own_cell(rid: int, obs) -> frozenset[int]:
-    if obs is None:
-        return frozenset()
     return frozenset({obs[rid][0]})
 
 
@@ -253,20 +254,16 @@ def _build_sweep(grid, caps, n_robots, strips, flood, period):
         return (rid, None, frozenset(), 0, frozenset())
 
     def step(epi, obs):
-        if obs is None:
-            return epi
         rid, _, known, ctr, published = epi
         cell = obs[rid][0]
         gained = {cell}
         if flood:
             for slot in obs:
-                if slot is not None and isinstance(slot[1], frozenset):
+                if slot is not None:
                     gained |= slot[1]
         known2 = frozenset(gained) if oblivious else known | gained
         ctr2 = (ctr + 1) % period
-        published2 = published
-        if flood and (ctr + 1) % period == 0:
-            published2 = known2
+        published2 = known2 if flood and ctr2 == 0 else published
         return (rid, cell, known2, ctr2, published2)
 
     def control(epi):
@@ -303,8 +300,6 @@ def _build_gather(grid, regions, oscillate):
 
     if not oscillate:
         def step(epi, obs):
-            if obs is None:
-                return epi
             rid, _, chosen = epi
             cell = obs[rid][0]
             candidates = [chosen] if chosen >= 0 else []
@@ -312,13 +307,11 @@ def _build_gather(grid, regions, oscillate):
             if own >= 0:
                 candidates.append(own)
             for slot in obs:
-                if slot is not None and isinstance(slot[1], int) and slot[1] >= 0:
+                if slot is not None and slot[1] >= 0:
                     candidates.append(slot[1])
             return (rid, cell, min(candidates) if candidates else -1)
     else:
         def step(epi, obs):
-            if obs is None:
-                return epi
             rid, _, chosen = epi
             cell = obs[rid][0]
             if chosen < 0:

@@ -51,7 +51,6 @@ from epispace.machine import (
 )
 from epispace.runs import (
     InterpretedSystem,
-    Lasso,
     Points,
     build_interpreted_system,
     enumerate_runs,
@@ -218,6 +217,26 @@ class TestSymbols:
     def test_robot_id_not_an_int_from_zero_rejected(self, robot_id):
         with pytest.raises(ValueError, match=r"^robot 'r1': id .+ is not an int >= 0$"):
             Symbols({"r1": robot_id}, {}, 6)
+
+
+# One fixed case per named error: the call, the exception type and its whole message.
+SYMBOLS = symbols(Grid(1, 4), n_robots=2, regions={"U1": frozenset({0, 1})})
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: conj([]), ValueError, "empty conjunction"),
+    (lambda: parse("(sp(U1)", SYMBOLS), FormulaError, "expected ')' (at offset 7)"),
+    (lambda: parse("K[", SYMBOLS), FormulaError, "expected a name (at offset 2)"),
+    (lambda: parse("sp(U9)", SYMBOLS), FormulaError, "unknown region name 'U9' (at offset 3)"),
+    (lambda: parse("pos[r1](x3)", SYMBOLS), FormulaError,
+     "expected a cell like c3, got 'x3' (at offset 8)"),
+    (lambda: valid(sweep_system()[1], "sp(UX)"), TypeError, "not a formula: 'sp(UX)'"),
+], ids=["empty-conjunction", "unclosed-parenthesis", "knowledge-without-name",
+        "unknown-region", "cell-without-c", "valid-on-text"])
+def test_named_errors(call, kind, message):
+    with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is kind
 
 
 def repr_keys(f):
@@ -474,7 +493,7 @@ def reverse_scan(values, lasso):
         labels.append(acc)
     labels.reverse()
     if lasso is not None:
-        labels[lasso.start:] = [labels[lasso.start]] * (len(labels) - lasso.start)
+        labels[lasso:] = [labels[lasso]] * (len(labels) - lasso)
     return labels
 
 
@@ -484,7 +503,7 @@ def test_eventually_blocks_match_the_reverse_scan_on_every_short_row():
     for n in range(1, 7):
         for values in itertools.product([False, None, True], repeat=n):
             row = bytes(map(code.get, values))
-            for lasso in [None] + [Lasso(head, n - 1 - head) for head in range(n)]:
+            for lasso in [None, *range(n)]:
                 labels = list(map(VALUE.__getitem__, logic._eventually(row, lasso)))
                 assert labels == reverse_scan(values, lasso), (values, lasso)
                 cases += 1
@@ -675,7 +694,7 @@ def reachable_times(run, t):
     An open run reaches t..H. On a closed run the loop wraps around, so a time
     inside the loop also reaches the loop from its head on.
     """
-    return range(t if run.lasso is None else min(t, run.lasso.start), run.horizon + 1)
+    return range(t if run.lasso is None else min(t, run.lasso), run.horizon + 1)
 
 
 def kleene_and(values):
@@ -991,7 +1010,7 @@ def before_loops(sys):
     """a on each closed run before its loop: <> a is FALSE inside the loops and UNKNOWN
     on the open runs."""
     return frozenset((i, t) for i, t in sys.points
-                     if sys.runs[i].lasso is not None and t < sys.runs[i].lasso.start)
+                     if sys.runs[i].lasso is not None and t < sys.runs[i].lasso)
 
 
 @pytest.mark.parametrize("kind", sorted(KNOWLEDGE_OVER_EVENTUALLY))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -226,6 +227,13 @@ class TestValidateMachine:
         report = validate_machine(robot, fsync_runs(robot, env))
         assert report == ["light: light undefined for ('e1',)"]
 
+    def test_missing_control_entry_of_reached_state_named(self):
+        # the run's one MOVE reads ("e0",); its COMPUTE reaches ("e1",), which no MOVE reads
+        robot, env = one_robot_table_machine([("e0",), ("e1",)])
+        control = table_fn({("e0",): None}, "control")
+        report = validate_machine(replace(robot, control=control), fsync_runs(robot, env))
+        assert report == ["control: control undefined for ('e1',)"]
+
     def test_oblivious_nonconstant_light_flagged(self):
         # leaks memory through the light: "a" and "b" are both reached
         robot, env = one_robot_table_machine(
@@ -238,6 +246,41 @@ class TestValidateMachine:
         with pytest.raises(ValueError, match=protocol):
             make_grid_walker(Grid(1, 4), Capabilities(memory="oblivious"), protocol, n_robots=2,
                              rendezvous=[[0], [3]])
+
+
+GRID = Grid(1, 4)
+
+
+# One fixed case per named error: the call, the exception type and its whole message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: Capabilities(visibility="blind"), "unknown visibility 'blind'"),
+    (lambda: Capabilities(movement="teleport"), "unknown movement 'teleport'"),
+    (lambda: Capabilities(memory="amnesiac"), "unknown memory 'amnesiac'"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2)[1].make_initial_env([0]),
+     "need 2 initial cells, got 1"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2)[1].make_initial_env([0, 4]),
+     "initial cell 4 outside the grid"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, n_robots=0), "n_robots must be >= 1"),
+    (lambda: make_grid_walker(GRID, FULL, "DANCE"), "unknown protocol 'DANCE'"),
+    (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, broadcast_period=0),
+     "broadcast_period must be >= 1"),
+    (lambda: make_grid_walker(GRID, FULL, GATHER_MIN_REGION),
+     "GATHER_MIN_REGION needs rendezvous regions"),
+    (lambda: make_grid_walker(GRID, FULL, GATHER_OSCILLATE, rendezvous=[[]]),
+     "rendezvous region 0 empty or outside the grid"),
+    (lambda: make_grid_walker(GRID, FULL, GATHER_MIN_REGION, rendezvous=[[0], [3, 4]]),
+     "rendezvous region 1 empty or outside the grid"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2, strips=[[0, 1, 2, 3]]),
+     "need one strip per robot"),
+    (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, strips=[[0, 9]]),
+     "strip contains cells outside the grid"),
+], ids=["visibility", "movement", "memory", "initial-cell-count", "initial-cell-outside",
+        "no-robots", "unknown-protocol", "broadcast-period", "gather-without-rendezvous",
+        "empty-region", "region-outside", "strip-count", "strip-outside"])
+def test_named_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is ValueError
 
 
 class TestObliviousProperty:

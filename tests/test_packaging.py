@@ -182,7 +182,10 @@ UNREAD_FIELDS = {
 
 def unread_fields(trees):
     """Labels of the annotated class fields in src/ that no code outside their own class
-    reads as an attribute."""
+    reads as an attribute.
+
+    A read is matched by attribute name only, not by the class of the object read: a
+    field that shares its name with another class's attribute read elsewhere passes."""
     reads: dict[str, list[frozenset]] = {}
     for tree in trees.values():
         for node, enclosing in enclosed_nodes(tree):

@@ -25,7 +25,6 @@ from epispace.machine import (
     table_fn,
 )
 from epispace.runs import (
-    Lasso,
     StepState,
     SystemRun,
     build_interpreted_system,
@@ -201,7 +200,7 @@ class TestSimulate:
         _, _, _, runs = sweep_runs(cycles=6)
         lasso = runs[0].lasso
         assert lasso is not None
-        assert lasso.length == 3  # one full parked M,L,C cycle
+        assert runs[0].horizon - lasso == 3  # one full parked M,L,C cycle
 
     def test_open_run_when_horizon_too_short(self):
         _, _, _, runs = sweep_runs(cycles=2)  # still sweeping at the horizon
@@ -406,6 +405,8 @@ class TestEnumerate:
         for name in calls:
             assert len(calls[name]) == len(set(calls[name])), f"{name} repeated an argument"
             assert set(calls[name]) == needed[name], name
+        # each robot's COMPUTE follows its own LOOK, so none reads the initial None
+        assert all(obs is not None for name in ("step", "footprint") for _, obs in calls[name])
 
 
 class TestFrame:
@@ -457,6 +458,17 @@ class TestFrame:
         assert len({len(run.row) for run in runs}) == 4
         with pytest.raises(ValueError, match="^runs of different lengths$"):
             build_interpreted_system(runs, env, robot)
+
+    def test_explored_at_rejects_points_outside_the_system(self):
+        sys = sweep_frame()
+        n_runs, horizon = len(sys.runs), sys.runs[0].horizon
+        assert sys.explored_at((n_runs - 1, horizon)) == sys.runs[-1].states[horizon].explored
+        for point in [(0, -1), (-1, 0), (0, horizon + 1), (n_runs, 0)]:
+            message = f"^point {re.escape(repr(point))} outside the system$"
+            with pytest.raises(ValueError, match=message):
+                sys.explored_at(point)
+            with pytest.raises(ValueError, match=message):
+                sys.points.index(point)
 
     def test_config_order_is_first_occurrence_where_ids_are_not(self):
         # a fork's successor takes its id when the walk finds the fork, so where the
@@ -582,6 +594,24 @@ class TestDistributed:
             config_classes(sys, [])
 
 
+def sweep_frame():
+    """The frame of sweep_runs' one run."""
+    _, robot, env, runs = sweep_runs()
+    return build_interpreted_system(runs, env, robot)
+
+
+# One fixed case per named error: the call and its whole message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_interpreted_system([], None, None),
+     "cannot build an interpreted system from zero runs"),
+    (lambda: config_classes(sweep_frame(), [1]), "robot 1 outside the system"),
+], ids=["no-runs", "robot-outside"])
+def test_named_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is ValueError
+
+
 class TestTraces:
     def test_canon_sorts_sets(self):
         assert canon(frozenset({3, 1, 2})) == "{1,2,3}"
@@ -699,8 +729,8 @@ def test_one_table_lookup_per_computed_transition(monkeypatch, name):
 
 
 def brute_lasso(run):
-    """Smallest tail window whose end configuration equals its start, by value, in which
-    every robot fires whole LCM cycles."""
+    """The start of the smallest tail window whose end configuration equals its start, by
+    value, in which every robot fires whole LCM cycles."""
     states = run.states
     # clocks[t][r]: phases robot r has fired before step t
     clocks = list(itertools.accumulate(
@@ -710,7 +740,7 @@ def brute_lasso(run):
     windows = [start for start in range(horizon)
                if states[start] == states[horizon]
                and all((b - a) % len(PHASES) == 0 for a, b in zip(clocks[start], clocks[horizon]))]
-    return Lasso(max(windows), horizon - max(windows)) if windows else None
+    return max(windows) if windows else None
 
 
 @dataclass(frozen=True)
@@ -721,7 +751,7 @@ class NaiveRun:
     adv_seq: tuple
     init_cells: tuple
     states: tuple
-    lasso: Lasso | None = None
+    lasso: int | None = None
 
     @property
     def horizon(self):
@@ -962,3 +992,12 @@ def test_each_run_walked_from_where_it_leaves_the_previous_one(monkeypatch, scen
     assert walked + forked >= len(prefixes)
     if len(env.adversary_choices) == 1:
         assert walked == len(prefixes)
+
+
+@pytest.mark.parametrize("scenario, n_runs, n_seqs", [
+    (s1_h5, 486, 1), (nonrigid_gather_second_move, 5, 3),
+], ids=["s1-h5", "nonrigid-gather-second-move"])
+def test_runs_with_equal_adversary_sequences_share_one_tuple(scenario, n_runs, n_seqs):
+    runs = enumerate_runs(*scenario())
+    assert len(runs) == n_runs
+    assert len({run.adv_seq for run in runs}) == len({id(run.adv_seq) for run in runs}) == n_seqs

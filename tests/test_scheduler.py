@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import combinations, product
 
@@ -232,3 +233,17 @@ class TestValidatePath:
             {0: "M"}, {0: "L", 1: "M"}, {1: "L"}, {0: "C"}, {0: "M"}]
         with pytest.raises(ValueError, match="invalid time path: step 0: "):
             TimePath(1, ({0: "L"},))
+
+
+# One fixed case per named error: the call and its whole message.
+@pytest.mark.parametrize("call, message", [
+    (lambda: TimePath(2, ((0, 1), (0, 0))), "invalid time path: step 1: robot ids (0, 0) repeat"),
+    (lambda: gen_schedules(2, 0, SSYNC, fairness_bound=1),
+     "n_robots, horizon and fairness_bound must be positive"),
+    (lambda: gen_schedules(2, 2, "ASYNC", fairness_bound=1), "unknown synchrony class 'ASYNC'"),
+    (lambda: gen_schedules(2, 2, ASYNC_K, fairness_bound=1, k=0), "k must be >= 1"),
+], ids=["repeated-robot", "zero-horizon", "unknown-synchrony", "zero-drift"])
+def test_named_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+        call()
+    assert type(raised.value) is ValueError
