@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import compress, repeat
+from itertools import compress, count, islice
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .runs import InterpretedSystem, Point, config_classes
@@ -345,7 +345,8 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[
     """The Kleene codes of f, and whether they are per configuration (else per point).
 
     A DKnow, and a Not or And over such nodes only, gets one code per configuration
-    id in sys.configs (meaningless for a configuration no point has). Atoms, <> and
+    id in sys.configs; every configuration is some point's, so no code goes unread,
+    and a code is in the labels exactly when some point has it. Atoms, <> and
     nodes above them get one per point, by position: run i's point at t is at
     i * (H + 1) + t, where H + 1 = sys.points.length is the length of every run.
     Either way the codes are one `bytes` string. An atom's codes are made once per
@@ -429,7 +430,7 @@ def _eventually(values: bytes, lasso: int | None) -> bytes:
 
 
 def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[bytes, bool]],
-                relation: Callable[[tuple[int, ...]], dict[int, int]]) -> tuple[bytes, bool]:
+                relation: Callable[[tuple[int, ...]], list[int]]) -> tuple[bytes, bool]:
     """The codes and shape of f from those of its direct subformulas and `relation`."""
     if isinstance(f, Atom):
         return _atom(sys, f), False
@@ -447,23 +448,19 @@ def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[bytes, bool
         # reduce over each class the configurations whose points take each value
         sub, per_config = subs[0]
         classes = relation(f.group)
-        owners = sys.config_of
-        if per_config:  # count only the configurations that some point has
-            owners, sub = list(classes), bytes(map(sub.__getitem__, classes))
-        per_class = bytearray([_T]) * (max(classes.values()) + 1)
+        owners = range(len(classes)) if per_config else sys.config_of
+        per_class = bytearray([_T]) * (max(classes) + 1)
         for value in (_U, _F):  # FALSE, set last, beats UNKNOWN
             if value in sub:
                 for c in set(compress(owners, sub.translate(_SELECT[value]))):
                     per_class[classes[c]] = value
-        n_configs = len(sys.configs)
-        return bytes(map(per_class.__getitem__, map(classes.get, range(n_configs),
-                                                    repeat(0)))), True
+        return bytes(map(per_class.__getitem__, classes)), True
     # Eventually: each run's slice of the labels in three blocks
     sub = _by_position(sys, *subs[0])
     length = sys.points.length
     out = bytearray(len(sub))
-    for run, start in zip(sys.runs, range(0, len(sub), length)):
-        out[start:start + length] = _eventually(sub[start:start + length], run.lasso)
+    for lasso, start in zip(sys.runs.lassos, range(0, len(sub), length)):
+        out[start:start + length] = _eventually(sub[start:start + length], lasso)
     return bytes(out), False
 
 
@@ -481,10 +478,10 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     labels, per_config = _label(sys, f, memo)
     code = labels[sys.config_of[i] if per_config else i]
     if code == _T and sub is not None:
-        run = sys.runs[run_idx]
+        lasso = sys.runs.lassos[run_idx]
         # inside a lasso's loop the forward orbit wraps around to the loop head
-        start = t if run.lasso is None else min(t, run.lasso)
-        first = _by_position(sys, *sub).find(_T, i - t + start, i - t + run.horizon + 1) - (i - t)
+        start = t if lasso is None else min(t, lasso)
+        first = _by_position(sys, *sub).find(_T, i - t + start, i - t + sys.runs.length) - (i - t)
         return Verdict(TRUE, ((run_idx, first),))
     return Verdict(_NAMES[code])
 
@@ -493,16 +490,16 @@ def valid(sys: InterpretedSystem, f: Formula) -> Verdict:
     """Validity: the formula holds at every point; counterexamples are witnesses.
 
     Witnesses are the first MAX_WITNESSES FALSE points by position, else the first
-    MAX_WITNESSES UNKNOWN ones, each found with one `find` on the codes; only these
-    are named as (run, t).
+    MAX_WITNESSES UNKNOWN ones; only these are named as (run, t). A code is some
+    point's exactly when it is in the labels, of either shape, and per-configuration
+    labels are read along `config_of` only as far as the last witness.
     """
-    labels = _by_position(sys, *_label(sys, f, {}))
+    labels, per_config = _label(sys, f, {})
     for code in (_F, _U):
-        hits = []
-        at = labels.find(code)
-        while at >= 0 and len(hits) < MAX_WITNESSES:
-            hits.append(at)
-            at = labels.find(code, at + 1)
-        if hits:
+        if code in labels:
+            marks = labels.translate(_SELECT[code])
+            if per_config:
+                marks = map(marks.__getitem__, sys.config_of)
+            hits = islice(compress(count(), marks), MAX_WITNESSES)
             return Verdict(_NAMES[code], tuple(map(sys.points.__getitem__, hits)))
     return Verdict(TRUE)

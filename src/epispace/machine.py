@@ -162,6 +162,8 @@ def _make_env(grid: Grid, caps: Capabilities, n_robots: int, robot: RobotMachine
         if len(cells) != n_robots:
             raise ValueError(f"need {n_robots} initial cells, got {len(cells)}")
         for c in cells:
+            if not isinstance(c, int):
+                raise ValueError(f"initial cell {c!r} is not an int")
             if not 0 <= c < grid.n_cells:
                 raise ValueError(f"initial cell {c} outside the grid")
         return tuple((c, robot.light(robot.initial_epi(rid))) for rid, c in enumerate(cells))

@@ -4,12 +4,16 @@ A configuration is one semantic state at a step edge, a `StepState` tuple:
 per-robot epistemic states and last observations, the environment state, and
 the cumulative explored cell set. Each `enumerate_runs` call keeps one table of
 the distinct configurations it reaches, numbered 0, 1, ... in creation order,
-and a run is a row of ids into that table, one per step edge. Ids follow the
-walk, not the run list: the walk makes a fork's successor when it finds the fork,
-before it walks on along the first successor, so where the adversary branches,
-the runs read run by run may meet a configuration before one of lower id. The
-table stores each distinct part once as well: equal `epis`, `obss`, env states
-and explored sets of its configurations are one object, the first stored. Each
+and returns its runs as `Runs`: their rows of ids into that table, one id per
+step edge, laid end to end in one array, `config_of`, which the walk writes as
+it finishes each run. A run is a view on that array, made when asked for. Ids
+follow the walk, not the run list: the walk makes a fork's successor when it
+finds the fork, before it walks on along the first successor, so where the
+adversary branches, the runs read run by run may meet a configuration before
+one of lower id. The walk makes a run from every successor it computes, so
+every configuration of the table is at some point of some run. The table
+stores each distinct part once as well: equal `epis`, `obss`, env states and
+explored sets of its configurations are one object, the first stored. Each
 distinct transition (configuration id, step, adversary choice) is computed
 once, from machine calls memoized for the call (`_Transitions` lists their
 keys), builds only the parts its phases change, and looks its configuration up
@@ -26,10 +30,10 @@ schedule order, and closes a run as a lasso where its configuration and phase
 residues repeat: the run's `lasso` is the step where that loop starts.
 `scheduler.fire` gives the phases.
 
-An interpreted system is the frame of one call's runs, all of one length H + 1:
-it lays their rows end to end and stores only the configuration id at each
-position, so a point (run, t) is its position run·(H + 1) + t, and `Points`
-reads a point off its position and back.
+An interpreted system is the frame of one call's `Runs`, taken as they are:
+every run has length H + 1, the frame's `config_of` is the runs' own, so a
+point (run, t) is its position run·(H + 1) + t, and `Points` reads a point
+off its position and back.
 Indistinguishability for robot r is equality of r's epistemic state between
 any two points.
 """
@@ -64,9 +68,11 @@ class StepState(NamedTuple):
 class SystemRun:
     """One run: a row of configuration ids, one per step edge, into `table`.
 
-    `table` is the configuration list of the `enumerate_runs` call that made the
-    run, shared with the call's other runs. `lasso` is the first step of a closed
-    run's loop, which covers steps [lasso, horizon), or None for an open run.
+    A view that `Runs` makes on demand: `row` is a copy of the run's slice of the
+    call's `config_of`, and `table` the call's configuration list. So two reads of
+    `runs[i]` are equal field by field, but are not the same object. `lasso` is the
+    first step of a closed run's loop, which covers steps [lasso, horizon), or None
+    for an open run.
     """
 
     path: TimePath
@@ -232,6 +238,34 @@ def _tail_lasso(row: array, residues: list[tuple]) -> int | None:
     return None
 
 
+class Runs(Sequence):
+    """The runs of one `enumerate_runs` call, in the walk's order: a read-only sequence
+    whose `runs[i]` makes run i's `SystemRun` view on each read.
+
+    `configs` is the call's table, and `config_of` the runs' rows laid end to end:
+    every run has `length` = H + 1 ids, so run i's row starts at position i * length.
+    Per run, `paths`, `adv_seqs`, `inits` (placements) and `lassos` are parallel
+    lists, so a reader of one field, such as `logic` of the loop starts, makes no view.
+    """
+
+    __slots__ = ("configs", "config_of", "length", "paths", "adv_seqs", "inits", "lassos")
+
+    def __init__(self, configs: list[StepState], length: int):
+        self.configs = configs
+        self.config_of = array("i")
+        self.length = length
+        self.paths, self.adv_seqs, self.inits, self.lassos = [], [], [], []
+
+    def __len__(self) -> int:
+        return len(self.lassos)
+
+    def __getitem__(self, i: int) -> SystemRun:
+        # an int index only; IndexError past either end
+        start = range(0, len(self.config_of), self.length)[index(i)]
+        return SystemRun(self.paths[i], self.adv_seqs[i], self.inits[i],
+                         self.config_of[start:start + self.length], self.configs, self.lassos[i])
+
+
 def enumerate_runs(
     robot: RobotMachine,
     env: EnvMachine,
@@ -239,7 +273,7 @@ def enumerate_runs(
     schedules: Iterable[TimePath],
     *,
     cap: int = 100_000,
-) -> list[SystemRun]:
+) -> Runs:
     """One run per (placement, schedule entry, distinct row), in one depth-first walk.
 
     Per placement and path, each step branches on the distinct successors that
@@ -250,15 +284,16 @@ def enumerate_runs(
     sequences' product, taken in order with equal rows dropped; a path listed
     twice gives its runs twice, and runs with equal `adv_seq` share one tuple. A
     step's LOOKs read the env state after its MOVEs. All runs share one table of
-    distinct states and transitions, and their interpreted system takes that table
-    as its `configs`. A run is walked on from the step where it leaves the run
+    distinct states and transitions, and each finished row is appended to the
+    `Runs`' `config_of`. A run is walked on from the step where it leaves the run
     before it; a new path reuses the row up to the end of the schedule prefix it
     shares with the previous path, or to the previous run's first forked step if
     that comes first. A tail window closes a run as a lasso when its configuration
     and phase residues both repeat, and the run's `lasso` is the window's start.
-    Making run `cap` + 1 raises CapExceededError, and an empty
-    `env.adversary_choices` ModelDefinitionError. `schedules` is read once, so it
-    may be an iterator.
+    Making run `cap` + 1 raises CapExceededError, an empty `env.adversary_choices`
+    ModelDefinitionError, and paths of different lengths, whose runs no position
+    arithmetic could lay end to end, ValueError. `schedules` is read once, so it may
+    be an iterator.
     """
     if not env.adversary_choices:
         raise ModelDefinitionError("env.adversary_choices is empty, so no step has a successor")
@@ -266,13 +301,15 @@ def enumerate_runs(
     for path in schedules:
         if path.n_robots != env.n_robots:
             raise ValueError("path and environment disagree on the robot count")
+        if path.horizon_steps != schedules[0].horizon_steps:
+            raise ValueError("paths of different lengths")
     table = _Transitions(robot, env)
+    runs = Runs(table.configs, schedules[0].horizon_steps + 1 if schedules else 1)
     step = table.step
     first, *rest = env.adversary_choices
     steps: tuple = ()                            # the current path's steps
     sids: list[int] = []                         # and their step ids
     residues = [(0,) * env.n_robots]             # phase residues (phases fired per robot, mod 3)
-    runs = []
     seqs: dict[tuple, tuple] = {}                # adv_seq -> the first equal tuple made
     for init in init_cells:
         init = tuple(init)
@@ -306,8 +343,11 @@ def enumerate_runs(
                     seq.append(first)
                 if len(runs) == cap:
                     raise CapExceededError(f"run enumeration exceeds cap {cap}")
-                runs.append(SystemRun(path, seqs.setdefault(adv_seq := tuple(seq), adv_seq), init,
-                                      row[:], table.configs, _tail_lasso(row, residues)))
+                runs.config_of.extend(row)
+                runs.paths.append(path)
+                runs.adv_seqs.append(seqs.setdefault(adv_seq := tuple(seq), adv_seq))
+                runs.inits.append(init)
+                runs.lassos.append(_tail_lasso(row, residues))
                 if not forks:
                     break
                 t, cid, adv = forks.pop()
@@ -380,19 +420,20 @@ class Points(Sequence):
 class InterpretedSystem:
     """Runs, their points and configurations, and the atom valuation.
 
-    A point is its position: the runs' rows, all of one length H + 1, lie end to
-    end, so run i's point at time t sits at `i * (H + 1) + t`, and its configuration
-    is `configs[config_of[i * (H + 1) + t]]`. `config_of` is the only per-point
-    storage; `points` names the positions as (run, t) when asked. `configs` is
-    the table of the `enumerate_runs` call that made the runs, so a
-    configuration id names one configuration of the frame. The frame stores no
-    partition: `config_classes` numbers a group's classes per configuration on
-    each call. `atom_labels` keeps, per atom key, the point set `atoms` held when
-    `logic` labelled the atom and the labels it made from it, so each atom is
-    labelled once per system, however many formula nodes name it, parsed or built.
+    `runs` is one `enumerate_runs` call's `Runs`, and `configs` and `config_of` are
+    its table and id array, the same objects. A point is its position: the runs'
+    rows, all of one length H + 1, lie end to end, so run i's point at time t sits
+    at `i * (H + 1) + t`, and its configuration is `configs[config_of[i * (H + 1) +
+    t]]`. `config_of` is the only per-point storage; `points` names the positions as
+    (run, t) when asked. Every configuration id names a configuration that some
+    point has. The frame stores no partition: `config_classes` numbers a group's
+    classes per configuration on each call. `atom_labels` keeps, per atom key, the
+    point set `atoms` held when `logic` labelled the atom and the labels it made
+    from it, so each atom is labelled once per system, however many formula nodes
+    name it, parsed or built.
     """
 
-    runs: list[SystemRun]
+    runs: Runs
     env_machine: EnvMachine
     robot_machine: RobotMachine
     configs: list[StepState]
@@ -406,13 +447,7 @@ class InterpretedSystem:
     @property
     def points(self) -> Points:
         """The points in position order, as a read-only sequence of (run, t)."""
-        return Points(len(self.runs), len(self.runs[0].row))
-
-    @cached_property
-    def config_order(self) -> list[int]:
-        """The configuration ids that some point has, in the order the points first meet
-        them; computed on first use, once per system, since no group changes it."""
-        return list(dict.fromkeys(self.config_of))
+        return Points(len(self.runs), self.runs.length)
 
     @cached_property
     def atom_labels(self) -> dict[Hashable, tuple[frozenset[Point], bytes]]:
@@ -426,7 +461,7 @@ class InterpretedSystem:
         out = []
         for r in range(self.n_robots):
             ids = config_classes(self, [r])
-            members: list[list[Point]] = [[] for _ in range(max(ids.values()) + 1)]
+            members: list[list[Point]] = [[] for _ in range(max(ids) + 1)]
             for p, c in zip(self.points, self.config_of):
                 members[ids[c]].append(p)
             out.append([tuple(m) for m in members])
@@ -435,71 +470,51 @@ class InterpretedSystem:
     def explored_at(self, point: Point) -> frozenset[int]:
         """The explored set at `point`; ValueError if it is no point of the frame."""
         run_idx, t = point
-        # negative coordinates are tested here, the upper bounds by the lookups' own
-        # IndexError: on ssync-flood the bench's sp_valuation took 17.8 ms so, 23.7 ms with
-        # both bounds tested inline, 99.7 ms through `points.index` and 17.4 ms unchecked
-        # (CPython 3.11, shared 2-vCPU VM)
-        if run_idx >= 0 and t >= 0:
+        length = self.runs.length
+        # the run index's upper bound is tested by the lookup's own IndexError
+        if run_idx >= 0 and 0 <= t < length:
             try:
-                return self.configs[self.runs[run_idx].row[t]].explored
+                return self.configs[self.config_of[run_idx * length + t]].explored
             except IndexError:
                 pass
         raise ValueError(f"point {point!r} outside the system")
 
     def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
-        """Same frame, different valuation; shares runs and configurations, but neither
-        `config_order` nor `atom_labels`."""
+        """Same frame, different valuation; shares runs and configurations, but not
+        `atom_labels`."""
         return replace(self, atoms=atoms)
 
 
-def _number_classes(configs: list[StepState], order: list[int],
-                    group: Sequence[int]) -> dict[int, int]:
-    """Class id per configuration id of `order`, keyed in that order, so ids are in
-    first-occurrence order: configurations share an id when they give every robot of
-    the group the same epistemic state."""
+def _number_classes(configs: list[StepState], group: Sequence[int]) -> list[int]:
+    """Class id per configuration id, numbered in id order: configurations share an id
+    when they give every robot of the group the same epistemic state."""
     key = itemgetter(*group)
     numbering: dict[Hashable, int] = {}
-    return {c: numbering.setdefault(key(configs[c].epis), len(numbering)) for c in order}
+    return [numbering.setdefault(key(state.epis), len(numbering)) for state in configs]
 
 
-def build_interpreted_system(
-    runs: Sequence[SystemRun],
-    env_machine: EnvMachine,
-    robot_machine: RobotMachine,
-) -> InterpretedSystem:
-    """The frame of the runs: the configuration id at each position, the runs' rows
-    laid end to end.
-
-    The runs may be any order and subset of one `enumerate_runs` call's runs, whose
-    table is the frame's `configs`. Runs of several calls raise `ValueError("runs
-    from several enumerate_runs calls")`, and runs of different lengths, whose
-    points no position arithmetic names, `ValueError("runs of different lengths")`.
-    """
+def build_interpreted_system(runs: Runs, env_machine: EnvMachine,
+                             robot_machine: RobotMachine) -> InterpretedSystem:
+    """The frame of one `enumerate_runs` call's runs, taken as they are: its `configs`
+    and `config_of` are the runs' own, so it copies nothing. Zero runs, or runs of
+    another robot count than the environment's, raise ValueError."""
     if not runs:
         raise ValueError("cannot build an interpreted system from zero runs")
-    configs = runs[0].table
-    config_of = array("i")
-    for run in runs:
-        if run.path.n_robots != env_machine.n_robots:
-            raise ValueError("runs and environment disagree on the robot count")
-        if run.table is not configs:
-            raise ValueError("runs from several enumerate_runs calls")
-        if len(run.row) != len(runs[0].row):
-            raise ValueError("runs of different lengths")
-        config_of.extend(run.row)
-    return InterpretedSystem(list(runs), env_machine, robot_machine, configs, config_of)
+    if runs.paths[0].n_robots != env_machine.n_robots:
+        raise ValueError("runs and environment disagree on the robot count")
+    return InterpretedSystem(runs, env_machine, robot_machine, runs.configs, runs.config_of)
 
 
-def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> dict[int, int]:
-    """The group's indistinguishability classes, as a class id per configuration id that
-    some point has, in first-occurrence order. Each call numbers the classes anew."""
+def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
+    """The group's indistinguishability classes, as a list of class ids indexed by
+    configuration id, numbered in id order. Each call numbers the classes anew."""
     group = sorted(set(group))
     if not group:
         raise ValueError("distributed knowledge needs a nonempty group")
     for r in group:
         if not 0 <= r < sys.n_robots:
             raise ValueError(f"robot {r} outside the system")
-    return _number_classes(sys.configs, sys.config_order, group)
+    return _number_classes(sys.configs, group)
 
 
 def canon(value) -> str:

@@ -35,8 +35,9 @@ class CapExceededError(RuntimeError):
 class TimePath:
     """One discrete activation schedule: the robots activated at each global step.
 
-    `steps[t]` is the sorted tuple of the distinct robots activated at step t;
-    the constructor takes any tuple or frozenset of robot ids and sorts it.
+    `n_robots` is an int >= 1, and `steps[t]` the sorted tuple of the distinct
+    robots activated at step t; the constructor takes any tuple or frozenset of
+    robot ids and sorts it.
     Every activated robot fires the next phase of its M -> L -> C cycle, so the
     steps fix each phase (`fire`) and no step can break the cycle order.
     """
@@ -45,6 +46,8 @@ class TimePath:
     steps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.n_robots, int) or self.n_robots < 1:
+            raise ValueError(f"invalid time path: n_robots {self.n_robots!r} is not an int >= 1")
         steps = tuple(self.steps)
         try:
             distinct = dict.fromkeys(steps)
@@ -115,11 +118,16 @@ def gen_schedules(
     order of their moves, robot sets ordered by size, then by their robots, and
     each is the walk's robot sets, one per step.
 
-    `cap` counts generated paths for every class: generating path cap + 1
-    raises CapExceededError. Reaching the cap costs up to `cap` paths of work;
-    SSYNC with 16 robots at H=3 raises only after 100,000 paths, about 2 s on
-    a shared 2-vCPU VM (CPython 3.11).
+    `n_robots`, `horizon`, `fairness_bound` and `k` must be ints; ValueError names
+    the first that is not. `cap` counts generated paths for every class:
+    generating path cap + 1 raises CapExceededError. Reaching the cap costs up to
+    `cap` paths of work; SSYNC with 16 robots at H=3 raises only after 100,000
+    paths, about 2 s on a shared 2-vCPU VM (CPython 3.11).
     """
+    for name, value in (("n_robots", n_robots), ("horizon", horizon),
+                        ("fairness_bound", fairness_bound), ("k", k)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} {value!r} is not an int")
     if n_robots < 1 or horizon < 1 or fairness_bound < 1:
         raise ValueError("n_robots, horizon and fairness_bound must be positive")
     if synchrony not in (FSYNC, SSYNC, ASYNC_K):

@@ -11,9 +11,7 @@ from test_runs import (
     count_partitions,
     epi,
     flood_pair,
-    golden_ssync_flood,
     nonrigid_gather_second_move,
-    point_classes,
     sweep_runs,
     table_systems,
 )
@@ -50,7 +48,6 @@ from epispace.machine import (
     make_grid_walker,
 )
 from epispace.runs import (
-    InterpretedSystem,
     Points,
     build_interpreted_system,
     enumerate_runs,
@@ -387,8 +384,9 @@ class TestS5:
         f = sp_atom(frozenset({0, 1}))
         truth = dict(zip(sys.points, point_labels(sys, f)))
         labels = point_labels(sys, dknow([0], f))
+        runs = list(sys.runs)
         for p, label in zip(sys.points, labels):
-            same = [q for q in sys.points if epi(sys, q, 0) == epi(sys, p, 0)]
+            same = [q for q in sys.points if epi(runs, q, 0) == epi(runs, p, 0)]
             assert label == kleene_and(truth[q] for q in same), p
 
     def test_distributed_monotone_in_group(self):
@@ -411,23 +409,6 @@ class TestPartitionsOnDemand:
         calls.clear()
         eval_at(sys, (0, 0), f)
         assert sorted(calls) == groups
-
-    def test_first_occurrence_order_computed_once_per_system(self, monkeypatch):
-        grid, sys = flood_system()
-        order = InterpretedSystem.__dict__["config_order"]
-        calls = []
-
-        def counting(frame, compute=order.func):
-            calls.append(frame)
-            return compute(frame)
-
-        monkeypatch.setattr(order, "func", counting)
-        # <> over an atom asks for no partition, so it must not pay for the order
-        valid(sys, parse("<> sp(UX)", symbols(grid, n_robots=2)))
-        assert calls == []
-        for text in ("K[r1] sp(UX)", "K[r2] sp(UX)", "D[{r1,r2}] sp(UX)"):
-            valid(sys, parse(text, symbols(grid, n_robots=2)))
-        assert len(calls) == 1 and calls[0] is sys
 
     def test_valued_copies_give_the_frames_verdicts(self):
         grid, sys = flood_system()
@@ -714,6 +695,7 @@ class PointwiseOracle:
 
     def __init__(self, sys):
         self.sys = sys
+        self.runs = list(sys.runs)  # each read of sys.runs[i] makes a new view
         self.memo = {}  # formula -> point -> value; hashing a formula walks all of it
 
     def values(self, f, points):
@@ -739,13 +721,14 @@ class PointwiseOracle:
             for p in points:
                 if p not in table:  # every member of p's class scans the same points
                     same = [q for q in points
-                            if all(epi(sys, q, r) == epi(sys, p, r) for r in f.group)]
+                            if all(epi(self.runs, q, r) == epi(self.runs, p, r)
+                                   for r in f.group)]
                     table.update(dict.fromkeys(same, kleene_and(sub[q] for q in same)))
             return table
         if isinstance(f, Eventually):
             sub, table = self.table(f.sub), {}
             for run_idx, t in points:
-                run = sys.runs[run_idx]
+                run = self.runs[run_idx]
                 vs = {sub[run_idx, t2] for t2 in reachable_times(run, t)}
                 table[run_idx, t] = (True if True in vs
                                      else None if None in vs or run.is_open else False)
@@ -764,7 +747,7 @@ class PointwiseOracle:
         [v] = self.values(f, [p])
         if v is True and isinstance(f, Eventually):
             run_idx, t = p
-            times = reachable_times(self.sys.runs[run_idx], t)
+            times = reachable_times(self.runs[run_idx], t)
             subs = self.values(f.sub, [(run_idx, t2) for t2 in times])
             return Verdict(TRUE, ((run_idx, times[subs.index(True)]),))
         return Verdict({True: TRUE, False: FALSE, None: UNKNOWN}[v])
@@ -912,49 +895,9 @@ def test_random_formulas_label_as_pointwise_oracle(case):
     assert_labels_match_oracle(case.sys, case.formula, PointwiseOracle(case.sys))
 
 
-def run_lists():
-    """Run lists whose point order differs from the order their table was filled in."""
-    robot, env, placements, schedules = golden_ssync_flood()
-    runs = enumerate_runs(robot, env, placements, schedules)
-    return robot, env, {
-        "reordered": random.Random(5).sample(runs, len(runs)),
-        "subset": runs[12:] + runs[1:12:3],
-    }
-
-
-@pytest.mark.parametrize("name", ["reordered", "subset"])
-def test_frame_from_any_run_list_matches_pointwise_definition(name):
-    robot, env, lists = run_lists()
-    sys = build_interpreted_system(lists[name], env, robot)
-    for group in ([0], [1], [0, 1]):
-        first = {}
-        expected = [first.setdefault(tuple(epi(sys, p, r) for r in group), len(first))
-                    for p in sys.points]
-        assert point_classes(sys, group) == expected, group
-    assert sys.classes == [
-        [tuple(p for p, cid in zip(sys.points, ids) if cid == k) for k in range(max(ids) + 1)]
-        for ids in (point_classes(sys, [r]) for r in (0, 1))]
-    grid, sys = TestS5().install_all_sp((Grid(1, 4), sys))
-    sys = sys.with_atoms({**sys.atoms, **pos_valuation(sys, grid)})
-    oracle = PointwiseOracle(sys)
-    verdicts = set()
-    for f in TestS5().random_formulas(sys, grid, count=20, depth=3, seed=13):
-        assert_labels_match_oracle(sys, f, oracle)
-        verdict = valid(sys, f)
-        assert verdict == oracle.valid(f), f
-        verdicts.add(verdict.value)
-        for p in (sys.points[0], sys.points[-1]):
-            assert eval_at(sys, p, f) == oracle.eval_at(p, f), (f, p)
-    assert verdicts == {TRUE, FALSE, UNKNOWN}
-
-
-@pytest.mark.parametrize("name", sorted(DIFFERENTIAL) + ["reordered", "subset"])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_points_view_matches_the_point_list(name):
-    if name in DIFFERENTIAL:
-        sys = DIFFERENTIAL[name][0]()[1]
-    else:
-        robot, env, lists = run_lists()
-        sys = build_interpreted_system(lists[name], env, robot)
+    sys = DIFFERENTIAL[name][0]()[1]
     expected = [(i, t) for i, run in enumerate(sys.runs) for t in range(len(run.row))]
     points, n = sys.points, len(expected)
     assert len(points) == n and list(points) == expected
@@ -980,10 +923,10 @@ def test_points_view_matches_the_point_list(name):
 
 def class_values(sys, robot, values):
     """Per point, the set of the per-point `values` over the point's class for one robot."""
-    members = {}
+    members, runs = {}, list(sys.runs)
     for p, v in zip(sys.points, values):
-        members.setdefault(epi(sys, p, robot), set()).add(v)
-    return [members[epi(sys, p, robot)] for p in sys.points]
+        members.setdefault(epi(runs, p, robot), set()).add(v)
+    return [members[epi(runs, p, robot)] for p in sys.points]
 
 
 def sweepers():
@@ -1009,8 +952,9 @@ def off_first_open_run(sys):
 def before_loops(sys):
     """a on each closed run before its loop: <> a is FALSE inside the loops and UNKNOWN
     on the open runs."""
+    runs = list(sys.runs)
     return frozenset((i, t) for i, t in sys.points
-                     if sys.runs[i].lasso is not None and t < sys.runs[i].lasso)
+                     if runs[i].lasso is not None and t < runs[i].lasso)
 
 
 @pytest.mark.parametrize("kind", sorted(KNOWLEDGE_OVER_EVENTUALLY))
@@ -1028,14 +972,3 @@ def test_knowledge_of_a_class_with_unknown_points(kind, valuation, mix, value):
     assert labels == list(map(kleene_and, classes))
     mixed = {label for label, members in zip(labels, classes) if members == mix}
     assert mixed == {value}  # the system has such a class, so the case is tested
-
-
-@pytest.mark.parametrize("name", ["subset"])
-def test_knowledge_counts_only_configurations_that_points_have(name):
-    robot, env, lists = run_lists()
-    sys = build_interpreted_system(lists[name], env, robot)
-    assert set(sys.config_of) != set(range(len(sys.configs)))
-    sys = sys.with_atoms({SET_ATOMS[0].key: off_first_open_run(sys)})
-    f = KNOWLEDGE_OVER_EVENTUALLY["per-configuration"]
-    classes = class_values(sys, 0, point_labels(sys, f.sub))
-    assert point_labels(sys, f) == list(map(kleene_and, classes))

@@ -260,6 +260,12 @@ GRID = Grid(1, 4)
      "need 2 initial cells, got 1"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2)[1].make_initial_env([0, 4]),
      "initial cell 4 outside the grid"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1].make_initial_env([1.5]),
+     "initial cell 1.5 is not an int"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1].make_initial_env(["1"]),
+     "initial cell '1' is not an int"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1].make_initial_env([None]),
+     "initial cell None is not an int"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, n_robots=0), "n_robots must be >= 1"),
     (lambda: make_grid_walker(GRID, FULL, "DANCE"), "unknown protocol 'DANCE'"),
     (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, broadcast_period=0),
@@ -275,7 +281,8 @@ GRID = Grid(1, 4)
     (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, strips=[[0, 9]]),
      "strip contains cells outside the grid"),
 ], ids=["visibility", "movement", "memory", "initial-cell-count", "initial-cell-outside",
-        "no-robots", "unknown-protocol", "broadcast-period", "gather-without-rendezvous",
+        "initial-cell-float", "initial-cell-str", "initial-cell-none", "no-robots",
+        "unknown-protocol", "broadcast-period", "gather-without-rendezvous",
         "empty-region", "region-outside", "strip-count", "strip-outside"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:

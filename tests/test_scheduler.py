@@ -242,7 +242,12 @@ class TestValidatePath:
      "n_robots, horizon and fairness_bound must be positive"),
     (lambda: gen_schedules(2, 2, "ASYNC", fairness_bound=1), "unknown synchrony class 'ASYNC'"),
     (lambda: gen_schedules(2, 2, ASYNC_K, fairness_bound=1, k=0), "k must be >= 1"),
-], ids=["repeated-robot", "zero-horizon", "unknown-synchrony", "zero-drift"])
+    (lambda: TimePath(0, ()), "invalid time path: n_robots 0 is not an int >= 1"),
+    (lambda: gen_schedules(2, 3, SSYNC, 2.5), "fairness_bound 2.5 is not an int"),
+    (lambda: gen_schedules(2, 2.0, SSYNC, fairness_bound=3), "horizon 2.0 is not an int"),
+    (lambda: gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1.5), "k 1.5 is not an int"),
+], ids=["repeated-robot", "zero-horizon", "unknown-synchrony", "zero-drift", "no-robots",
+        "float-fairness-bound", "float-horizon", "float-drift"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()
