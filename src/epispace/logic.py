@@ -306,6 +306,8 @@ class _Parser:
 
 def parse(text: str, symbols: Symbols) -> Formula:
     """Parse the documented concrete syntax; reports errors with byte offsets."""
+    if not isinstance(text, str):
+        raise FormulaError(f"formula text {text!r} is not a str")
     p = _Parser(text, symbols)
     f = p.formula()
     p.skip_ws()

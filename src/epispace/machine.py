@@ -28,6 +28,11 @@ class ModelDefinitionError(ValueError):
     component gave a value that must be hashable and is not."""
 
 
+def _is_real(value) -> bool:
+    """Whether `value` is an int or a float, and not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Capabilities:
     visibility: str = "full"            # full | myopic
@@ -39,13 +44,15 @@ class Capabilities:
     def __post_init__(self):
         if self.visibility not in ("full", "myopic"):
             raise ValueError(f"unknown visibility {self.visibility!r}")
-        if self.visibility == "myopic" and not (self.view_radius and self.view_radius > 0):
-            raise ValueError("myopic visibility needs view_radius > 0")
+        if self.visibility == "myopic" and not (_is_real(self.view_radius)
+                                                and self.view_radius > 0):
+            raise ValueError(f"myopic visibility needs view_radius > 0, got {self.view_radius!r}")
         if self.movement not in ("rigid", "non-rigid"):
             raise ValueError(f"unknown movement {self.movement!r}")
         if self.movement == "non-rigid":
-            if self.min_distance is None or not 0 < self.min_distance <= 1:
-                raise ValueError("non-rigid movement needs min_distance in (0,1]")
+            if not (_is_real(self.min_distance) and 0 < self.min_distance <= 1):
+                raise ValueError(f"non-rigid movement needs min_distance in (0,1], "
+                                 f"got {self.min_distance!r}")
         if self.memory not in ("luminous", "oblivious"):
             raise ValueError(f"unknown memory {self.memory!r}")
 
@@ -64,7 +71,9 @@ class RobotMachine:
     an unhashable one raises `ModelDefinitionError`. `step` and `footprint` only
     get an observation that `observe` made: each robot fires its phases in
     M -> L -> C order (`scheduler.fire`), so its COMPUTE follows its own LOOK,
-    never the initial observation `None`.
+    never the initial observation `None`. `observe` runs only on the emission of a
+    robot that LOOKs, so a `table_fn` observe needs no entry for the emissions of
+    robots that do not.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation

@@ -12,12 +12,13 @@ finds the fork, before it walks on along the first successor, so where the
 adversary branches, the runs read run by run may meet a configuration before
 one of lower id. The walk makes a run from every successor it computes, so
 every configuration of the table is at some point of some run. The table
-stores each distinct part once as well: equal `epis`, `obss`, env states and
-explored sets of its configurations are one object, the first stored. Each
-distinct transition (configuration id, step, adversary choice) is computed
-once, from machine calls memoized for the call (`_Transitions` lists their
-keys), builds only the parts its phases change, and looks its configuration up
-once. A step's LOOKs read the env state after its MOVEs.
+numbers each distinct part too, the first stored of equal values: a
+configuration is a tuple of part ids, and `Configs` makes its `StepState`
+when it is read. Each distinct transition (configuration id, step, adversary
+choice) is computed once, from machine calls memoized for the call by the ids
+of their arguments (`_Transitions` lists the memos), changes only the ids its
+phases change, and looks its configuration up once. A step's LOOKs read the
+env state after its MOVEs.
 
 A system is a set of runs, and an adversary choice is no part of a
 configuration: a run is its placement, schedule entry and row, and
@@ -44,7 +45,7 @@ import itertools
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cached_property
 from operator import index, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
@@ -53,7 +54,8 @@ from .scheduler import CapExceededError, TimePath, fire
 
 
 class StepState(NamedTuple):
-    """Semantic state at one step edge; the tuple is its own key in a call's table."""
+    """Semantic state at one step edge, made by `Configs` on each read; compares by value,
+    and is its own `key`."""
 
     epis: tuple
     obss: tuple
@@ -69,7 +71,7 @@ class SystemRun:
     """One run: a row of configuration ids, one per step edge, into `table`.
 
     A view that `Runs` makes on demand: `row` is a copy of the run's slice of the
-    call's `config_of`, and `table` the call's configuration list. So two reads of
+    call's `config_of`, and `table` the call's `Configs` view. So two reads of
     `runs[i]` are equal field by field, but are not the same object. `lasso` is the
     first step of a closed run's loop, which covers steps [lasso, horizon), or None
     for an open run.
@@ -79,12 +81,12 @@ class SystemRun:
     adv_seq: tuple
     init_cells: tuple[int, ...]
     row: array                                   # 'i' ids, len = horizon_steps + 1
-    table: list[StepState] = field(repr=False)
+    table: Sequence[StepState] = field(repr=False)
     lasso: int | None
 
     @property
     def states(self) -> list[StepState]:
-        """The run's configurations, looked up anew on each access."""
+        """The run's configurations, made anew on each access."""
         return list(map(self.table.__getitem__, self.row))
 
     @property
@@ -96,77 +98,147 @@ class SystemRun:
         return self.lasso is None
 
 
+class Configs(Sequence):
+    """The configurations of one `enumerate_runs` call, read off their keys: a read-only
+    sequence whose `configs[cid]` makes configuration `cid`'s `StepState` on each read.
+
+    A configuration's key is a tuple of part ids, `(epi id per robot..., obs id per
+    robot..., env id, explored id)`, into the value lists `epis`, `obss` and `envs`,
+    which hold each distinct value once, the first stored; the walk keeps the explored
+    sets' list, and `explored_of` holds each configuration's explored set, one
+    reference per configuration id, so `InterpretedSystem.explored_at` makes no
+    `StepState`. The view holds only these lists, not the walk's dicts, so those die
+    with the walk.
+    """
+
+    __slots__ = ("keys", "n_robots", "epis", "obss", "envs", "explored_of")
+
+    def __init__(self, n_robots: int):
+        self.keys: list[tuple[int, ...]] = []
+        self.n_robots = n_robots
+        self.epis: list = []
+        self.obss: list = [None]                 # id 0: no LOOK yet
+        self.envs: list = []
+        self.explored_of: list[frozenset[int]] = []
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, cid: int) -> StepState:
+        # an int index only
+        key, n = self.keys[index(cid)], self.n_robots
+        return StepState(tuple(map(self.epis.__getitem__, key[:n])),
+                         tuple(map(self.obss.__getitem__, key[n:2 * n])),
+                         self.envs[key[2 * n]], self.explored_of[cid])
+
+
+def _store(ids: dict, values: list, value) -> int:
+    """The id of `value` in `values`, appending it if no equal value is stored."""
+    vid = ids.setdefault(value, len(values))
+    if vid == len(values):
+        values.append(value)
+    return vid
+
+
+class _Memo(dict):
+    """A memo read by subscript: a missing key's value is `fill(key)`, computed once."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _Transitions:
     """The distinct configurations and transitions of one `enumerate_runs` call.
 
-    `configs` is the call's table: configuration id -> `StepState`, ids given in
-    creation order. Each configuration is one object, both the key of its id in
-    `config_ids` and its entry in `configs`, and it is made of shared parts: `parts`
-    holds one dict per field, value -> the first equal value stored, so a new
-    configuration reuses the `epis`, `obss`, env state and explored set of earlier
-    ones where they are equal. `parts` lives as long as `config_ids`. Steps are
-    numbered too: `plans` maps a step id to the plan `scheduler.fire` gives it, the
-    step's movers, lookers and computers, and `phase_steps` memoizes `fire` by (phase
-    residues, robot set), as the step id and the next residues. `succ` maps each
-    distinct (config id, step id, adversary choice) to the id it leads to; `step`
-    owns it, looking each transition up there and storing each one it computes.
+    `configs` is the call's table, a `Configs` view: configuration id -> key, ids given
+    in creation order, and `config_ids` maps each key back to its id. The parts a key
+    names are numbered as they are first stored, one value list per kind: per-robot
+    epistemic state, per-robot observation, env state, explored set, and action; each
+    list's dict in `ids` maps a value to its id, so equal values are one id, the first
+    stored. Steps are numbered too: `plans` maps a step id to the plan
+    `scheduler.fire` gives it, the step's movers, lookers and computers, and
+    `phase_steps` memoizes `fire` by (phase residues, robot set), as the step id and
+    the next residues. `succ` maps each distinct transition to the configuration id it
+    leads to, keyed by one int that `enumerate_runs` makes of (config id, step id,
+    adversary choice index), since it numbers every step before it walks; the walk
+    looks each transition up there, and stores there each one `step` computes.
 
-    These are the per-call memo keys, the one place they are listed: a new
-    transition is computed from machine calls that are each memoized by their own
-    arguments, `control` by epi, `step` by (epi, obs), `footprint` by (robot, obs),
-    `evolve` by (env state, actions, adversary choice), and `emit_obs` by the (env
-    state, adversary choice) that the LOOK reads. So actions must be hashable;
-    `control` raises `ModelDefinitionError` on one that is not.
+    These are the per-call memos, the one place they are listed: a new transition is
+    computed from machine calls that are each memoized by the ids of their arguments,
+    `controls` by epi id (to an action id), `stepped` by (epi id, obs id) (to an epi
+    id), `footprints` by (robot, obs id), `evolved` by (env id, action ids...,
+    adversary choice) (to an env id), and `emitted` by the (env id, adversary choice)
+    that the LOOK reads; `observe` runs only on the emissions of robots that LOOK, once
+    per (env id, adversary choice, robot). So actions must be hashable; `control`
+    raises `ModelDefinitionError` on one that is not. The memos fill themselves from
+    closures over the value lists, not over the table, so no cycle keeps the table
+    alive once the walk returns.
     """
 
     def __init__(self, robot: RobotMachine, env: EnvMachine):
         self.robot = robot
         self.env = env
-        self.config_ids: dict[StepState, int] = {}
-        # sharing equal parts holds sweep-long's peak RSS at 56.2 MB; without it, 62.4 MB
-        self.parts: tuple[dict, ...] = tuple({} for _ in StepState._fields)
-        self.configs: list[StepState] = []
-        self.succ: dict[tuple, int] = {}
+        self.n_robots = n = env.n_robots
+        self.configs = configs = Configs(n)
+        self.explored: list[frozenset[int]] = []
+        actions: list = [None]                   # id 0: no MOVE
+        # value -> id, per kind: epi, obs, env, explored, action
+        self.ids = ids = ({}, {None: 0}, {}, {}, {None: 0})
+        self.config_ids: dict[tuple, int] = {}
+        self.succ: dict[int, int] = {}
         self.step_ids: dict[tuple, int] = {}
         self.plans: list[tuple] = []
         self.phase_steps: dict[tuple, tuple[int, tuple]] = {}
-        self.compute = cache(robot.step)
-        self.footprint = cache(robot.footprint) if robot.footprint is not None else None
-        self.emit_obs = cache(env.emit_obs)
-        envs = self.parts[2]
 
-        @cache
-        def control(epi):
-            action = robot.control(epi)
+        def control(epi: int) -> int:
+            action = robot.control(configs.epis[epi])
             try:
-                hash(action)
+                return _store(ids[4], actions, action)
             except TypeError:
-                raise ModelDefinitionError(f"control gave the unhashable action {action!r} "
-                                           f"for epistemic state {epi!r}") from None
-            return action
+                raise ModelDefinitionError(f"control gave the unhashable action {action!r} for "
+                                           f"epistemic state {configs.epis[epi]!r}") from None
 
-        @cache
-        def evolve(env_state, actions, adv):
-            moved = env.evolve(env_state, actions, adv)
-            return envs.setdefault(moved, moved)
+        def evolve(move: tuple) -> int:
+            moved = env.evolve(configs.envs[move[0]], tuple(map(actions.__getitem__, move[1:-1])),
+                               move[-1])
+            return _store(ids[2], configs.envs, moved)
 
-        self.control = control
-        self.evolve = evolve
+        def emit(look: tuple) -> list:
+            # each robot's obs id, None until a LOOK reads it, then the emissions
+            return [*(None,) * n, env.emit_obs(configs.envs[look[0]], look[1])]
 
-    def intern(self, state: StepState) -> int:
-        """The id of the configuration `state`, new ones last, in one table lookup.
+        def compute(computing: tuple) -> int:
+            stepped = robot.step(configs.epis[computing[0]], configs.obss[computing[1]])
+            return _store(ids[0], configs.epis, stepped)
 
-        `state`'s parts must already be the ones `parts` stores."""
-        cid = self.config_ids.setdefault(state, len(self.configs))
-        if cid == len(self.configs):
-            self.configs.append(state)
+        def footprint(marking: tuple) -> frozenset[int]:
+            return robot.footprint(marking[0], configs.obss[marking[1]])
+
+        self.controls, self.evolved, self.emitted, self.stepped, self.footprints = map(
+            _Memo, (control, evolve, emit, compute, footprint))
+
+    def intern(self, key: tuple) -> int:
+        """The id of the configuration `key`, new ones last, in one table lookup."""
+        configs = self.configs
+        cid = self.config_ids.setdefault(key, len(configs.keys))
+        if cid == len(configs.keys):
+            configs.keys.append(key)
+            configs.explored_of.append(self.explored[key[-1]])
         return cid
 
     def initial(self, init_cells: Sequence[int]) -> int:
-        n = self.env.n_robots
-        epis = tuple(self.robot.initial_epi(r) for r in range(n))
-        state = (epis, (None,) * n, self.env.make_initial_env(init_cells), frozenset())
-        return self.intern(StepState._make(map(dict.setdefault, self.parts, state, state)))
+        n, configs = self.n_robots, self.configs
+        epis = [_store(self.ids[0], configs.epis, self.robot.initial_epi(r)) for r in range(n)]
+        env_state = self.env.make_initial_env(init_cells)
+        return self.intern((*epis, *(0,) * n, _store(self.ids[2], configs.envs, env_state),
+                            _store(self.ids[3], self.explored, frozenset())))
 
     def phase_step(self, residues: tuple, robots: tuple) -> tuple[int, tuple]:
         """The step id of `robots` firing at phase `residues`, and the residues after it:
@@ -174,52 +246,45 @@ class _Transitions:
         found = self.phase_steps.get((residues, robots))
         if found is None:
             plan, after = fire(residues, robots)
-            sid = self.step_ids.setdefault(plan, len(self.plans))
-            if sid == len(self.plans):
-                self.plans.append(plan)
-            found = self.phase_steps[residues, robots] = (sid, after)
+            found = self.phase_steps[residues, robots] = (_store(self.step_ids, self.plans, plan),
+                                                          after)
         return found
 
     def step(self, cid: int, sid: int, adv) -> int:
         """The transition function: one global step, step id `sid`, from configuration `cid`.
 
-        Builds only the parts the step changes, each stored through its `parts` dict
-        where it is made: a MOVE a new env state, a LOOK new `obss`, a COMPUTE new
-        `epis`, and a new explored set when a footprint adds a cell. The other parts
-        are the source configuration's own objects. Each distinct (`cid`, `sid`, `adv`)
-        is computed once: `step` looks it up in `succ` and stores what it computes."""
-        if (nxt := self.succ.get(key := (cid, sid, adv))) is not None:
-            return nxt
-        epis, obss, env_state, explored = self.configs[cid]
+        Changes only the ids of the parts the step changes: a MOVE the env id, a LOOK
+        the lookers' obs ids, a COMPUTE the computers' epi ids, and the explored id
+        when a footprint adds a cell. Each distinct (`cid`, `sid`, `adv`) is computed
+        once: the walk looks it up in `succ`, and calls `step` only on a miss."""
+        n = self.n_robots
+        key = self.configs.keys[cid]
+        new = list(key)
         movers, lookers, computers = self.plans[sid]
-
         if movers:
-            actions: list = [None] * self.env.n_robots
+            actions = [0] * n
             for r in movers:
-                actions[r] = self.control(epis[r])
-            env_state = self.evolve(env_state, tuple(actions), adv)
+                actions[r] = self.controls[key[r]]
+            new[-2] = self.evolved[(key[-2], *actions, adv)]
         if lookers:
-            raws = self.emit_obs(env_state, adv)
-            seen = list(obss)
+            seen = self.emitted[new[-2], adv]
             for r in lookers:
-                seen[r] = self.robot.observe(raws[r])
-            obss = tuple(seen)
-            obss = self.parts[1].setdefault(obss, obss)
+                if (obs := seen[r]) is None:
+                    obs = seen[r] = _store(self.ids[1], self.configs.obss,
+                                           self.robot.observe(seen[-1][r]))
+                new[n + r] = obs
         if computers:
-            grown = explored
-            stepped = list(epis)
+            explored = grown = self.explored[key[-1]]
             for r in computers:
-                stepped[r] = self.compute(epis[r], obss[r])
-                if self.footprint is not None:
-                    cells = self.footprint(r, obss[r])
+                obs = new[n + r]
+                new[r] = self.stepped[key[r], obs]
+                if self.robot.footprint is not None:
+                    cells = self.footprints[r, obs]
                     if not cells <= grown:
                         grown = grown | cells
-            epis = tuple(stepped)
-            epis = self.parts[0].setdefault(epis, epis)
             if grown is not explored:
-                explored = self.parts[3].setdefault(grown, grown)
-        return self.succ.setdefault(key, self.intern(
-            tuple.__new__(StepState, (epis, obss, env_state, explored))))
+                new[-1] = _store(self.ids[3], self.explored, grown)
+        return self.intern(tuple(new))
 
 
 def _common_prefix(a: Sequence, b: Sequence) -> int:
@@ -250,7 +315,7 @@ class Runs(Sequence):
 
     __slots__ = ("configs", "config_of", "length", "paths", "adv_seqs", "inits", "lassos")
 
-    def __init__(self, configs: list[StepState], length: int):
+    def __init__(self, configs: Configs, length: int):
         self.configs = configs
         self.config_of = array("i")
         self.length = length
@@ -305,38 +370,58 @@ def enumerate_runs(
             raise ValueError("paths of different lengths")
     table = _Transitions(robot, env)
     runs = Runs(table.configs, schedules[0].horizon_steps + 1 if schedules else 1)
-    step = table.step
+    step, succ, succ_get = table.step, table.succ, table.succ.get
     first, *rest = env.adversary_choices
     steps: tuple = ()                            # the current path's steps
     sids: list[int] = []                         # and their step ids
     residues = [(0,) * env.n_robots]             # phase residues (phases fired per robot, mod 3)
+    # each path's steps fired once per call, not once per placement: per path, the prefix
+    # it shares with the path before it, and where its step ids and residues after that
+    # prefix end in `fired_sids` and `fired_residues`
+    shares, ends, fired_sids, fired_residues = array("i"), array("i"), array("i"), []
+    for path in schedules:
+        shared = _common_prefix(steps, path.steps)
+        steps = path.steps
+        del residues[shared + 1:]
+        for robots in steps[shared:]:
+            sid, after = table.phase_step(residues[-1], robots)
+            fired_sids.append(sid)
+            fired_residues.append(after)
+            residues.append(after)
+        shares.append(shared)
+        ends.append(len(fired_sids))
     seqs: dict[tuple, tuple] = {}                # adv_seq -> the first equal tuple made
+    # a transition's key in succ: (cid * n_sids + sid) * n_adv + the choice's index
+    n_sids, n_adv = len(table.plans), len(env.adversary_choices)
     for init in init_cells:
         init = tuple(init)
         row = array("i", [table.initial(init)])  # the current run's configuration ids
         seq: list = []                           # and adversary choices
         unforked = 0                             # its steps before its first forked choice
-        for path in schedules:
-            shared = _common_prefix(steps, path.steps)
-            steps = path.steps
+        begin = 0
+        for path, shared, end in zip(schedules, shares, ends):
             del sids[shared:], residues[shared + 1:]
-            for robots in steps[shared:]:
-                sid, after = table.phase_step(residues[-1], robots)
-                sids.append(sid)
-                residues.append(after)
+            sids += fired_sids[begin:end]
+            residues += fired_residues[begin:end]
+            begin = end
             start = min(shared, unforked)
             del row[start + 1:], seq[start:]
             cid = row[start]
-            unforked = len(steps)
+            unforked = len(sids)
             forks: list[tuple] = []              # (step, successor, choice), next to walk on top
             while True:
                 for t, sid in enumerate(sids[start:], start):
-                    nxt = step(cid, sid, first)
+                    trans = (cid * n_sids + sid) * n_adv
+                    if (nxt := succ_get(trans)) is None:
+                        nxt = succ[trans] = step(cid, sid, first)
                     if rest:
                         # each distinct successor with its first choice; all but nxt stacked
                         successors = {nxt: first}
                         for adv in rest:
-                            successors.setdefault(step(cid, sid, adv), adv)
+                            trans += 1
+                            if (other := succ_get(trans)) is None:
+                                other = succ[trans] = step(cid, sid, adv)
+                            successors.setdefault(other, adv)
                         forks.extend((t, *fork) for fork in reversed([*successors.items()][1:]))
                     cid = nxt
                     row.append(cid)
@@ -387,30 +472,33 @@ class Points(Sequence):
         return itertools.product(range(self.n_runs), range(self.length))
 
     def __contains__(self, point) -> bool:
-        """Whether `point` is a pair of integers that names a point of the frame."""
+        """Whether `point` is a pair of ints, not bools, that names a point of the frame."""
         try:
-            run, t = map(index, point)
+            run, t = point
         except (TypeError, ValueError):
             return False
-        return 0 <= run < self.n_runs and 0 <= t < self.length
+        return (type(run) is int and type(t) is int
+                and 0 <= run < self.n_runs and 0 <= t < self.length)
 
     def index(self, point: Point) -> int:
         """The position of `point`; ValueError if it is no point of the frame."""
         if point not in self:
             raise ValueError(f"point {point!r} outside the system")
-        run, t = map(index, point)
+        run, t = point
         return run * self.length + t
 
     def indicator(self, points: Iterable[Point]) -> bytearray:
         """Per position, one byte: 1 if its point is one of `points`, else 0. ValueError
-        names the first of them that is no point of the frame: its run index is out of
-        range, its t negative, or its t past the rows' end."""
+        names the first of them that is no point of the frame: not a pair of ints, its
+        run index out of range, its t negative, or its t past the rows' end."""
         n_runs, length = self.n_runs, self.length
         marks = bytearray(len(self))
-        # the bounds test inline, not through `index`: 5.4 against 10.2 ms on ssync-flood's
-        # atom, 16.5 against 28.1 ms on sweep-long's (CPython 3.11, shared 2-vCPU VM)
+        # the test inline, not through `in`: the bounds alone took 5.4 against 10.2 ms on
+        # ssync-flood's atom, 16.5 against 28.1 ms on sweep-long's, and the type test
+        # adds 1.0 and 2.6 ms (CPython 3.11, shared 2-vCPU VM)
         for run, t in points:
-            if not (0 <= run < n_runs and 0 <= t < length):
+            if not (type(run) is int and type(t) is int
+                    and 0 <= run < n_runs and 0 <= t < length):
                 raise ValueError(f"point {(run, t)!r} outside the system")
             marks[run * length + t] = 1
         return marks
@@ -421,11 +509,11 @@ class InterpretedSystem:
     """Runs, their points and configurations, and the atom valuation.
 
     `runs` is one `enumerate_runs` call's `Runs`, and `configs` and `config_of` are
-    its table and id array, the same objects. A point is its position: the runs'
-    rows, all of one length H + 1, lie end to end, so run i's point at time t sits
-    at `i * (H + 1) + t`, and its configuration is `configs[config_of[i * (H + 1) +
-    t]]`. `config_of` is the only per-point storage; `points` names the positions as
-    (run, t) when asked. Every configuration id names a configuration that some
+    its `Configs` view and id array, the same objects. A point is its position: the
+    runs' rows, all of one length H + 1, lie end to end, so run i's point at time t
+    sits at `i * (H + 1) + t`, and its configuration is `configs[config_of[i * (H +
+    1) + t]]`. `config_of` is the only per-point storage; `points` names the
+    positions as (run, t) when asked. Every configuration id names a configuration that some
     point has. The frame stores no partition: `config_classes` numbers a group's
     classes per configuration on each call. `atom_labels` keeps, per atom key, the
     point set `atoms` held when `logic` labelled the atom and the labels it made
@@ -436,7 +524,7 @@ class InterpretedSystem:
     runs: Runs
     env_machine: EnvMachine
     robot_machine: RobotMachine
-    configs: list[StepState]
+    configs: Configs
     config_of: array                         # 'i': configuration id per position
     atoms: dict[Hashable, frozenset[Point]] = field(default_factory=dict)
 
@@ -474,7 +562,7 @@ class InterpretedSystem:
         # the run index's upper bound is tested by the lookup's own IndexError
         if run_idx >= 0 and 0 <= t < length:
             try:
-                return self.configs[self.config_of[run_idx * length + t]].explored
+                return self.configs.explored_of[self.config_of[run_idx * length + t]]
             except IndexError:
                 pass
         raise ValueError(f"point {point!r} outside the system")
@@ -485,12 +573,13 @@ class InterpretedSystem:
         return replace(self, atoms=atoms)
 
 
-def _number_classes(configs: list[StepState], group: Sequence[int]) -> list[int]:
+def _number_classes(configs: Configs, group: Sequence[int]) -> list[int]:
     """Class id per configuration id, numbered in id order: configurations share an id
-    when they give every robot of the group the same epistemic state."""
+    when they give every robot of the group the same epistemic state, that is the same
+    epi id, read off their keys."""
     key = itemgetter(*group)
     numbering: dict[Hashable, int] = {}
-    return [numbering.setdefault(key(state.epis), len(numbering)) for state in configs]
+    return [numbering.setdefault(key(k), len(numbering)) for k in configs.keys]
 
 
 def build_interpreted_system(runs: Runs, env_machine: EnvMachine,

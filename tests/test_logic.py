@@ -228,8 +228,9 @@ SYMBOLS = symbols(Grid(1, 4), n_robots=2, regions={"U1": frozenset({0, 1})})
     (lambda: parse("pos[r1](x3)", SYMBOLS), FormulaError,
      "expected a cell like c3, got 'x3' (at offset 8)"),
     (lambda: valid(sweep_system()[1], "sp(UX)"), TypeError, "not a formula: 'sp(UX)'"),
+    (lambda: parse(b"sp(U1)", SYMBOLS), FormulaError, "formula text b'sp(U1)' is not a str"),
 ], ids=["empty-conjunction", "unclosed-parenthesis", "knowledge-without-name",
-        "unknown-region", "cell-without-c", "valid-on-text"])
+        "unknown-region", "cell-without-c", "valid-on-text", "parse-bytes"])
 def test_named_errors(call, kind, message):
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
         call()
@@ -284,8 +285,10 @@ class TestEval:
         with pytest.raises(UnknownAtomError):
             eval_at(sys, (0, 0), Atom(("nonsense",), "nonsense"))
 
-    @pytest.mark.parametrize("bad", [(1, 0), (-1, 0), (0, -1), (0, 19)],
-                             ids=["run-past-runs", "negative-run", "negative-t", "t-past-row"])
+    @pytest.mark.parametrize("bad", [(1, 0), (-1, 0), (0, -1), (0, 19),
+                                     (0.5, 0), ("0", 0), (0, True)],
+                             ids=["run-past-runs", "negative-run", "negative-t", "t-past-row",
+                                  "float-run", "str-run", "bool-t"])
     def test_atom_point_outside_system_rejected(self, bad):
         # the sweep has one run of 19 points; each bad point's position would land
         # inside or just past the labels if it were not checked
@@ -911,7 +914,7 @@ def test_points_view_matches_the_point_list(name):
     assert not any(p in points for p in past_rows)
     # and no value that is not a (run, t) pair of integers
     for p in [(len(sys.runs), 0), (-1, 0), (0, -1), past_rows[0], past_rows[-1],
-              5, "ab", None, (0,), (0, 0, 0), (0.5, 0), ("0", 0)]:
+              5, "ab", None, (0,), (0, 0, 0), (0.5, 0), ("0", 0), (0, True)]:
         assert p not in points
         with pytest.raises(ValueError, match=rf"^point {re.escape(repr(p))} outside the system$"):
             points.index(p)

@@ -256,6 +256,12 @@ GRID = Grid(1, 4)
     (lambda: Capabilities(visibility="blind"), "unknown visibility 'blind'"),
     (lambda: Capabilities(movement="teleport"), "unknown movement 'teleport'"),
     (lambda: Capabilities(memory="amnesiac"), "unknown memory 'amnesiac'"),
+    (lambda: Capabilities(visibility="myopic", view_radius="1"),
+     "myopic visibility needs view_radius > 0, got '1'"),
+    (lambda: Capabilities(visibility="myopic", view_radius=True),
+     "myopic visibility needs view_radius > 0, got True"),
+    (lambda: Capabilities(movement="non-rigid", min_distance="0.5"),
+     "non-rigid movement needs min_distance in (0,1], got '0.5'"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2)[1].make_initial_env([0]),
      "need 2 initial cells, got 1"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2)[1].make_initial_env([0, 4]),
@@ -280,7 +286,8 @@ GRID = Grid(1, 4)
      "need one strip per robot"),
     (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, strips=[[0, 9]]),
      "strip contains cells outside the grid"),
-], ids=["visibility", "movement", "memory", "initial-cell-count", "initial-cell-outside",
+], ids=["visibility", "movement", "memory", "radius-str", "radius-bool", "min-distance-str",
+        "initial-cell-count", "initial-cell-outside",
         "initial-cell-float", "initial-cell-str", "initial-cell-none", "no-robots",
         "unknown-protocol", "broadcast-period", "gather-without-rendezvous",
         "empty-region", "region-outside", "strip-count", "strip-outside"])

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import random
 import re
 import tracemalloc
+import weakref
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, replace
 
@@ -159,7 +161,8 @@ class TestSimulate:
         fields = run_fields([run])
         assert run_fields([copy]) == fields
         assert run_fields([replace(run, lasso=None)]) != fields
-        assert run_fields([replace(run, table=[*run.table[:-1], run.states[0]])]) != fields
+        # the table is a view that makes its states on each read: list it to slice it
+        assert run_fields([replace(run, table=[*list(run.table)[:-1], run.states[0]])]) != fields
 
     def test_frozen_robot_rule(self):
         grid = Grid(1, 4)
@@ -311,9 +314,21 @@ class TestEnumerate:
                  for state, step, adv in moving}
         assert len(calls) == len(set(calls)) == len(moves) < len(moving)
         assert set(calls) == moves
-        states = {id(state) for run in runs for state in run.states}
+        # a configuration is its key of part ids: equal configurations, equal keys
+        keys = {runs.configs.keys[cid] for cid in runs.config_of}
         configs = {state for run in runs for state in run.states}
-        assert len(states) == len(configs) == 1031
+        assert len(keys) == len(configs) == len(runs.configs) == 1031
+
+    def test_observe_reads_only_the_emissions_of_robots_that_look(self):
+        # robot 1 never fires, so its emission, which observe has no entry for, is never read
+        robot = RobotMachine(observe=table_fn({"seen": "o"}, "observe"), step=lambda epi, obs: epi,
+                             control=lambda epi: None, light=lambda epi: None,
+                             initial_epi=lambda r: r)
+        env = EnvMachine(n_robots=2, evolve=lambda state, actions, adv: state,
+                         emit_obs=lambda state, adv: ("seen", "unseen"),
+                         make_initial_env=lambda cells: 0)
+        run, = enumerate_runs(robot, env, [[0, 0]], [TimePath(2, ((0,), (0,), (0,)))])
+        assert [state.obss for state in run.states] == [(None, None)] * 2 + [("o", None)] * 2
 
     def test_unhashable_action_named(self):
         robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
@@ -677,38 +692,65 @@ def test_golden_traces(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_tables_store_each_part_once(name):
+    # a configuration is a key of part ids into value lists that hold each value once,
+    # so equal parts are one id and one object; equal explored sets are one object too
     runs, _ = golden_runs(name)
-    table = runs[0].table
-    assert all(run.table is table for run in runs)
-    for field_name in StepState._fields:
-        first = {}
-        assert all(first.setdefault(part, part) is part
-                   for part in (getattr(state, field_name) for state in table)), field_name
+    configs = runs.configs
+    assert all(run.table is configs for run in runs)
+    for values in (configs.keys, configs.epis, configs.obss, configs.envs):
+        assert len(set(values)) == len(values)
+    first = {}
+    assert all(first.setdefault(cells, cells) is cells for cells in configs.explored_of)
+    assert [state.explored for state in configs] == configs.explored_of
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_one_table_lookup_per_computed_transition(monkeypatch, name):
-    # each placement and each distinct (configuration, step, adversary choice) hashes
-    # the configuration it reaches once, whether that configuration is new or known
+    # each placement and each distinct (configuration, step, adversary choice) looks the
+    # key of the configuration it reaches up once, whether that configuration is new or
+    # known; a key is a tuple of part ids
     robot, env, placements, schedules = GOLDEN[name][0]()
-    hashes = []
+    lookups = []
 
-    class CountingState(StepState):
-        __slots__ = ()
+    class CountingIds(dict):
+        def setdefault(self, key, default=None):
+            lookups.append(key)
+            return super().setdefault(key, default)
 
-        def __hash__(self):
-            hashes.append(None)
-            return tuple.__hash__(self)
+    init = runs_module._Transitions.__init__
 
-    monkeypatch.setattr(runs_module, "StepState", CountingState)
+    def counting_init(self, *args):
+        init(self, *args)
+        self.config_ids = CountingIds()
+
+    monkeypatch.setattr(runs_module._Transitions, "__init__", counting_init)
     runs = enumerate_runs(robot, env, placements, schedules)
-    n_hashes = len(hashes)
-    assert all(type(state) is CountingState for state in runs[0].table)
+    assert all(type(key) is tuple and all(type(i) is int for i in key) for key in lookups)
+    assert len(set(lookups)) == len(runs.configs)
     # the walk tries every adversary choice at each (configuration, step) it walks
     transitions = {(run.row[t], tuple(sorted(act.items())), adv)
                    for run in runs for t, act in enumerate(phase_maps(run.path))
                    for adv in env.adversary_choices}
-    assert n_hashes == len(placements) + len(transitions)
+    assert len(lookups) == len(placements) + len(transitions)
+
+
+def test_configuration_view_outlives_the_walk_alone(monkeypatch):
+    # once enumerate_runs returns, its configurations are the key list and value lists:
+    # the walk's dicts (configuration ids, transitions, memos) are garbage
+    tables = []
+    init = runs_module._Transitions.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        tables.append(weakref.ref(self))
+
+    monkeypatch.setattr(runs_module._Transitions, "__init__", recording_init)
+    runs, _ = golden_runs("kasync-flood")
+    assert [table() for table in tables] == [None]
+    # its slots, besides its class
+    referents = [x for x in gc.get_referents(runs.configs) if x is not runs_module.Configs]
+    assert referents and not any(isinstance(x, dict) for x in referents)
+    assert {type(x) for x in referents} == {list, int}
 
 
 def brute_lasso(run):
