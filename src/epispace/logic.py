@@ -29,6 +29,7 @@ from itertools import compress, count, islice
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .runs import InterpretedSystem, Point, config_classes
+from .space import check_count
 
 TRUE = "TRUE"
 FALSE = "FALSE"
@@ -122,11 +123,11 @@ def box(f: Formula) -> Formula:
 
 
 def dknow(group: Iterable[int], f: Formula) -> Formula:
-    return DKnow(tuple(sorted(set(group))), f)
+    return DKnow(tuple(sorted({check_count("robot", r, 0) for r in group})), f)
 
 
 def everyone(robots: Iterable[int], f: Formula) -> Formula:
-    return conj([DKnow((r,), f) for r in sorted(robots)])
+    return conj([DKnow((r,), f) for r in sorted(check_count("robot", r, 0) for r in robots)])
 
 
 def sp_atom(cells: frozenset[int], label: str | None = None) -> Atom:
@@ -142,19 +143,20 @@ def pos_atom(robot: int, cell: int) -> Atom:
 
 @dataclass(frozen=True)
 class Symbols:
-    """Name resolution context for the parser."""
+    """Name resolution context for the parser: robot ids are ints >= 0, and region
+    cells ints below `n_cells`, itself an int >= 1."""
 
     robots: dict[str, int]
     regions: dict[str, frozenset[int]]
     n_cells: int
 
     def __post_init__(self):
+        check_count("n_cells", self.n_cells, 1)
         for name, r in self.robots.items():
-            if type(r) is not int or r < 0:
-                raise ValueError(f"robot {name!r}: id {r!r} is not an int >= 0")
+            check_count(f"robot {name!r}: id", r, 0)
         for name, cells in self.regions.items():
-            if not set(cells) <= set(range(self.n_cells)):
-                raise ValueError(f"region {name!r} has a cell outside 0..{self.n_cells - 1}")
+            for c in cells:
+                check_count(f"region {name!r}: cell", c, 0, self.n_cells)
 
 
 # Each level of parentheses costs the recursive-descent parser five Python frames.
@@ -308,6 +310,8 @@ def parse(text: str, symbols: Symbols) -> Formula:
     """Parse the documented concrete syntax; reports errors with byte offsets."""
     if not isinstance(text, str):
         raise FormulaError(f"formula text {text!r} is not a str")
+    if not isinstance(symbols, Symbols):
+        raise FormulaError(f"symbols {symbols!r} are not a Symbols")
     p = _Parser(text, symbols)
     f = p.formula()
     p.skip_ws()

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .space import DIST_TOL, Grid
+from .space import DIST_TOL, Grid, check_count
 
 EXPLORE_SWEEP = "EXPLORE_SWEEP"
 FLOOD_EXPLORE = "FLOOD_EXPLORE"
@@ -171,10 +171,7 @@ def _make_env(grid: Grid, caps: Capabilities, n_robots: int, robot: RobotMachine
         if len(cells) != n_robots:
             raise ValueError(f"need {n_robots} initial cells, got {len(cells)}")
         for c in cells:
-            if not isinstance(c, int):
-                raise ValueError(f"initial cell {c!r} is not an int")
-            if not 0 <= c < grid.n_cells:
-                raise ValueError(f"initial cell {c} outside the grid")
+            check_count("initial cell", c, 0, grid.n_cells)
         return tuple((c, robot.light(robot.initial_epi(rid))) for rid, c in enumerate(cells))
 
     return EnvMachine(
@@ -219,9 +216,11 @@ def make_grid_walker(
     rendezvous: pairwise-disjoint candidate regions (gathering protocols).
     broadcast_period: FLOOD_EXPLORE publishes its known region on every
     broadcast_period-th COMPUTE; 1 is flooding proper.
+    `n_robots` and `broadcast_period` are ints >= 1, and each strip or rendezvous cell
+    that the protocol reads an int of the grid; ValueError names the first that is not.
     """
-    if n_robots < 1:
-        raise ValueError("n_robots must be >= 1")
+    check_count("n_robots", n_robots, 1)
+    check_count("broadcast_period", broadcast_period, 1)
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     # flood publishes what it knows in its light; gather keeps its chosen region
@@ -231,16 +230,15 @@ def make_grid_walker(
     if protocol == EXPLORE_SWEEP:
         program = _build_sweep(grid, caps, n_robots, strips, flood=False, period=1)
     elif protocol == FLOOD_EXPLORE:
-        if broadcast_period < 1:
-            raise ValueError("broadcast_period must be >= 1")
         program = _build_sweep(grid, caps, n_robots, strips, flood=True, period=broadcast_period)
     else:
         if rendezvous is None:
             raise ValueError(f"{protocol} needs rendezvous regions")
-        regions = [frozenset(r) for r in rendezvous]
+        regions = [frozenset(check_count(f"rendezvous region {i} cell", c, 0, grid.n_cells)
+                             for c in r) for i, r in enumerate(rendezvous)]
         for i, u in enumerate(regions):
-            if not u or not u <= set(grid.all_cells()):
-                raise ValueError(f"rendezvous region {i} empty or outside the grid")
+            if not u:
+                raise ValueError(f"rendezvous region {i} is empty")
             for v in regions[i + 1:]:
                 if u & v:
                     raise ValueError("rendezvous regions must be pairwise disjoint")
@@ -250,14 +248,11 @@ def make_grid_walker(
 
 
 def _build_sweep(grid, caps, n_robots, strips, flood, period):
-    strip_list = (
-        [tuple(sorted(s)) for s in strips] if strips is not None else _default_strips(grid, n_robots)
-    )
+    strip_list = _default_strips(grid, n_robots) if strips is None else [
+        tuple(sorted(check_count(f"strip {i} cell", c, 0, grid.n_cells) for c in s))
+        for i, s in enumerate(strips)]
     if len(strip_list) != n_robots:
         raise ValueError("need one strip per robot")
-    for s in strip_list:
-        if not set(s) <= set(grid.all_cells()):
-            raise ValueError("strip contains cells outside the grid")
     oblivious = caps.memory == "oblivious"
 
     # epi: (rid, pos | None, known region, compute counter mod period, published region)

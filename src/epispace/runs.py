@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import index, itemgetter, ne
@@ -51,6 +51,7 @@ from typing import Hashable, Iterable, NamedTuple
 
 from .machine import EnvMachine, ModelDefinitionError, RobotMachine
 from .scheduler import CapExceededError, TimePath, fire
+from .space import check_count
 
 
 class StepState(NamedTuple):
@@ -357,13 +358,17 @@ def enumerate_runs(
     and phase residues both repeat, and the run's `lasso` is the window's start.
     Making run `cap` + 1 raises CapExceededError, an empty `env.adversary_choices`
     ModelDefinitionError, and paths of different lengths, whose runs no position
-    arithmetic could lay end to end, ValueError. `schedules` is read once, so it may
-    be an iterator.
+    arithmetic could lay end to end, ValueError, as do a `cap` that is not an int >= 0,
+    a schedule entry that is not a `TimePath` and a placement that is not a sequence.
+    `schedules` is read once, so it may be an iterator.
     """
     if not env.adversary_choices:
         raise ModelDefinitionError("env.adversary_choices is empty, so no step has a successor")
+    check_count("cap", cap, 0)
     schedules = list(schedules)
     for path in schedules:
+        if not isinstance(path, TimePath):
+            raise ValueError(f"schedule entry {path!r} is not a TimePath")
         if path.n_robots != env.n_robots:
             raise ValueError("path and environment disagree on the robot count")
         if path.horizon_steps != schedules[0].horizon_steps:
@@ -394,6 +399,8 @@ def enumerate_runs(
     # a transition's key in succ: (cid * n_sids + sid) * n_adv + the choice's index
     n_sids, n_adv = len(table.plans), len(env.adversary_choices)
     for init in init_cells:
+        if not isinstance(init, Sequence):
+            raise ValueError(f"placement {init!r} is not a sequence of cells")
         init = tuple(init)
         row = array("i", [table.initial(init)])  # the current run's configuration ids
         seq: list = []                           # and adversary choices
@@ -462,11 +469,8 @@ class Points(Sequence):
         return self.n_runs * self.length
 
     def __getitem__(self, k: int) -> Point:
-        n = len(self)
-        k = index(k)
-        if not -n <= k < n:
-            raise IndexError(f"point position {k} out of range for {n} points")
-        return divmod(k % n, self.length)
+        # an int index only; IndexError past either end
+        return divmod(range(len(self))[index(k)], self.length)
 
     def __iter__(self) -> Iterator[Point]:
         return itertools.product(range(self.n_runs), range(self.length))
@@ -487,7 +491,7 @@ class Points(Sequence):
         run, t = point
         return run * self.length + t
 
-    def indicator(self, points: Iterable[Point]) -> bytearray:
+    def indicator(self, points: Collection[Point]) -> bytearray:
         """Per position, one byte: 1 if its point is one of `points`, else 0. ValueError
         names the first of them that is no point of the frame: not a pair of ints, its
         run index out of range, its t negative, or its t past the rows' end."""
@@ -496,12 +500,17 @@ class Points(Sequence):
         # the test inline, not through `in`: the bounds alone took 5.4 against 10.2 ms on
         # ssync-flood's atom, 16.5 against 28.1 ms on sweep-long's, and the type test
         # adds 1.0 and 2.6 ms (CPython 3.11, shared 2-vCPU VM)
-        for run, t in points:
-            if not (type(run) is int and type(t) is int
-                    and 0 <= run < n_runs and 0 <= t < length):
-                raise ValueError(f"point {(run, t)!r} outside the system")
-            marks[run * length + t] = 1
-        return marks
+        try:
+            for run, t in points:
+                if not (type(run) is int and type(t) is int
+                        and 0 <= run < n_runs and 0 <= t < length):
+                    break
+                marks[run * length + t] = 1
+            else:
+                return marks
+        except (TypeError, ValueError):  # a value that is not a pair
+            pass
+        raise ValueError(f"point {next(p for p in points if p not in self)!r} outside the system")
 
 
 @dataclass
@@ -556,15 +565,21 @@ class InterpretedSystem:
         return out
 
     def explored_at(self, point: Point) -> frozenset[int]:
-        """The explored set at `point`; ValueError if it is no point of the frame."""
-        run_idx, t = point
+        """The explored set at `point`; ValueError if it is no point of the frame.
+
+        A bool in a pair of ints is taken as the int it equals, so `(0, True)` is
+        `(0, 1)`: a type test per point, 1.0 ms per 17,881 points in
+        `Points.indicator`, would add about 5 ms to the ~18 ms that the bench's
+        per-point valuation takes on ssync-flood's 96,228 points."""
         length = self.runs.length
-        # the run index's upper bound is tested by the lookup's own IndexError
-        if run_idx >= 0 and 0 <= t < length:
-            try:
+        # the run index's upper bound is tested by the lookup's own IndexError, and a
+        # float or str coordinate fails a comparison or the lookup
+        try:
+            run_idx, t = point
+            if run_idx >= 0 and 0 <= t < length:
                 return self.configs.explored_of[self.config_of[run_idx * length + t]]
-            except IndexError:
-                pass
+        except (IndexError, TypeError, ValueError):
+            pass
         raise ValueError(f"point {point!r} outside the system")
 
     def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
@@ -597,12 +612,9 @@ def build_interpreted_system(runs: Runs, env_machine: EnvMachine,
 def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:
     """The group's indistinguishability classes, as a list of class ids indexed by
     configuration id, numbered in id order. Each call numbers the classes anew."""
-    group = sorted(set(group))
+    group = sorted({check_count("robot", r, 0, sys.n_robots) for r in group})
     if not group:
         raise ValueError("distributed knowledge needs a nonempty group")
-    for r in group:
-        if not 0 <= r < sys.n_robots:
-            raise ValueError(f"robot {r} outside the system")
     return _number_classes(sys.configs, group)
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from .space import check_count
+
 PHASES = ("M", "L", "C")
 
 FSYNC = "FSYNC"
@@ -37,7 +39,8 @@ class TimePath:
 
     `n_robots` is an int >= 1, and `steps[t]` the sorted tuple of the distinct
     robots activated at step t; the constructor takes any tuple or frozenset of
-    robot ids and sorts it.
+    robot ids, ints and not bools, and sorts it. It checks each distinct step once,
+    so a step equal to an earlier one, such as `(1.0,)` after `(1,)`, becomes it.
     Every activated robot fires the next phase of its M -> L -> C cycle, so the
     steps fix each phase (`fire`) and no step can break the cycle order.
     """
@@ -46,8 +49,7 @@ class TimePath:
     steps: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.n_robots, int) or self.n_robots < 1:
-            raise ValueError(f"invalid time path: n_robots {self.n_robots!r} is not an int >= 1")
+        check_count("invalid time path: n_robots", self.n_robots, 1)
         steps = tuple(self.steps)
         try:
             distinct = dict.fromkeys(steps)
@@ -91,7 +93,7 @@ def _step_problem(n_robots: int, step) -> str | None:
         return f"{step!r} is not a tuple or frozenset of robot ids"
     if not step:
         return "empty participating set"
-    if not all(isinstance(r, int) and 0 <= r < n_robots for r in step):
+    if not all(type(r) is int and 0 <= r < n_robots for r in step):
         return f"robot ids {step!r} are not all ints in 0..{n_robots - 1}"
     if len(set(step)) < len(step):
         return f"robot ids {step!r} repeat"
@@ -118,25 +120,21 @@ def gen_schedules(
     order of their moves, robot sets ordered by size, then by their robots, and
     each is the walk's robot sets, one per step.
 
-    `n_robots`, `horizon`, `fairness_bound` and `k` must be ints; ValueError names
-    the first that is not. `cap` counts generated paths for every class:
-    generating path cap + 1 raises CapExceededError. Reaching the cap costs up to
-    `cap` paths of work; SSYNC with 16 robots at H=3 raises only after 100,000
-    paths, about 2 s on a shared 2-vCPU VM (CPython 3.11).
+    `n_robots`, `horizon`, `fairness_bound` and `k` must be ints >= 1, and `cap` an
+    int >= 0; ValueError names the first that is not. `cap` counts generated paths
+    for every class: generating path cap + 1 raises CapExceededError. Reaching the
+    cap costs up to `cap` paths of work; SSYNC with 16 robots at H=3 raises only
+    after 100,000 paths, about 2 s on a shared 2-vCPU VM (CPython 3.11).
     """
     for name, value in (("n_robots", n_robots), ("horizon", horizon),
                         ("fairness_bound", fairness_bound), ("k", k)):
-        if not isinstance(value, int):
-            raise ValueError(f"{name} {value!r} is not an int")
-    if n_robots < 1 or horizon < 1 or fairness_bound < 1:
-        raise ValueError("n_robots, horizon and fairness_bound must be positive")
+        check_count(name, value, 1)
+    check_count("cap", cap, 0)
     if synchrony not in (FSYNC, SSYNC, ASYNC_K):
         raise ValueError(f"unknown synchrony class {synchrony!r}")
     sizes = [n_robots] if synchrony == FSYNC else range(1, n_robots + 1)
     moves = [frozenset(c) for size in sizes for c in itertools.combinations(range(n_robots), size)]
     if synchrony == ASYNC_K:
-        if k < 1:
-            raise ValueError("k must be >= 1")
         width, max_drift = 1, k
     else:
         # one move is a whole round; cycle counts never differ by more than horizon

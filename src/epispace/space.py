@@ -14,6 +14,15 @@ from functools import cached_property
 DIST_TOL = 1e-9
 
 
+def check_count(name: str, value, least: int, below: int | None = None) -> int:
+    """`value` if it is an int, not a bool, with least <= value (< below when given);
+    else ValueError naming `name` and the value. The one rule for an int argument."""
+    if type(value) is not int or value < least or (below is not None and value >= below):
+        bound = f">= {least}" if below is None else f"in {least}..{below - 1}"
+        raise ValueError(f"{name} {value!r} is not an int {bound}")
+    return value
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid over [0,1]^dim with cells_per_axis cells along each axis.
@@ -26,10 +35,8 @@ class Grid:
     cells_per_axis: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("grid dimension must be >= 1")
-        if self.cells_per_axis < 1:
-            raise ValueError("cells_per_axis must be >= 1")
+        check_count("dim", self.dim, 1)
+        check_count("cells_per_axis", self.cells_per_axis, 1)
 
     @property
     def n_cells(self) -> int:

@@ -207,7 +207,7 @@ class TestParser:
 class TestSymbols:
     @pytest.mark.parametrize("cells", [{99}, {1, 6}, {-1}])
     def test_region_cell_outside_grid_rejected(self, cells):
-        with pytest.raises(ValueError, match=r"^region 'U' has a cell outside 0\.\.5$"):
+        with pytest.raises(ValueError, match=r"^region 'U': cell -?\d+ is not an int in 0\.\.5$"):
             Symbols({"r1": 0}, {"U": frozenset(cells)}, 6)
 
     @pytest.mark.parametrize("robot_id", [-1, 1.0, "0"])
@@ -229,8 +229,23 @@ SYMBOLS = symbols(Grid(1, 4), n_robots=2, regions={"U1": frozenset({0, 1})})
      "expected a cell like c3, got 'x3' (at offset 8)"),
     (lambda: valid(sweep_system()[1], "sp(UX)"), TypeError, "not a formula: 'sp(UX)'"),
     (lambda: parse(b"sp(U1)", SYMBOLS), FormulaError, "formula text b'sp(U1)' is not a str"),
+    (lambda: parse("sp(U1)", None), FormulaError, "symbols None are not a Symbols"),
+    (lambda: Symbols({}, {}, 6.0), ValueError, "n_cells 6.0 is not an int >= 1"),
+    (lambda: Symbols({}, {}, 0), ValueError, "n_cells 0 is not an int >= 1"),
+    (lambda: Symbols({"r1": True}, {}, 4), ValueError, "robot 'r1': id True is not an int >= 0"),
+    (lambda: Symbols({}, {"U": [1.0]}, 4), ValueError,
+     "region 'U': cell 1.0 is not an int in 0..3"),
+    (lambda: Symbols({}, {"U": [True]}, 4), ValueError,
+     "region 'U': cell True is not an int in 0..3"),
+    (lambda: dknow([0, "1"], sp_atom(frozenset())), ValueError, "robot '1' is not an int >= 0"),
+    (lambda: everyone([0, None], sp_atom(frozenset())), ValueError,
+     "robot None is not an int >= 0"),
+    (lambda: valid(sweep_system()[1].with_atoms({"a": frozenset({5})}), Atom("a", "a0")),
+     ValueError, "atom a0: point 5 outside the system"),
 ], ids=["empty-conjunction", "unclosed-parenthesis", "knowledge-without-name",
-        "unknown-region", "cell-without-c", "valid-on-text", "parse-bytes"])
+        "unknown-region", "cell-without-c", "valid-on-text", "parse-bytes", "parse-no-symbols",
+        "float-cell-count", "zero-cell-count", "bool-robot-id", "float-region-cell",
+        "bool-region-cell", "dknow-str-robot", "everyone-none-robot", "atom-point-not-a-pair"])
 def test_named_errors(call, kind, message):
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
         call()

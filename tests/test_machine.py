@@ -265,32 +265,49 @@ GRID = Grid(1, 4)
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2)[1].make_initial_env([0]),
      "need 2 initial cells, got 1"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2)[1].make_initial_env([0, 4]),
-     "initial cell 4 outside the grid"),
+     "initial cell 4 is not an int in 0..3"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1].make_initial_env([1.5]),
-     "initial cell 1.5 is not an int"),
+     "initial cell 1.5 is not an int in 0..3"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1].make_initial_env(["1"]),
-     "initial cell '1' is not an int"),
+     "initial cell '1' is not an int in 0..3"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1].make_initial_env([None]),
-     "initial cell None is not an int"),
-    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, n_robots=0), "n_robots must be >= 1"),
+     "initial cell None is not an int in 0..3"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, n_robots=0),
+     "n_robots 0 is not an int >= 1"),
     (lambda: make_grid_walker(GRID, FULL, "DANCE"), "unknown protocol 'DANCE'"),
     (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, broadcast_period=0),
-     "broadcast_period must be >= 1"),
+     "broadcast_period 0 is not an int >= 1"),
     (lambda: make_grid_walker(GRID, FULL, GATHER_MIN_REGION),
      "GATHER_MIN_REGION needs rendezvous regions"),
     (lambda: make_grid_walker(GRID, FULL, GATHER_OSCILLATE, rendezvous=[[]]),
-     "rendezvous region 0 empty or outside the grid"),
+     "rendezvous region 0 is empty"),
     (lambda: make_grid_walker(GRID, FULL, GATHER_MIN_REGION, rendezvous=[[0], [3, 4]]),
-     "rendezvous region 1 empty or outside the grid"),
+     "rendezvous region 1 cell 4 is not an int in 0..3"),
     (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, 2, strips=[[0, 1, 2, 3]]),
      "need one strip per robot"),
     (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, strips=[[0, 9]]),
-     "strip contains cells outside the grid"),
+     "strip 0 cell 9 is not an int in 0..3"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1].make_initial_env([True]),
+     "initial cell True is not an int in 0..3"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, n_robots=2.0),
+     "n_robots 2.0 is not an int >= 1"),
+    (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, broadcast_period=1.5),
+     "broadcast_period 1.5 is not an int >= 1"),
+    (lambda: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, strips=[[0, 1.0]]),
+     "strip 0 cell 1.0 is not an int in 0..3"),
+    (lambda: make_grid_walker(GRID, FULL, FLOOD_EXPLORE, 2, strips=[[0], [True]]),
+     "strip 1 cell True is not an int in 0..3"),
+    (lambda: make_grid_walker(GRID, FULL, GATHER_MIN_REGION, rendezvous=[[1.0]]),
+     "rendezvous region 0 cell 1.0 is not an int in 0..3"),
+    (lambda: make_grid_walker(GRID, FULL, GATHER_OSCILLATE, rendezvous=[[0], [True]]),
+     "rendezvous region 1 cell True is not an int in 0..3"),
 ], ids=["visibility", "movement", "memory", "radius-str", "radius-bool", "min-distance-str",
         "initial-cell-count", "initial-cell-outside",
         "initial-cell-float", "initial-cell-str", "initial-cell-none", "no-robots",
         "unknown-protocol", "broadcast-period", "gather-without-rendezvous",
-        "empty-region", "region-outside", "strip-count", "strip-outside"])
+        "empty-region", "region-outside", "strip-count", "strip-outside",
+        "initial-cell-bool", "float-robot-count", "float-broadcast-period", "strip-cell-float",
+        "strip-cell-bool", "region-cell-float", "region-cell-bool"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()

@@ -214,3 +214,25 @@ def test_a_new_unread_field_fails_the_check(trees):
                  if isinstance(node, ast.ClassDef) and node.name == "InterpretedSystem")
     frame.body.append(ast.parse("spare_partition: list").body[0])
     assert unread_fields(trees) == {*UNREAD_FIELDS, "runs.InterpretedSystem.spare_partition"}
+
+
+def int_isinstance_calls(trees):
+    """`file:line` of each `isinstance(<x>, int)` call in src/: it takes a bool as an int,
+    where `space.check_count`, or `type(x) is int` on a hot path, does not."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}"
+            for path in sorted((SRC / "epispace").glob("*.py"))
+            for node in ast.walk(trees[path])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and isinstance(node.args[1], ast.Name) and node.args[1].id == "int"]
+
+
+def test_no_int_isinstance_in_source(trees):
+    assert int_isinstance_calls(trees) == []
+
+
+def test_an_int_isinstance_fails_the_check(trees):
+    source = SRC / "epispace" / "space.py"
+    trees = {**trees, source: parse_file(source)}
+    trees[source].body.append(ast.parse("isinstance(n, int)").body[0])
+    assert int_isinstance_calls(trees) == ["src/epispace/space.py:1"]

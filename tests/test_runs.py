@@ -602,8 +602,22 @@ def sweep_frame():
 @pytest.mark.parametrize("call, message", [
     (lambda: build_interpreted_system([], None, None),
      "cannot build an interpreted system from zero runs"),
-    (lambda: config_classes(sweep_frame(), [1]), "robot 1 outside the system"),
-], ids=["no-runs", "robot-outside"])
+    (lambda: config_classes(sweep_frame(), [1]), "robot 1 is not an int in 0..0"),
+    (lambda: config_classes(sweep_frame(), [0, "1"]), "robot '1' is not an int in 0..0"),
+    (lambda: config_classes(sweep_frame(), [True]), "robot True is not an int in 0..0"),
+    (lambda: enumerate_runs(*golden_sweep(), cap="5"), "cap '5' is not an int >= 0"),
+    (lambda: enumerate_runs(*golden_sweep(), cap=None), "cap None is not an int >= 0"),
+    (lambda: enumerate_runs(*golden_sweep()[:3], [((0,),)]),
+     "schedule entry ((0,),) is not a TimePath"),
+    (lambda: enumerate_runs(*golden_sweep()[:2], [0], golden_sweep()[3]),
+     "placement 0 is not a sequence of cells"),
+    (lambda: sweep_frame().explored_at((0.5, 0)), "point (0.5, 0) outside the system"),
+    (lambda: sweep_frame().explored_at(("0", 0)), "point ('0', 0) outside the system"),
+    (lambda: sweep_frame().explored_at(5), "point 5 outside the system"),
+    (lambda: sweep_frame().explored_at((0, 0, 0)), "point (0, 0, 0) outside the system"),
+], ids=["no-runs", "robot-outside", "robot-str", "robot-bool", "str-cap", "none-cap",
+        "schedule-entry-tuple", "placement-int", "explored-at-float", "explored-at-str",
+        "explored-at-int", "explored-at-triple"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()

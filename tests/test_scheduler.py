@@ -239,15 +239,27 @@ class TestValidatePath:
 @pytest.mark.parametrize("call, message", [
     (lambda: TimePath(2, ((0, 1), (0, 0))), "invalid time path: step 1: robot ids (0, 0) repeat"),
     (lambda: gen_schedules(2, 0, SSYNC, fairness_bound=1),
-     "n_robots, horizon and fairness_bound must be positive"),
+     "horizon 0 is not an int >= 1"),
     (lambda: gen_schedules(2, 2, "ASYNC", fairness_bound=1), "unknown synchrony class 'ASYNC'"),
-    (lambda: gen_schedules(2, 2, ASYNC_K, fairness_bound=1, k=0), "k must be >= 1"),
+    (lambda: gen_schedules(2, 2, ASYNC_K, fairness_bound=1, k=0), "k 0 is not an int >= 1"),
     (lambda: TimePath(0, ()), "invalid time path: n_robots 0 is not an int >= 1"),
-    (lambda: gen_schedules(2, 3, SSYNC, 2.5), "fairness_bound 2.5 is not an int"),
-    (lambda: gen_schedules(2, 2.0, SSYNC, fairness_bound=3), "horizon 2.0 is not an int"),
-    (lambda: gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1.5), "k 1.5 is not an int"),
+    (lambda: gen_schedules(2, 3, SSYNC, 2.5), "fairness_bound 2.5 is not an int >= 1"),
+    (lambda: gen_schedules(2, 2.0, SSYNC, fairness_bound=3), "horizon 2.0 is not an int >= 1"),
+    (lambda: gen_schedules(2, 2, ASYNC_K, fairness_bound=2, k=1.5), "k 1.5 is not an int >= 1"),
+    (lambda: gen_schedules(2, 2, SSYNC, fairness_bound=1, k=0), "k 0 is not an int >= 1"),
+    (lambda: gen_schedules(2, 2, FSYNC, fairness_bound=1, k=0), "k 0 is not an int >= 1"),
+    (lambda: gen_schedules(2, 2, SSYNC, fairness_bound=1, cap="5"), "cap '5' is not an int >= 0"),
+    (lambda: gen_schedules(2, 2, SSYNC, fairness_bound=1, cap=None),
+     "cap None is not an int >= 0"),
+    (lambda: gen_schedules(2, 2, SSYNC, fairness_bound=1, cap=-1), "cap -1 is not an int >= 0"),
+    (lambda: gen_schedules(True, 2, FSYNC, fairness_bound=1), "n_robots True is not an int >= 1"),
+    (lambda: TimePath(True, ((0,),)), "invalid time path: n_robots True is not an int >= 1"),
+    (lambda: TimePath(2, ((True,),)),
+     "invalid time path: step 0: robot ids (True,) are not all ints in 0..1"),
 ], ids=["repeated-robot", "zero-horizon", "unknown-synchrony", "zero-drift", "no-robots",
-        "float-fairness-bound", "float-horizon", "float-drift"])
+        "float-fairness-bound", "float-horizon", "float-drift", "zero-drift-ssync",
+        "zero-drift-fsync", "str-cap", "none-cap", "negative-cap", "bool-robot-count",
+        "bool-path-robot-count", "bool-robot-id"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()
