@@ -57,6 +57,8 @@ class Grid:
         return tuple(tuple((c + 0.5) * width for c in coords) for coords in self._coords)
 
     def _check_cell(self, index: int) -> None:
+        if type(index) is not int:  # a bool included: ValueError, worded as for any int
+            check_count("cell", index, 0, self.n_cells)
         # the tables would silently wrap a negative index
         if not 0 <= index < len(self._coords):
             raise IndexError(f"cell index {index} out of range for {self.n_cells} cells")

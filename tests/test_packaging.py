@@ -104,15 +104,23 @@ def enclosed_nodes(tree):
     yield from visit(tree, frozenset())
 
 
+def identifier(node):
+    """The identifier a name, attribute or import alias node reads, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
 def referenced_names(tree):
     """(name, enclosing definitions) for every identifier the module reads or imports."""
     for node, enclosing in enclosed_nodes(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, enclosing
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, enclosing
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2], enclosing
+        name = identifier(node)
+        if name is not None:
+            yield name, enclosing
 
 
 def parse_file(path):
@@ -236,3 +244,42 @@ def test_an_int_isinstance_fails_the_check(trees):
     trees = {**trees, source: parse_file(source)}
     trees[source].body.append(ast.parse("isinstance(n, int)").body[0])
     assert int_isinstance_calls(trees) == ["src/epispace/space.py:1"]
+
+
+SCHEDULER = SRC / "epispace" / "scheduler.py"
+
+
+def unchecked_path_builds(trees):
+    """`file:line` of each name of `scheduler._checked_path` outside `gen_schedules`, and of
+    each `__new__(TimePath)` call outside `_checked_path`. Only these build a `TimePath`
+    without its check, so no input from outside the module reaches such a path."""
+    found = []
+    for path, tree in trees.items():
+        for node, enclosing in enclosed_nodes(tree):
+            if (isinstance(node, ast.Call) and identifier(node.func) == "__new__"
+                    and node.args and identifier(node.args[0]) == "TimePath"):
+                allowed_in = "_checked_path"
+            elif identifier(node) == "_checked_path":
+                allowed_in = "gen_schedules"
+            else:
+                continue
+            if path != SCHEDULER or allowed_in not in {d.name for d in enclosing}:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return sorted(found)
+
+
+def test_paths_skip_their_check_only_inside_gen_schedules(trees):
+    assert unchecked_path_builds(trees) == []
+
+
+def test_an_unchecked_path_elsewhere_fails_the_check(trees):
+    source, test = SRC / "epispace" / "runs.py", ROOT / "tests" / "test_scheduler.py"
+    trees = {**trees, SCHEDULER: parse_file(SCHEDULER), source: parse_file(source),
+             test: parse_file(test)}
+    gen = next(node for node in trees[SCHEDULER].body
+               if isinstance(node, ast.FunctionDef) and node.name == "gen_schedules")
+    gen.body.insert(0, ast.parse("object.__new__(TimePath)").body[0])
+    trees[source].body.append(ast.parse("object.__new__(TimePath)").body[0])
+    trees[test].body.append(ast.parse("scheduler._checked_path(2, ((0,),))").body[0])
+    assert unchecked_path_builds(trees) == [
+        "src/epispace/runs.py:1", "src/epispace/scheduler.py:1", "tests/test_scheduler.py:1"]

@@ -67,13 +67,20 @@ class TestGeneration:
             gen_schedules(2, 400, ASYNC_K, fairness_bound=2, cap=10)
 
     def test_all_generated_paths_valid(self):
-        # every step is a nonempty sorted tuple of distinct robots, and rebuilding keeps the path
-        for syn, kwargs in ((FSYNC, {}), (SSYNC, {}), (ASYNC_K, {"k": 2})):
-            for path in gen_schedules(2, 2, syn, fairness_bound=3, **kwargs):
+        # every step is a nonempty sorted tuple of distinct robots, rebuilding a path through
+        # the checking constructor keeps it, and a family holds one step object per move
+        families = [(n_robots, synchrony, gen_schedules(n_robots, horizon, synchrony, fb, k=k))
+                    for n_robots, horizon, synchrony in ORACLE_GRID
+                    for fb in (1, 2, 3) for k in ((1, 2) if synchrony == ASYNC_K else (1,))]
+        families.append((2, SSYNC, gen_schedules(2, 7, SSYNC, fairness_bound=8)))  # S1 at H=7
+        for n_robots, synchrony, family in families:
+            for path in family:
                 for step in path.steps:
                     assert type(step) is tuple and step and list(step) == sorted(set(step))
-                    assert set(step) <= {0, 1}
-                assert TimePath(2, path.steps) == path
+                    assert set(step) <= set(range(n_robots))
+                assert TimePath(n_robots, path.steps) == path
+            n_moves = 1 if synchrony == FSYNC else 2 ** n_robots - 1
+            assert len({id(step) for path in family for step in path.steps}) <= n_moves
 
     def test_families_deduplicated_and_deterministic(self):
         for syn, kwargs in ((SSYNC, {"fairness_bound": 3}),
@@ -256,10 +263,15 @@ class TestValidatePath:
     (lambda: TimePath(True, ((0,),)), "invalid time path: n_robots True is not an int >= 1"),
     (lambda: TimePath(2, ((True,),)),
      "invalid time path: step 0: robot ids (True,) are not all ints in 0..1"),
+    (lambda: TimePath(2, ((1,), (1.0,))),
+     "invalid time path: step 1: robot ids (1.0,) are not all ints in 0..1"),
+    (lambda: TimePath(2, ((1,), (True,))),
+     "invalid time path: step 1: robot ids (True,) are not all ints in 0..1"),
 ], ids=["repeated-robot", "zero-horizon", "unknown-synchrony", "zero-drift", "no-robots",
         "float-fairness-bound", "float-horizon", "float-drift", "zero-drift-ssync",
         "zero-drift-fsync", "str-cap", "none-cap", "negative-cap", "bool-robot-count",
-        "bool-path-robot-count", "bool-robot-id"])
+        "bool-path-robot-count", "bool-robot-id", "float-step-after-equal-int",
+        "bool-step-after-equal-int"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()

@@ -103,8 +103,15 @@ class TestGeometryTables:
     (lambda: Grid(1, "6"), "cells_per_axis '6' is not an int >= 1"),
     (lambda: check_count("cell", 4, 0, 4), "cell 4 is not an int in 0..3"),
     (lambda: check_count("cell", -1, 0, 4), "cell -1 is not an int in 0..3"),
+    # an int out of range is an IndexError (test_out_of_range_cells_rejected); a non-int is not
+    (lambda: Grid(1, 4).cell_coords(1.0), "cell 1.0 is not an int in 0..3"),
+    (lambda: Grid(1, 4).cell_coords(True), "cell True is not an int in 0..3"),
+    (lambda: Grid(2, 2).cell_center("1"), "cell '1' is not an int in 0..3"),
+    (lambda: Grid(1, 4).distance(0, None), "cell None is not an int in 0..3"),
+    (lambda: Grid(1, 4).distance(False, 1), "cell False is not an int in 0..3"),
 ], ids=["zero-dim", "bool-dim", "float-cells", "str-cells", "count-at-bound",
-        "count-below-least"])
+        "count-below-least", "float-cell-coords", "bool-cell-coords", "str-cell-center",
+        "none-distance-cell", "bool-distance-cell"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()
@@ -137,6 +144,7 @@ SCALAR_CALLS = {
                      .make_initial_env([x]), False),
     "path-robots": (lambda x: TimePath(x, ((0,),)), False),
     "path-robot-id": (lambda x: TimePath(2, ((x,),)), False),
+    "path-repeated-robot-id": (lambda x: TimePath(2, ((1,), (x,))), False),
     "family-robots": (lambda x: gen_schedules(x, 1, SSYNC, 1), False),
     "family-horizon": (lambda x: gen_schedules(2, x, SSYNC, 1), False),
     "family-fairness": (lambda x: gen_schedules(2, 2, SSYNC, x), False),
