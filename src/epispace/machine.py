@@ -94,7 +94,7 @@ class EnvMachine:
     interchangeable, and one `enumerate_runs` call makes each call once per
     distinct arguments. States and adversary choices must be hashable. The order
     of `adversary_choices` decides a run's `adv_seq`: per step, the first choice
-    that gives the run's successor.
+    that gives the run's successor. `n_robots` is an int >= 1.
     """
 
     n_robots: int
@@ -104,6 +104,9 @@ class EnvMachine:
     adversary_choices: tuple = (None,)
     positions: Callable | None = field(default=None, hash=False)  # env -> tuple[int, ...]
     lights: Callable | None = field(default=None, hash=False)     # env -> tuple
+
+    def __post_init__(self):
+        check_count("n_robots", self.n_robots, 1)
 
 
 def table_fn(mapping: dict, what: str) -> Callable:

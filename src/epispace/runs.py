@@ -526,8 +526,8 @@ class InterpretedSystem:
     point has. The frame stores no partition: `config_classes` numbers a group's
     classes per configuration on each call. `atom_labels` keeps, per atom key, the
     point set `atoms` held when `logic` labelled the atom and the labels it made
-    from it, so each atom is labelled once per system, however many formula nodes
-    name it, parsed or built.
+    from it, so each atom is labelled, and projected onto configurations, once per
+    system, however many formula nodes name it, parsed or built.
     """
 
     runs: Runs
@@ -547,9 +547,13 @@ class InterpretedSystem:
         return Points(len(self.runs), self.runs.length)
 
     @cached_property
-    def atom_labels(self) -> dict[Hashable, tuple[frozenset[Point], bytes]]:
-        """Per atom key: the point set its labels were made from, and the labels, one
-        Kleene code per position; filled by `logic`, and empty on each new system."""
+    def atom_labels(self) -> dict[Hashable, list]:
+        """Per atom key, `[points, codes, projection]`: the point set the labels were
+        made from, the labels, one Kleene code per position, and their projection,
+        one code per configuration id (the least among its points), or None until a
+        K or D over the atom first asks for it. Filled by `logic`, and empty on each
+        new system; an entry whose point set is no longer `atoms[key]` is made anew,
+        projection and all."""
         return {}
 
     @property

@@ -509,6 +509,43 @@ def test_eventually_blocks_match_the_reverse_scan_on_every_short_row():
     assert cases == 7107
 
 
+class TestEventuallyBlocks:
+    def counted_eventually(self, monkeypatch):
+        """The (block, loop start) of each call of logic._eventually from here on."""
+        calls = []
+        eventually = logic._eventually
+
+        def counting(values, lasso):
+            calls.append((values, lasso))
+            return eventually(values, lasso)
+
+        monkeypatch.setattr(logic, "_eventually", counting)
+        return calls
+
+    def test_each_distinct_block_labelled_once(self, monkeypatch):
+        grid, sys = TestS5().install_all_sp(golden_system("ssync-flood", Grid(1, 4)))
+        ux = sp_atom(frozenset(range(grid.n_cells)))
+        values, length = point_labels(sys, ux), sys.points.length
+        blocks = {(tuple(values[i * length:(i + 1) * length]), lasso)
+                  for i, lasso in enumerate(sys.runs.lassos)}
+        calls = self.counted_eventually(monkeypatch)
+        assert valid(sys, Eventually(ux)) == PointwiseOracle(sys).valid(Eventually(ux))
+        assert (len(calls), len(blocks), len(sys.runs)) == (3, 3, 27)
+
+    def test_blocks_that_all_differ_match_the_oracle(self, monkeypatch):
+        _, sys = golden_system("ssync-flood", Grid(1, 4))
+        a = Atom(("set", 0), "a0")
+        # run i holds a0 at the times of the set bits of i + 1, so no two runs share a block
+        sys = sys.with_atoms({a.key: frozenset((i, t) for i, t in sys.points if (i + 1) >> t & 1)})
+        oracle = PointwiseOracle(sys)
+        calls = self.counted_eventually(monkeypatch)
+        assert_labels_match_oracle(sys, Eventually(a), oracle)
+        assert len(set(calls)) == len(calls) == len(sys.runs) == 27  # every lookup missed
+        for f in (box(a), DKnow((0,), Eventually(a)), Eventually(And(a, DKnow((1,), box(a))))):
+            assert_labels_match_oracle(sys, f, oracle)
+            assert valid(sys, f) == oracle.valid(f), str(f)
+
+
 class TestAtomLabels:
     def counted_indicator(self, monkeypatch):
         calls = []
@@ -521,18 +558,34 @@ class TestAtomLabels:
         monkeypatch.setattr(Points, "indicator", counting)
         return calls
 
+    def counted_projections(self, monkeypatch, sys):
+        """The codes of each projection onto sys's configurations from here on."""
+        calls = []
+        least = logic._least
+
+        def counting(groups, codes, n):
+            if groups is sys.config_of:
+                calls.append(codes)
+            return least(groups, codes, n)
+
+        monkeypatch.setattr(logic, "_least", counting)
+        return calls
+
     def test_each_atom_labelled_once_per_system(self, monkeypatch):
         grid, sys = flood_system()
         calls = self.counted_indicator(monkeypatch)
-        f = parse("<> (sp(UX) & K[r1] sp(UX)) | D[{r1,r2}] sp(UX) -> sp(UX)",
-                  symbols(grid, n_robots=2))
-        g = parse("K[r2] sp(UX)", symbols(grid, n_robots=2))
-        verdicts = [valid(sys, f), valid(sys, g)]
-        assert valid(sys, f) == verdicts[0] and valid(sys, g) == verdicts[1]
-        assert calls == [sys.atoms[("sp", frozenset(range(4)))]]
+        projections = self.counted_projections(monkeypatch, sys)
+        texts = ["D[{r1,r2}] sp(UX)", "[] (K[r1] sp(UX) -> K[r2] sp(UX))",
+                 "<> (sp(UX) & K[r1] sp(UX)) | D[{r1,r2}] sp(UX) -> sp(UX)", "K[r2] sp(UX)"]
+        formulas = [parse(text, symbols(grid, n_robots=2)) for text in texts]
+        verdicts = [valid(sys, f) for f in formulas]
+        assert [valid(sys, f) for f in formulas] == verdicts
+        key = ("sp", frozenset(range(4)))
+        assert calls == [sys.atoms[key]]
+        assert projections == [sys.atom_labels[key][1]]  # one pass, for all five K and D
         copy = sys.with_atoms(dict(sys.atoms))  # a new system labels its atoms anew
-        assert [valid(copy, f), valid(copy, g)] == verdicts
-        assert len(calls) == 2
+        assert [valid(copy, f) for f in formulas] == verdicts
+        assert len(calls) == len(projections) == 2
 
     def test_with_atoms_relabels(self):
         _, sys = sweep_system()
@@ -546,12 +599,15 @@ class TestAtomLabels:
     def test_a_new_point_set_is_seen_by_the_next_call(self):
         _, sys = sweep_system()
         a = Atom(("set", 0), "a0")
+        k = DKnow((0,), a)  # its projection is kept with the atom's codes
         sys = sys.with_atoms({a.key: frozenset(sys.points)})
-        assert valid(sys, a).value == TRUE
+        assert valid(sys, a).value == valid(sys, k).value == TRUE
         sys.atoms[a.key] = frozenset(sys.points) - {(0, 5)}
         assert valid(sys, a) == Verdict(FALSE, ((0, 5),))
+        assert valid(sys, k) == PointwiseOracle(sys).valid(k)
+        assert valid(sys, k).value == FALSE
         sys.atoms[a.key] = frozenset(sys.points)
-        assert valid(sys, a).value == TRUE
+        assert valid(sys, a).value == valid(sys, k).value == TRUE
 
     def test_point_outside_the_frame_raises_on_every_call_and_caches_nothing(self):
         _, sys = sweep_system()

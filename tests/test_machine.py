@@ -251,6 +251,12 @@ class TestValidateMachine:
 GRID = Grid(1, 4)
 
 
+def env_machine(n_robots):
+    """An environment of `n_robots` robots that never changes."""
+    return EnvMachine(n_robots=n_robots, evolve=lambda s, a, adv: s,
+                      emit_obs=lambda s, adv: (None,) * n_robots, make_initial_env=tuple)
+
+
 # One fixed case per named error: the call, the exception type and its whole message.
 @pytest.mark.parametrize("call, message", [
     (lambda: Capabilities(visibility="blind"), "unknown visibility 'blind'"),
@@ -301,13 +307,17 @@ GRID = Grid(1, 4)
      "rendezvous region 0 cell 1.0 is not an int in 0..3"),
     (lambda: make_grid_walker(GRID, FULL, GATHER_OSCILLATE, rendezvous=[[0], [True]]),
      "rendezvous region 1 cell True is not an int in 0..3"),
+    (lambda: env_machine(2.0), "n_robots 2.0 is not an int >= 1"),
+    (lambda: env_machine(True), "n_robots True is not an int >= 1"),
+    (lambda: env_machine(0), "n_robots 0 is not an int >= 1"),
 ], ids=["visibility", "movement", "memory", "radius-str", "radius-bool", "min-distance-str",
         "initial-cell-count", "initial-cell-outside",
         "initial-cell-float", "initial-cell-str", "initial-cell-none", "no-robots",
         "unknown-protocol", "broadcast-period", "gather-without-rendezvous",
         "empty-region", "region-outside", "strip-count", "strip-outside",
         "initial-cell-bool", "float-robot-count", "float-broadcast-period", "strip-cell-float",
-        "strip-cell-bool", "region-cell-float", "region-cell-bool"])
+        "strip-cell-bool", "region-cell-float", "region-cell-bool", "env-robots-float",
+        "env-robots-bool", "env-no-robots"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()

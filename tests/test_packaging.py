@@ -246,6 +246,34 @@ def test_an_int_isinstance_fails_the_check(trees):
     assert int_isinstance_calls(trees) == ["src/epispace/space.py:1"]
 
 
+LOGIC = SRC / "epispace" / "logic.py"
+
+
+def per_position_loops(trees):
+    """`file:line` of each `for` statement or comprehension in logic.py whose iterable
+    names `config_of`, `lassos` or `points`: a Python loop over a system's positions or
+    runs. The labeller works on whole label strings in C (`translate`, `compress`, `map`)
+    and labels each distinct block or configuration once."""
+    return sorted(f"{LOGIC.relative_to(ROOT)}:{node.iter.lineno}"
+                  for node in ast.walk(trees[LOGIC])
+                  if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                  and {"config_of", "lassos", "points"} & set(map(identifier, ast.walk(node.iter))))
+
+
+def test_no_loop_over_positions_in_logic(trees):
+    assert per_position_loops(trees) == []
+
+
+def test_a_loop_over_positions_fails_the_check(trees):
+    trees = {**trees, LOGIC: parse_file(LOGIC)}
+    trees[LOGIC].body.extend(ast.parse(
+        "for lasso in sys.runs.lassos:\n    pass\n"
+        "codes = bytes(labels[c] for c in sys.config_of)\n"
+        "marks = {p: 1 for p in zip(range(9), points)}").body)
+    assert per_position_loops(trees) == [
+        "src/epispace/logic.py:1", "src/epispace/logic.py:3", "src/epispace/logic.py:4"]
+
+
 SCHEDULER = SRC / "epispace" / "scheduler.py"
 
 
