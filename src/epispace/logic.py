@@ -357,7 +357,7 @@ def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[
     id in sys.configs; every configuration is some point's, so no code goes unread,
     and a code is in the labels exactly when some point has it. Atoms, <> and
     nodes above them get one per point, by position: run i's point at t is at
-    i * (H + 1) + t, where H + 1 = sys.points.length is the length of every run.
+    i * (H + 1) + t, where H + 1 = sys.length is the length of every run.
     Either way the codes are one `bytes` string. An atom's codes, and their
     projection onto configurations for K and D, are made once per system and atom
     key (`_atom`, `_per_config`), however many nodes name it. A <> labels each
@@ -491,17 +491,17 @@ def _label_node(sys: InterpretedSystem, f: Formula, subs: list[tuple[bytes, bool
         return both.to_bytes(len(left), "little"), per_config
     if isinstance(f, DKnow):
         classes = relation(f.group)
-        per_class = _least(classes, _per_config(sys, f.sub, *subs[0]), max(classes) + 1)
+        per_class = _least(classes, _per_config(sys, f.sub, *subs[0]), max(classes, default=-1) + 1)
         return bytes(map(per_class.__getitem__, classes)), True
     # Eventually: the runs' slices of the codes, each distinct one with its loop start
     # labelled once (11 blocks for ssync-flood's 4,374 runs under <> sp(UX)). `writelines`
     # holds no record per run, where `bytes.join` takes an 80-byte buffer for each
     sub = _by_position(sys, *subs[0])
-    length = sys.points.length
+    length = sys.length
     blocks = map(sub.__getitem__, map(slice, range(0, len(sub), length),
                                       range(length, len(sub) + length, length)))
     out = io.BytesIO()
-    out.writelines(map(cache(_eventually), blocks, sys.runs.lassos))
+    out.writelines(map(cache(_eventually), blocks, sys.lassos))
     return out.getvalue(), False
 
 
@@ -519,10 +519,10 @@ def eval_at(sys: InterpretedSystem, point: Point, f: Formula) -> Verdict:
     labels, per_config = _label(sys, f, memo)
     code = labels[sys.config_of[i] if per_config else i]
     if code == _T and sub is not None:
-        lasso = sys.runs.lassos[run_idx]
+        lasso = sys.lassos[run_idx]
         # inside a lasso's loop the forward orbit wraps around to the loop head
         start = t if lasso is None else min(t, lasso)
-        first = _by_position(sys, *sub).find(_T, i - t + start, i - t + sys.runs.length) - (i - t)
+        first = _by_position(sys, *sub).find(_T, i - t + start, i - t + sys.length) - (i - t)
         return Verdict(TRUE, ((run_idx, first),))
     return Verdict(_NAMES[code])
 

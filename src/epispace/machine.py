@@ -73,7 +73,8 @@ class RobotMachine:
     M -> L -> C order (`scheduler.fire`), so its COMPUTE follows its own LOOK,
     never the initial observation `None`. `observe` runs only on the emission of a
     robot that LOOKs, so a `table_fn` observe needs no entry for the emissions of
-    robots that do not.
+    robots that do not. A component that is not callable (`footprint` may be None),
+    or `caps` that is not a `Capabilities`, raises a `ValueError` that names it.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation
@@ -83,6 +84,14 @@ class RobotMachine:
     initial_epi: Callable = field(hash=False)      # robot id -> epi
     caps: Capabilities = Capabilities()
     footprint: Callable | None = field(default=None, hash=False)  # (rid, obs) -> frozenset[int]
+
+    def __post_init__(self):
+        for name in ("observe", "step", "control", "light", "initial_epi", "footprint"):
+            value = getattr(self, name)
+            if not (callable(value) or name == "footprint" and value is None):
+                raise ValueError(f"{name} {value!r} is not callable")
+        if not isinstance(self.caps, Capabilities):
+            raise ValueError(f"caps {self.caps!r} is not a Capabilities")
 
 
 @dataclass(frozen=True)

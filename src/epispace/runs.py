@@ -1,24 +1,24 @@
-"""System runs and the interpreted system (epistemic frame + valuation).
+"""System runs and the interpreted system: the runs of one walk and a valuation.
 
 A configuration is one semantic state at a step edge, a `StepState` tuple:
 per-robot epistemic states and last observations, the environment state, and
 the cumulative explored cell set. Each `enumerate_runs` call keeps one table of
 the distinct configurations it reaches, numbered 0, 1, ... in creation order,
-and returns its runs as `Runs`: their rows of ids into that table, one id per
-step edge, laid end to end in one array, `config_of`, which the walk writes as
-it finishes each run. A run is a view on that array, made when asked for. Ids
-follow the walk, not the run list: the walk makes a fork's successor when it
-finds the fork, before it walks on along the first successor, so where the
-adversary branches, the runs read run by run may meet a configuration before
-one of lower id. The walk makes a run from every successor it computes, so
-every configuration of the table is at some point of some run. The table
-numbers each distinct part too, the first stored of equal values: a
-configuration is a tuple of part ids, and `Configs` makes its `StepState`
-when it is read. Each distinct transition (configuration id, step, adversary
-choice) is computed once, from machine calls memoized for the call by the ids
-of their arguments (`_Transitions` lists the memos), changes only the ids its
-phases change, and looks its configuration up once. A step's LOOKs read the
-env state after its MOVEs.
+and returns its runs as an `InterpretedSystem`: their rows of ids into that
+table, one id per step edge, laid end to end in one array, `config_of`, which
+the walk writes as it finishes each run. A run is a view on that array, made
+when asked for. Ids follow the walk, not the run list: the walk makes a fork's
+successor when it finds the fork, before it walks on along the first successor,
+so where the adversary branches, the runs read run by run may meet a
+configuration before one of lower id. The walk makes a configuration only on a
+run, and a run from every successor it computes, so every configuration of the
+table is at some point of some run. The table numbers each distinct part too,
+the first stored of equal values: a configuration is a tuple of part ids, and
+`Configs` makes its `StepState` when it is read. Each distinct transition
+(configuration id, step, adversary choice) is computed once, from machine calls
+memoized for the call by the ids of their arguments (`_Transitions` lists the
+memos), changes only the ids its phases change, and looks its configuration up
+once. A step's LOOKs read the env state after its MOVEs.
 
 A system is a set of runs, and an adversary choice is no part of a
 configuration: a run is its placement, schedule entry and row, and
@@ -31,12 +31,10 @@ schedule order, and closes a run as a lasso where its configuration and phase
 residues repeat: the run's `lasso` is the step where that loop starts.
 `scheduler.fire` gives the phases.
 
-An interpreted system is the frame of one call's `Runs`, taken as they are:
-every run has length H + 1, the frame's `config_of` is the runs' own, so a
-point (run, t) is its position run·(H + 1) + t, and `Points` reads a point
-off its position and back.
-Indistinguishability for robot r is equality of r's epistemic state between
-any two points.
+The interpreted system is the runs themselves with a valuation, `atoms`: every
+run has length H + 1, so a point (run, t) is its position run·(H + 1) + t, and
+`Points` reads a point off its position and back. Indistinguishability for
+robot r is equality of r's epistemic state between any two points.
 """
 
 from __future__ import annotations
@@ -44,8 +42,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections.abc import Collection, Iterator, Sequence
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from copy import copy
+from dataclasses import dataclass, field
 from operator import index, itemgetter, ne
 from typing import Hashable, Iterable, NamedTuple
 
@@ -71,9 +69,9 @@ class StepState(NamedTuple):
 class SystemRun:
     """One run: a row of configuration ids, one per step edge, into `table`.
 
-    A view that `Runs` makes on demand: `row` is a copy of the run's slice of the
-    call's `config_of`, and `table` the call's `Configs` view. So two reads of
-    `runs[i]` are equal field by field, but are not the same object. `lasso` is the
+    A view that `InterpretedSystem` makes on demand: `row` is a copy of the run's slice
+    of the call's `config_of`, and `table` the call's `Configs` view. So two reads of
+    `sys[i]` are equal field by field, but are not the same object. `lasso` is the
     first step of a closed run's loop, which covers steps [lasso, horizon), or None
     for an open run.
     """
@@ -304,23 +302,37 @@ def _tail_lasso(row: array, residues: list[tuple]) -> int | None:
     return None
 
 
-class Runs(Sequence):
-    """The runs of one `enumerate_runs` call, in the walk's order: a read-only sequence
-    whose `runs[i]` makes run i's `SystemRun` view on each read.
+class InterpretedSystem(Sequence):
+    """The runs of one `enumerate_runs` call, in the walk's order, and a valuation: a
+    read-only sequence whose `sys[i]` makes run i's `SystemRun` view on each read.
 
-    `configs` is the call's table, and `config_of` the runs' rows laid end to end:
-    every run has `length` = H + 1 ids, so run i's row starts at position i * length.
-    Per run, `paths`, `adv_seqs`, `inits` (placements) and `lassos` are parallel
-    lists, so a reader of one field, such as `logic` of the loop starts, makes no view.
+    `configs` is the call's table, and `config_of` the runs' rows laid end to end, the
+    only per-point storage: every run has `length` = H + 1 ids, so run i's point at t
+    is position `i * length + t`, and every configuration id is some point's. Per run,
+    `paths`, `adv_seqs`, `inits` (placements) and `lassos` are parallel lists, so a
+    reader of one field, such as `logic` of the loop starts, makes no view. No
+    partition is stored: `config_classes` numbers a group's classes on each call.
+
+    The valuation `atoms` maps an atom key to its point set; the walk leaves it empty,
+    and `with_atoms` gives the same runs another. `atom_labels` keeps, per atom key,
+    `[points, codes, projection]`: the point set `atoms` held when `logic` labelled the
+    atom, one Kleene code per position, and their projection, one code per
+    configuration id (the least among its points), or None until a K or D first asks
+    for it. So each atom is labelled and projected once per system, however many
+    formula nodes name it; an entry whose point set is no longer `atoms[key]` is made
+    anew, projection and all.
     """
 
-    __slots__ = ("configs", "config_of", "length", "paths", "adv_seqs", "inits", "lassos")
+    __slots__ = ("configs", "config_of", "length", "paths", "adv_seqs", "inits", "lassos",
+                 "atoms", "atom_labels")
 
     def __init__(self, configs: Configs, length: int):
         self.configs = configs
-        self.config_of = array("i")
+        self.config_of = array("i")              # 'i': configuration id per position
         self.length = length
         self.paths, self.adv_seqs, self.inits, self.lassos = [], [], [], []
+        self.atoms: dict[Hashable, frozenset[Point]] = {}
+        self.atom_labels: dict[Hashable, list] = {}
 
     def __len__(self) -> int:
         return len(self.lassos)
@@ -331,6 +343,52 @@ class Runs(Sequence):
         return SystemRun(self.paths[i], self.adv_seqs[i], self.inits[i],
                          self.config_of[start:start + self.length], self.configs, self.lassos[i])
 
+    @property
+    def n_robots(self) -> int:
+        return self.configs.n_robots
+
+    @property
+    def points(self) -> Points:
+        """The points in position order, as a read-only sequence of (run, t)."""
+        return Points(len(self), self.length)
+
+    @property
+    def classes(self) -> list[list[tuple[Point, ...]]]:
+        """Per robot: class id -> member points, in position order."""
+        out = []
+        for r in range(self.n_robots):
+            ids = config_classes(self, [r])
+            members: list[list[Point]] = [[] for _ in range(max(ids, default=-1) + 1)]
+            for p, c in zip(self.points, self.config_of):
+                members[ids[c]].append(p)
+            out.append([tuple(m) for m in members])
+        return out
+
+    def explored_at(self, point: Point) -> frozenset[int]:
+        """The explored set at `point`; ValueError if it is no point of the system.
+
+        A bool in a pair of ints is taken as the int it equals, so `(0, True)` is
+        `(0, 1)`: a type test per point, 1.0 ms per 17,881 points in
+        `Points.indicator`, would add about 5 ms to the ~18 ms that the bench's
+        per-point valuation takes on ssync-flood's 96,228 points."""
+        length = self.length
+        # the run index's upper bound is tested by the lookup's own IndexError, and a
+        # float or str coordinate fails a comparison or the lookup
+        try:
+            run_idx, t = point
+            if run_idx >= 0 and 0 <= t < length:
+                return self.configs.explored_of[self.config_of[run_idx * length + t]]
+        except (IndexError, TypeError, ValueError):
+            pass
+        raise ValueError(f"point {point!r} outside the system")
+
+    def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> InterpretedSystem:
+        """The same runs with the valuation `atoms`: shares the table, `config_of` and
+        the per-run lists, and starts an empty `atom_labels`."""
+        other = copy(self)
+        other.atoms, other.atom_labels = atoms, {}
+        return other
+
 
 def enumerate_runs(
     robot: RobotMachine,
@@ -339,8 +397,9 @@ def enumerate_runs(
     schedules: Iterable[TimePath],
     *,
     cap: int = 100_000,
-) -> Runs:
-    """One run per (placement, schedule entry, distinct row), in one depth-first walk.
+) -> InterpretedSystem:
+    """The interpreted system of one run per (placement, schedule entry, distinct row),
+    made in one depth-first walk, with an empty valuation.
 
     Per placement and path, each step branches on the distinct successors that
     `env.adversary_choices` give, in choice order: the walk follows the first and
@@ -351,7 +410,7 @@ def enumerate_runs(
     twice gives its runs twice, and runs with equal `adv_seq` share one tuple. A
     step's LOOKs read the env state after its MOVEs. All runs share one table of
     distinct states and transitions, and each finished row is appended to the
-    `Runs`' `config_of`. A run is walked on from the step where it leaves the run
+    system's `config_of`. A run is walked on from the step where it leaves the run
     before it; a new path reuses the row up to the end of the schedule prefix it
     shares with the previous path, or to the previous run's first forked step if
     that comes first. A tail window closes a run as a lasso when its configuration
@@ -360,7 +419,9 @@ def enumerate_runs(
     ModelDefinitionError, and paths of different lengths, whose runs no position
     arithmetic could lay end to end, ValueError, as do a `cap` that is not an int >= 0,
     a schedule entry that is not a `TimePath` and a placement that is not a sequence.
-    `schedules` is read once, so it may be an iterator.
+    `schedules` is read once, so it may be an iterator. With no schedule entry or no
+    placement the system has no run, and so no configuration; each placement is
+    still checked, by `env.make_initial_env` too.
     """
     if not env.adversary_choices:
         raise ModelDefinitionError("env.adversary_choices is empty, so no step has a successor")
@@ -374,7 +435,7 @@ def enumerate_runs(
         if path.horizon_steps != schedules[0].horizon_steps:
             raise ValueError("paths of different lengths")
     table = _Transitions(robot, env)
-    runs = Runs(table.configs, schedules[0].horizon_steps + 1 if schedules else 1)
+    runs = InterpretedSystem(table.configs, schedules[0].horizon_steps + 1 if schedules else 1)
     step, succ, succ_get = table.step, table.succ, table.succ.get
     first, *rest = env.adversary_choices
     steps: tuple = ()                            # the current path's steps
@@ -402,6 +463,9 @@ def enumerate_runs(
         if not isinstance(init, Sequence):
             raise ValueError(f"placement {init!r} is not a sequence of cells")
         init = tuple(init)
+        if not schedules:                        # no run, so no configuration: only the check
+            env.make_initial_env(init)
+            continue
         row = array("i", [table.initial(init)])  # the current run's configuration ids
         seq: list = []                           # and adversary choices
         unforked = 0                             # its steps before its first forked choice
@@ -513,85 +577,6 @@ class Points(Sequence):
         raise ValueError(f"point {next(p for p in points if p not in self)!r} outside the system")
 
 
-@dataclass
-class InterpretedSystem:
-    """Runs, their points and configurations, and the atom valuation.
-
-    `runs` is one `enumerate_runs` call's `Runs`, and `configs` and `config_of` are
-    its `Configs` view and id array, the same objects. A point is its position: the
-    runs' rows, all of one length H + 1, lie end to end, so run i's point at time t
-    sits at `i * (H + 1) + t`, and its configuration is `configs[config_of[i * (H +
-    1) + t]]`. `config_of` is the only per-point storage; `points` names the
-    positions as (run, t) when asked. Every configuration id names a configuration that some
-    point has. The frame stores no partition: `config_classes` numbers a group's
-    classes per configuration on each call. `atom_labels` keeps, per atom key, the
-    point set `atoms` held when `logic` labelled the atom and the labels it made
-    from it, so each atom is labelled, and projected onto configurations, once per
-    system, however many formula nodes name it, parsed or built.
-    """
-
-    runs: Runs
-    env_machine: EnvMachine
-    robot_machine: RobotMachine
-    configs: Configs
-    config_of: array                         # 'i': configuration id per position
-    atoms: dict[Hashable, frozenset[Point]] = field(default_factory=dict)
-
-    @property
-    def n_robots(self) -> int:
-        return self.env_machine.n_robots
-
-    @property
-    def points(self) -> Points:
-        """The points in position order, as a read-only sequence of (run, t)."""
-        return Points(len(self.runs), self.runs.length)
-
-    @cached_property
-    def atom_labels(self) -> dict[Hashable, list]:
-        """Per atom key, `[points, codes, projection]`: the point set the labels were
-        made from, the labels, one Kleene code per position, and their projection,
-        one code per configuration id (the least among its points), or None until a
-        K or D over the atom first asks for it. Filled by `logic`, and empty on each
-        new system; an entry whose point set is no longer `atoms[key]` is made anew,
-        projection and all."""
-        return {}
-
-    @property
-    def classes(self) -> list[list[tuple[Point, ...]]]:
-        """Per robot: class id -> member points, in position order."""
-        out = []
-        for r in range(self.n_robots):
-            ids = config_classes(self, [r])
-            members: list[list[Point]] = [[] for _ in range(max(ids) + 1)]
-            for p, c in zip(self.points, self.config_of):
-                members[ids[c]].append(p)
-            out.append([tuple(m) for m in members])
-        return out
-
-    def explored_at(self, point: Point) -> frozenset[int]:
-        """The explored set at `point`; ValueError if it is no point of the frame.
-
-        A bool in a pair of ints is taken as the int it equals, so `(0, True)` is
-        `(0, 1)`: a type test per point, 1.0 ms per 17,881 points in
-        `Points.indicator`, would add about 5 ms to the ~18 ms that the bench's
-        per-point valuation takes on ssync-flood's 96,228 points."""
-        length = self.runs.length
-        # the run index's upper bound is tested by the lookup's own IndexError, and a
-        # float or str coordinate fails a comparison or the lookup
-        try:
-            run_idx, t = point
-            if run_idx >= 0 and 0 <= t < length:
-                return self.configs.explored_of[self.config_of[run_idx * length + t]]
-        except (IndexError, TypeError, ValueError):
-            pass
-        raise ValueError(f"point {point!r} outside the system")
-
-    def with_atoms(self, atoms: dict[Hashable, frozenset[Point]]) -> "InterpretedSystem":
-        """Same frame, different valuation; shares runs and configurations, but not
-        `atom_labels`."""
-        return replace(self, atoms=atoms)
-
-
 def _number_classes(configs: Configs, group: Sequence[int]) -> list[int]:
     """Class id per configuration id, numbered in id order: configurations share an id
     when they give every robot of the group the same epistemic state, that is the same
@@ -601,16 +586,16 @@ def _number_classes(configs: Configs, group: Sequence[int]) -> list[int]:
     return [numbering.setdefault(key(k), len(numbering)) for k in configs.keys]
 
 
-def build_interpreted_system(runs: Runs, env_machine: EnvMachine,
+def build_interpreted_system(runs: InterpretedSystem, env_machine: EnvMachine,
                              robot_machine: RobotMachine) -> InterpretedSystem:
-    """The frame of one `enumerate_runs` call's runs, taken as they are: its `configs`
-    and `config_of` are the runs' own, so it copies nothing. Zero runs, or runs of
-    another robot count than the environment's, raise ValueError."""
+    """A check on one `enumerate_runs` call's output, which is the interpreted system:
+    `runs` itself, if it has a run and the environment's robot count, else ValueError.
+    `robot_machine` is not read."""
     if not runs:
         raise ValueError("cannot build an interpreted system from zero runs")
-    if runs.paths[0].n_robots != env_machine.n_robots:
+    if runs.n_robots != env_machine.n_robots:
         raise ValueError("runs and environment disagree on the robot count")
-    return InterpretedSystem(runs, env_machine, robot_machine, runs.configs, runs.config_of)
+    return runs
 
 
 def config_classes(sys: InterpretedSystem, group: Iterable[int]) -> list[int]:

@@ -271,7 +271,7 @@ class TestEval:
         _, sys = sweep_system()
         full = sp_atom(frozenset(range(4)))
         assert eval_at(sys, (0, 0), full).value == FALSE
-        assert eval_at(sys, (0, sys.runs[0].horizon), full).value == TRUE
+        assert eval_at(sys, (0, sys[0].horizon), full).value == TRUE
 
     def test_eventually_full_with_witness(self):
         _, sys = sweep_system()
@@ -289,7 +289,7 @@ class TestEval:
 
     def test_point_outside_system_rejected(self):
         _, sys = sweep_system()
-        horizon = sys.runs[0].horizon
+        horizon = sys[0].horizon
         # the point's position is its run's offset + t, so no index may wrap or spill over
         for point in ((5, 0), (1, 0), (-1, 0), (0, -1), (0, horizon + 1)):
             with pytest.raises(ValueError, match="outside the system"):
@@ -402,7 +402,7 @@ class TestS5:
         f = sp_atom(frozenset({0, 1}))
         truth = dict(zip(sys.points, point_labels(sys, f)))
         labels = point_labels(sys, dknow([0], f))
-        runs = list(sys.runs)
+        runs = list(sys)
         for p, label in zip(sys.points, labels):
             same = [q for q in sys.points if epi(runs, q, 0) == epi(runs, p, 0)]
             assert label == kleene_and(truth[q] for q in same), p
@@ -527,10 +527,10 @@ class TestEventuallyBlocks:
         ux = sp_atom(frozenset(range(grid.n_cells)))
         values, length = point_labels(sys, ux), sys.points.length
         blocks = {(tuple(values[i * length:(i + 1) * length]), lasso)
-                  for i, lasso in enumerate(sys.runs.lassos)}
+                  for i, lasso in enumerate(sys.lassos)}
         calls = self.counted_eventually(monkeypatch)
         assert valid(sys, Eventually(ux)) == PointwiseOracle(sys).valid(Eventually(ux))
-        assert (len(calls), len(blocks), len(sys.runs)) == (3, 3, 27)
+        assert (len(calls), len(blocks), len(sys)) == (3, 3, 27)
 
     def test_blocks_that_all_differ_match_the_oracle(self, monkeypatch):
         _, sys = golden_system("ssync-flood", Grid(1, 4))
@@ -540,7 +540,7 @@ class TestEventuallyBlocks:
         oracle = PointwiseOracle(sys)
         calls = self.counted_eventually(monkeypatch)
         assert_labels_match_oracle(sys, Eventually(a), oracle)
-        assert len(set(calls)) == len(calls) == len(sys.runs) == 27  # every lookup missed
+        assert len(set(calls)) == len(calls) == len(sys) == 27  # every lookup missed
         for f in (box(a), DKnow((0,), Eventually(a)), Eventually(And(a, DKnow((1,), box(a))))):
             assert_labels_match_oracle(sys, f, oracle)
             assert valid(sys, f) == oracle.valid(f), str(f)
@@ -712,7 +712,7 @@ class TestBoxDiamondDuality:
 class TestThreeValued:
     def test_open_run_eventually_unknown(self):
         _, sys = sweep_system(cycles=2)  # horizon too short to park
-        assert sys.runs[0].is_open
+        assert sys[0].is_open
         full = sp_atom(frozenset(range(4)))
         assert eval_at(sys, (0, 0), Eventually(full)).value == UNKNOWN
         assert eval_at(sys, (0, 0), box(Not(full))).value == UNKNOWN
@@ -769,7 +769,7 @@ class PointwiseOracle:
 
     def __init__(self, sys):
         self.sys = sys
-        self.runs = list(sys.runs)  # each read of sys.runs[i] makes a new view
+        self.runs = list(sys)  # each read of sys[i] makes a new view
         self.memo = {}  # formula -> point -> value; hashing a formula walks all of it
 
     def values(self, f, points):
@@ -829,8 +829,8 @@ class PointwiseOracle:
 
 def pos_valuation(sys, grid):
     """Hand-rolled valuation: pos[r](c) holds where robot r stands on cell c."""
-    where = {(i, t): sys.env_machine.positions(state.env)
-             for i, run in enumerate(sys.runs) for t, state in enumerate(run.states)}
+    where = {(i, t): [cell for cell, _ in state.env]  # a grid env: (cell, light) per robot
+             for i, run in enumerate(sys) for t, state in enumerate(run.states)}
     return {("pos", r, c): frozenset(p for p in sys.points if where[p][r] == c)
             for r in range(sys.n_robots) for c in grid.all_cells()}
 
@@ -899,10 +899,10 @@ def test_labelling_matches_pointwise_oracle(name):
     if name == "sweep-open":
         assert seen == {TRUE, FALSE, UNKNOWN}
     if name == "oscillate-lasso":
-        assert not sys.runs[0].is_open
+        assert not sys[0].is_open
     if name == "nonrigid-gather-second-move":
-        forked = [run for run in sys.runs if any(adv is not None for adv in run.adv_seq)]
-        assert (len(sys.runs), len(forked)) == (5, 3)
+        forked = [run for run in sys if any(adv is not None for adv in run.adv_seq)]
+        assert (len(sys), len(forked)) == (5, 3)
 
 
 SET_ATOMS = [Atom(("set", k), f"a{k}") for k in range(3)]
@@ -940,7 +940,7 @@ class DrawnCase:
 
     def __repr__(self):
         sys = self.sys
-        return (f"DrawnCase({str(self.formula)!r}, robots={sys.n_robots}, runs={len(sys.runs)}, "
+        return (f"DrawnCase({str(self.formula)!r}, robots={sys.n_robots}, runs={len(sys)}, "
                 f"points={len(sys.points)}, configs={len(sys.configs)})")
 
 
@@ -972,7 +972,7 @@ def test_random_formulas_label_as_pointwise_oracle(case):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_points_view_matches_the_point_list(name):
     sys = DIFFERENTIAL[name][0]()[1]
-    expected = [(i, t) for i, run in enumerate(sys.runs) for t in range(len(run.row))]
+    expected = [(i, t) for i, run in enumerate(sys) for t in range(len(run.row))]
     points, n = sys.points, len(expected)
     assert len(points) == n and list(points) == expected
     assert [points[k] for k in range(-n, n)] == expected * 2
@@ -981,10 +981,10 @@ def test_points_view_matches_the_point_list(name):
             points[k]
     assert list(map(points.index, expected)) == list(range(n))
     assert all(p in points for p in expected)
-    past_rows = [(i, len(run.row)) for i, run in enumerate(sys.runs)]
+    past_rows = [(i, len(run.row)) for i, run in enumerate(sys)]
     assert not any(p in points for p in past_rows)
     # and no value that is not a (run, t) pair of integers
-    for p in [(len(sys.runs), 0), (-1, 0), (0, -1), past_rows[0], past_rows[-1],
+    for p in [(len(sys), 0), (-1, 0), (0, -1), past_rows[0], past_rows[-1],
               5, "ab", None, (0,), (0, 0, 0), (0.5, 0), ("0", 0), (0, True)]:
         assert p not in points
         with pytest.raises(ValueError, match=rf"^point {re.escape(repr(p))} outside the system$"):
@@ -997,7 +997,7 @@ def test_points_view_matches_the_point_list(name):
 
 def class_values(sys, robot, values):
     """Per point, the set of the per-point `values` over the point's class for one robot."""
-    members, runs = {}, list(sys.runs)
+    members, runs = {}, list(sys)
     for p, v in zip(sys.points, values):
         members.setdefault(epi(runs, p, robot), set()).add(v)
     return [members[epi(runs, p, robot)] for p in sys.points]
@@ -1019,14 +1019,14 @@ KNOWLEDGE_OVER_EVENTUALLY = {
 
 def off_first_open_run(sys):
     """a everywhere but on the first open run: <> a is UNKNOWN along that run, else TRUE."""
-    first = next(i for i, run in enumerate(sys.runs) if run.is_open)
+    first = next(i for i, run in enumerate(sys) if run.is_open)
     return frozenset(p for p in sys.points if p[0] != first)
 
 
 def before_loops(sys):
     """a on each closed run before its loop: <> a is FALSE inside the loops and UNKNOWN
     on the open runs."""
-    runs = list(sys.runs)
+    runs = list(sys)
     return frozenset((i, t) for i, t in sys.points
                      if runs[i].lasso is not None and t < runs[i].lasso)
 

@@ -249,6 +249,7 @@ class TestValidateMachine:
 
 
 GRID = Grid(1, 4)
+ROBOT = make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[0]
 
 
 def env_machine(n_robots):
@@ -310,6 +311,15 @@ def env_machine(n_robots):
     (lambda: env_machine(2.0), "n_robots 2.0 is not an int >= 1"),
     (lambda: env_machine(True), "n_robots True is not an int >= 1"),
     (lambda: env_machine(0), "n_robots 0 is not an int >= 1"),
+    (lambda: RobotMachine(observe=None, step=None, control=None, light=None, initial_epi=None,
+                          caps="x"), "observe None is not callable"),
+    (lambda: replace(ROBOT, step="step"), "step 'step' is not callable"),
+    (lambda: replace(ROBOT, control=None), "control None is not callable"),
+    (lambda: replace(ROBOT, light=0), "light 0 is not callable"),
+    (lambda: replace(ROBOT, initial_epi=(0,)), "initial_epi (0,) is not callable"),
+    (lambda: replace(ROBOT, footprint=frozenset()), "footprint frozenset() is not callable"),
+    (lambda: replace(ROBOT, caps="x"), "caps 'x' is not a Capabilities"),
+    (lambda: replace(ROBOT, caps=None), "caps None is not a Capabilities"),
 ], ids=["visibility", "movement", "memory", "radius-str", "radius-bool", "min-distance-str",
         "initial-cell-count", "initial-cell-outside",
         "initial-cell-float", "initial-cell-str", "initial-cell-none", "no-robots",
@@ -317,7 +327,9 @@ def env_machine(n_robots):
         "empty-region", "region-outside", "strip-count", "strip-outside",
         "initial-cell-bool", "float-robot-count", "float-broadcast-period", "strip-cell-float",
         "strip-cell-bool", "region-cell-float", "region-cell-bool", "env-robots-float",
-        "env-robots-bool", "env-no-robots"])
+        "env-robots-bool", "env-no-robots", "robot-all-none", "robot-step-str",
+        "robot-control-none", "robot-light-int", "robot-initial-epi-tuple",
+        "robot-footprint-set", "robot-caps-str", "robot-caps-none"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()

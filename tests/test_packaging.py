@@ -183,7 +183,6 @@ def test_a_private_helper_only_tests_name_fails_the_check(trees):
 
 # Fields that nothing reads yet, each with the ROADMAP item that removes it.
 UNREAD_FIELDS = {
-    "runs.InterpretedSystem.robot_machine": "item 2 (benchmark v2) deletes it",
     "machine.Capabilities.min_distance": "item 7 (non-rigid δ) reads it in one place",
 }
 
@@ -272,6 +271,30 @@ def test_a_loop_over_positions_fails_the_check(trees):
         "marks = {p: 1 for p in zip(range(9), points)}").body)
     assert per_position_loops(trees) == [
         "src/epispace/logic.py:1", "src/epispace/logic.py:3", "src/epispace/logic.py:4"]
+
+
+# What logic.py reads off a system: the interface any system must supply to be labelled.
+SYSTEM_VIEW = {"atoms", "atom_labels", "configs", "config_of", "lassos", "length", "points"}
+
+
+def reads_outside_system_view(trees):
+    """`file:line sys.<name>` of each attribute that logic.py reads off a system, named
+    `sys` there, and that is not in `SYSTEM_VIEW`."""
+    return sorted(f"{LOGIC.relative_to(ROOT)}:{node.lineno} sys.{node.attr}"
+                  for node in ast.walk(trees[LOGIC])
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "sys"
+                  and node.attr not in SYSTEM_VIEW)
+
+
+def test_logic_reads_only_the_system_view(trees):
+    assert reads_outside_system_view(trees) == []
+
+
+def test_a_read_outside_the_system_view_fails_the_check(trees):
+    trees = {**trees, LOGIC: parse_file(LOGIC)}
+    trees[LOGIC].body.extend(ast.parse("sys.runs.lassos\nsys.points.length").body)
+    assert reads_outside_system_view(trees) == ["src/epispace/logic.py:1 sys.runs"]
 
 
 SCHEDULER = SRC / "epispace" / "scheduler.py"

@@ -73,7 +73,7 @@ def count_partitions(monkeypatch):
 def epi(runs, point, robot):
     """The robot's epistemic state at a point, read from the run's own row and table.
 
-    `runs` is `list(sys.runs)`, listed once by the caller: each read of `sys.runs[i]`
+    `runs` is `list(sys)`, listed once by the caller: each read of `sys[i]`
     makes a new view."""
     run_idx, t = point
     run = runs[run_idx]
@@ -87,7 +87,7 @@ def point_classes(sys, group):
 
 def brute_partition(sys, robot):
     # O(n^2) oracle: pairwise epistemic-state comparison, then closure
-    points, runs = list(sys.points), list(sys.runs)
+    points, runs = list(sys.points), list(sys)
     parent = {p: p for p in points}
 
     def find(p):
@@ -251,6 +251,21 @@ class TestEnumerate:
         grid = Grid(1, 4)
         robot, env = make_grid_walker(grid, MYOPIC, EXPLORE_SWEEP)
         assert len(enumerate_runs(robot, env, [[0]], [])) == 0
+        # no run, so no configuration: every configuration is some point's, and each
+        # formula holds at every one of the no points
+        symbols = Symbols({"r1": 0}, {"U": frozenset({0})}, grid.n_cells)
+        for placements in ([[0]], []):
+            sys = enumerate_runs(robot, env, placements, [])
+            assert (len(sys), len(sys.configs), len(sys.config_of)) == (0, 0, 0)
+            assert sys.classes == [[]]
+            sys = sys.with_atoms({("sp", frozenset({0})): frozenset()})
+            for text in ("sp(U)", "<> sp(U)", "K[r1] sp(U)", "!K[r1] sp(U)"):
+                verdict = valid(sys, parse(text, symbols))
+                assert (verdict.value, verdict.witnesses) == ("TRUE", ()), text
+        with pytest.raises(ValueError, match="^placement 0 is not a sequence of cells$"):
+            enumerate_runs(robot, env, [0], [])
+        with pytest.raises(ValueError, match="^initial cell 4 is not an int in 0..3$"):
+            enumerate_runs(robot, env, [[4]], [])
 
     def test_empty_adversary_named(self):
         robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP)
@@ -470,8 +485,8 @@ class TestFrame:
 
     def test_explored_at_rejects_points_outside_the_system(self):
         sys = sweep_frame()
-        n_runs, horizon = len(sys.runs), sys.runs[0].horizon
-        assert sys.explored_at((n_runs - 1, horizon)) == sys.runs[-1].states[horizon].explored
+        n_runs, horizon = len(sys), sys[0].horizon
+        assert sys.explored_at((n_runs - 1, horizon)) == sys[-1].states[horizon].explored
         for point in [(0, -1), (-1, 0), (0, horizon + 1), (n_runs, 0)]:
             message = f"^point {re.escape(repr(point))} outside the system$"
             with pytest.raises(ValueError, match=message):
@@ -532,7 +547,7 @@ class TestFrame:
                                       strips=[(0, 1), (2, 3)])
         runs = enumerate_runs(robot, env, [[0, 2]], gen_schedules(2, 2, SSYNC, fairness_bound=3))
         sys = build_interpreted_system(runs, env, robot)
-        runs = list(sys.runs)
+        runs = list(sys)
         for r in range(2):
             ids = point_classes(sys, [r])
             assert isinstance(ids, list) and len(ids) == len(sys.points)
@@ -951,6 +966,26 @@ def test_every_configuration_has_a_point(scenario):
     assert set(runs.config_of) == set(range(len(runs.configs)))
     frame = build_interpreted_system(runs, env, robot)
     assert frame.config_of is runs.config_of and frame.configs is runs.configs
+
+
+def test_the_walk_returns_the_system():
+    # build_interpreted_system only checks the walk's output; with_atoms gives the same
+    # runs another valuation, and labels made on one system stay with it
+    robot, env, placements, schedules = golden_myopic_sight()
+    sys = enumerate_runs(robot, env, placements, schedules)
+    assert build_interpreted_system(sys, env, robot) is sys
+    assert sys.atoms == sys.atom_labels == {}
+    atoms = {("sp", frozenset({0})): frozenset(sys.points)}
+    valued = sys.with_atoms(atoms)
+    assert valued.atoms is atoms and valued.atom_labels == {}
+    for name in ("configs", "config_of", "paths", "adv_seqs", "inits", "lassos"):
+        assert getattr(valued, name) is getattr(sys, name), name
+    assert (len(valued), valued.length) == (len(sys), sys.length)
+    symbols = Symbols({"r1": 0, "r2": 1}, {"U": frozenset({0})}, 6)
+    assert valid(valued, parse("K[r1] sp(U)", symbols)).value == "TRUE"
+    assert list(valued.atom_labels) == list(atoms) and sys.atom_labels == {}
+    again = valued.with_atoms(atoms)
+    assert again.atom_labels == {} and again.atom_labels is not valued.atom_labels
 
 
 def test_runs_are_views_made_on_each_read():
