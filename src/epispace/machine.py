@@ -67,14 +67,15 @@ class RobotMachine:
     the first of equal values (`runs._Transitions` lists the memo keys).
     Epistemic states and observations must be hashable, since configurations are
     compared by equality, as the indistinguishability frame already does. Actions
-    must be hashable too, since the environment's `evolve` is memoized by them;
-    an unhashable one raises `ModelDefinitionError`. `step` and `footprint` only
-    get an observation that `observe` made: each robot fires its phases in
-    M -> L -> C order (`scheduler.fire`), so its COMPUTE follows its own LOOK,
-    never the initial observation `None`. `observe` runs only on the emission of a
-    robot that LOOKs, so a `table_fn` observe needs no entry for the emissions of
-    robots that do not. A component that is not callable (`footprint` may be None),
-    or `caps` that is not a `Capabilities`, raises a `ValueError` that names it.
+    must be hashable too, since the environment's `evolve` is memoized by them.
+    `enumerate_runs` raises `ModelDefinitionError` on any of these that is not.
+    `step` and `footprint` only get an observation that `observe` made: each robot
+    fires its phases in M -> L -> C order (`scheduler.fire`), so its COMPUTE follows
+    its own LOOK, never the initial observation `None`. `observe` runs only on the
+    emission of a robot that LOOKs, so a `table_fn` observe needs no entry for the
+    emissions of robots that do not. A component that is not callable (`footprint`
+    may be None), or `caps` that is not a `Capabilities`, raises a `ValueError` that
+    names it.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation
@@ -101,9 +102,14 @@ class EnvMachine:
     As for `RobotMachine`, every callable must be deterministic and free of side
     effects: equal arguments give equal results, and equal values are
     interchangeable, and one `enumerate_runs` call makes each call once per
-    distinct arguments. States and adversary choices must be hashable. The order
-    of `adversary_choices` decides a run's `adv_seq`: per step, the first choice
-    that gives the run's successor. `n_robots` is an int >= 1.
+    distinct arguments. States must be hashable; `enumerate_runs` raises
+    `ModelDefinitionError` on one that is not. The order of `adversary_choices`
+    decides a run's `adv_seq`: per step, the first choice that gives the run's
+    successor. Construction checks each field once: `n_robots` is an int >= 1, a
+    component that is not callable (`positions` and `lights` may be None) raises a
+    `ValueError` that names it, as does an `adversary_choices` that is not iterable;
+    stored as a tuple, the choices must be nonempty and hashable, else
+    `ModelDefinitionError`.
     """
 
     n_robots: int
@@ -116,6 +122,24 @@ class EnvMachine:
 
     def __post_init__(self):
         check_count("n_robots", self.n_robots, 1)
+        for name in ("evolve", "emit_obs", "make_initial_env", "positions", "lights"):
+            value = getattr(self, name)
+            if not (callable(value) or name in ("positions", "lights") and value is None):
+                raise ValueError(f"{name} {value!r} is not callable")
+        choices = self.adversary_choices
+        try:
+            choices = tuple(choices)
+        except TypeError:
+            raise ValueError(f"adversary_choices {choices!r} is not iterable") from None
+        if not choices:
+            raise ModelDefinitionError("env.adversary_choices is empty, so no step has a successor")
+        for choice in choices:
+            try:
+                hash(choice)
+            except TypeError:
+                raise ModelDefinitionError(f"env.adversary_choices holds the unhashable choice "
+                                           f"{choice!r}") from None
+        object.__setattr__(self, "adversary_choices", choices)
 
 
 def table_fn(mapping: dict, what: str) -> Callable:

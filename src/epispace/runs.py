@@ -12,13 +12,13 @@ successor when it finds the fork, before it walks on along the first successor,
 so where the adversary branches, the runs read run by run may meet a
 configuration before one of lower id. The walk makes a configuration only on a
 run, and a run from every successor it computes, so every configuration of the
-table is at some point of some run. The table numbers each distinct part too,
-the first stored of equal values: a configuration is a tuple of part ids, and
-`Configs` makes its `StepState` when it is read. Each distinct transition
-(configuration id, step, adversary choice) is computed once, from machine calls
-memoized for the call by the ids of their arguments (`_Transitions` lists the
-memos), changes only the ids its phases change, and looks its configuration up
-once. A step's LOOKs read the env state after its MOVEs.
+table is at some point of some run. A configuration is a tuple of part ids,
+which `Configs` makes a `StepState` when read: one rule numbers parts and keys
+alike, the first stored of equal values, and one memoizes the machine calls by
+the ids of their arguments (`_Transitions` lists every table and memo). So each
+distinct transition (configuration id, step, adversary choice) is computed once,
+changes only the ids its phases change, and looks its configuration up once. A
+step's LOOKs read the env state after its MOVEs.
 
 A system is a set of runs, and an adversary choice is no part of a
 configuration: a run is its placement, schedule entry and row, and
@@ -103,11 +103,10 @@ class Configs(Sequence):
 
     A configuration's key is a tuple of part ids, `(epi id per robot..., obs id per
     robot..., env id, explored id)`, into the value lists `epis`, `obss` and `envs`,
-    which hold each distinct value once, the first stored; the walk keeps the explored
-    sets' list, and `explored_of` holds each configuration's explored set, one
-    reference per configuration id, so `InterpretedSystem.explored_at` makes no
-    `StepState`. The view holds only these lists, not the walk's dicts, so those die
-    with the walk.
+    which hold each distinct value once, the first stored. The walk keeps the explored
+    sets' list, and fills `explored_of` when it ends, one explored set per
+    configuration id, so `InterpretedSystem.explored_at` makes no `StepState`. The
+    view holds only these lists, not the walk's dicts, so those die with the walk.
     """
 
     __slots__ = ("keys", "n_robots", "epis", "obss", "envs", "explored_of")
@@ -131,9 +130,19 @@ class Configs(Sequence):
                          self.envs[key[2 * n]], self.explored_of[cid])
 
 
-def _store(ids: dict, values: list, value) -> int:
-    """The id of `value` in `values`, appending it if no equal value is stored."""
-    vid = ids.setdefault(value, len(values))
+def _store(ids: dict, values: list, value, *source) -> int:
+    """The id of `value` in `values`, appending it if no equal value is stored: the one
+    numbering rule of the walk's tables. `source` names the machine call that gave
+    `value`, for the `ModelDefinitionError` that an unhashable one raises: the
+    component, what the value is, then each argument's name and value. Keys, plans and
+    explored sets are always hashable, so they need none."""
+    try:
+        vid = ids.setdefault(value, len(values))
+    except TypeError:
+        component, what, *args = source
+        given = " and ".join(map("{} {!r}".format, args[::2], args[1::2]))
+        raise ModelDefinitionError(f"{component} gave the unhashable {what} {value!r} for "
+                                   f"{given}") from None
     if vid == len(values):
         values.append(value)
     return vid
@@ -156,98 +165,93 @@ class _Memo(dict):
 class _Transitions:
     """The distinct configurations and transitions of one `enumerate_runs` call.
 
-    `configs` is the call's table, a `Configs` view: configuration id -> key, ids given
-    in creation order, and `config_ids` maps each key back to its id. The parts a key
-    names are numbered as they are first stored, one value list per kind: per-robot
-    epistemic state, per-robot observation, env state, explored set, and action; each
-    list's dict in `ids` maps a value to its id, so equal values are one id, the first
-    stored. Steps are numbered too: `plans` maps a step id to the plan
-    `scheduler.fire` gives it, the step's movers, lookers and computers, and
-    `phase_steps` memoizes `fire` by (phase residues, robot set), as the step id and
-    the next residues. `succ` maps each distinct transition to the configuration id it
-    leads to, keyed by one int that `enumerate_runs` makes of (config id, step id,
-    adversary choice index), since it numbers every step before it walks; the walk
-    looks each transition up there, and stores there each one `step` computes.
+    Every table follows one of two rules: `_store` numbers values, and `_Memo`
+    memoizes calls. Each numbered kind has one value list, holding each distinct value
+    once, the first stored, and one dict from value to id: `config_ids` numbers the
+    keys in `configs.keys` (`configs` is the call's `Configs` view, ids in creation
+    order), `epi_ids`, `obs_ids` and `env_ids` the parts in `configs.epis`, `obss` and
+    `envs`, `explored_ids` the explored sets in `explored`, `action_ids` the actions,
+    and `plan_ids` the plans in `plans`, each step's movers, lookers and computers.
+    `enumerate_runs` fills `configs.explored_of` from the keys when the walk ends.
 
-    These are the per-call memos, the one place they are listed: a new transition is
-    computed from machine calls that are each memoized by the ids of their arguments,
+    The memos, listed only here, are each a `_Memo`. `phase_steps` memoizes
+    `scheduler.fire` by (phase residues, robot set), as its plan's step id and the next
+    residues. A new transition's machine calls are memoized by their arguments' ids:
     `controls` by epi id (to an action id), `stepped` by (epi id, obs id) (to an epi
     id), `footprints` by (robot, obs id), `evolved` by (env id, action ids...,
-    adversary choice) (to an env id), and `emitted` by the (env id, adversary choice)
-    that the LOOK reads; `observe` runs only on the emissions of robots that LOOK, once
-    per (env id, adversary choice, robot). So actions must be hashable; `control`
-    raises `ModelDefinitionError` on one that is not. The memos fill themselves from
-    closures over the value lists, not over the table, so no cycle keeps the table
+    adversary choice) (to an env id), `emitted` by the (env id, adversary choice) that
+    a LOOK reads (to the emissions as `emit_obs` gave them), and `observed` by (env id,
+    adversary choice, robot) (to an obs id), so `observe` runs only on the emissions of
+    robots that LOOK. A value to number that is not hashable raises
+    `ModelDefinitionError`, naming its component and arguments. The memos fill from
+    closures over the local tables, never over `self`, so no cycle keeps the table
     alive once the walk returns.
+
+    `succ` maps each distinct transition to the configuration id it leads to, keyed by
+    one int that `enumerate_runs` makes of (config id, step id, adversary choice
+    index). It is the one plain dict, read and written inline by the walk: a `_Memo`
+    would have to take the int apart again in its fill, and timed slower on both bench
+    workloads.
     """
 
     def __init__(self, robot: RobotMachine, env: EnvMachine):
         self.robot = robot
         self.env = env
-        self.n_robots = n = env.n_robots
-        self.configs = configs = Configs(n)
-        self.explored: list[frozenset[int]] = []
+        self.n_robots = env.n_robots
+        self.configs = configs = Configs(env.n_robots)
+        epis, obss, envs = configs.epis, configs.obss, configs.envs
+        self.explored: list[frozenset[int]] = [frozenset()]  # id 0: nothing explored yet
+        self.plans = plans = []
         actions: list = [None]                   # id 0: no MOVE
-        # value -> id, per kind: epi, obs, env, explored, action
-        self.ids = ids = ({}, {None: 0}, {}, {}, {None: 0})
         self.config_ids: dict[tuple, int] = {}
+        self.epi_ids = epi_ids = {}
+        self.env_ids = env_ids = {}
+        self.explored_ids = {frozenset(): 0}
+        obs_ids, action_ids, plan_ids = {None: 0}, {None: 0}, {}
         self.succ: dict[int, int] = {}
-        self.step_ids: dict[tuple, int] = {}
-        self.plans: list[tuple] = []
-        self.phase_steps: dict[tuple, tuple[int, tuple]] = {}
+
+        def fire_step(firing: tuple) -> tuple[int, tuple]:
+            plan, after = fire(*firing)
+            return _store(plan_ids, plans, plan), after
 
         def control(epi: int) -> int:
-            action = robot.control(configs.epis[epi])
-            try:
-                return _store(ids[4], actions, action)
-            except TypeError:
-                raise ModelDefinitionError(f"control gave the unhashable action {action!r} for "
-                                           f"epistemic state {configs.epis[epi]!r}") from None
+            return _store(action_ids, actions, robot.control(epis[epi]),
+                          "control", "action", "epistemic state", epis[epi])
 
         def evolve(move: tuple) -> int:
-            moved = env.evolve(configs.envs[move[0]], tuple(map(actions.__getitem__, move[1:-1])),
-                               move[-1])
-            return _store(ids[2], configs.envs, moved)
+            state, acts, adv = envs[move[0]], tuple(map(actions.__getitem__, move[1:-1])), move[-1]
+            return _store(env_ids, envs, env.evolve(state, acts, adv), "evolve", "env state",
+                          "env state", state, "actions", acts, "adversary choice", adv)
 
-        def emit(look: tuple) -> list:
-            # each robot's obs id, None until a LOOK reads it, then the emissions
-            return [*(None,) * n, env.emit_obs(configs.envs[look[0]], look[1])]
+        def emit(look: tuple):
+            return env.emit_obs(envs[look[0]], look[1])
+
+        def observe(look: tuple) -> int:
+            raw = emitted[look[:2]][look[2]]
+            return _store(obs_ids, obss, robot.observe(raw), "observe", "observation",
+                          "emission", raw)
 
         def compute(computing: tuple) -> int:
-            stepped = robot.step(configs.epis[computing[0]], configs.obss[computing[1]])
-            return _store(ids[0], configs.epis, stepped)
+            epi, obs = epis[computing[0]], obss[computing[1]]
+            return _store(epi_ids, epis, robot.step(epi, obs), "step", "epistemic state",
+                          "epistemic state", epi, "observation", obs)
 
         def footprint(marking: tuple) -> frozenset[int]:
-            return robot.footprint(marking[0], configs.obss[marking[1]])
+            return robot.footprint(marking[0], obss[marking[1]])
 
-        self.controls, self.evolved, self.emitted, self.stepped, self.footprints = map(
-            _Memo, (control, evolve, emit, compute, footprint))
-
-    def intern(self, key: tuple) -> int:
-        """The id of the configuration `key`, new ones last, in one table lookup."""
-        configs = self.configs
-        cid = self.config_ids.setdefault(key, len(configs.keys))
-        if cid == len(configs.keys):
-            configs.keys.append(key)
-            configs.explored_of.append(self.explored[key[-1]])
-        return cid
+        (self.phase_steps, self.controls, self.evolved, emitted, self.observed, self.stepped,
+         self.footprints) = map(_Memo, (fire_step, control, evolve, emit, observe, compute,
+                                        footprint))
 
     def initial(self, init_cells: Sequence[int]) -> int:
-        n, configs = self.n_robots, self.configs
-        epis = [_store(self.ids[0], configs.epis, self.robot.initial_epi(r)) for r in range(n)]
-        env_state = self.env.make_initial_env(init_cells)
-        return self.intern((*epis, *(0,) * n, _store(self.ids[2], configs.envs, env_state),
-                            _store(self.ids[3], self.explored, frozenset())))
-
-    def phase_step(self, residues: tuple, robots: tuple) -> tuple[int, tuple]:
-        """The step id of `robots` firing at phase `residues`, and the residues after it:
-        `fire`, memoized, with its plan numbered."""
-        found = self.phase_steps.get((residues, robots))
-        if found is None:
-            plan, after = fire(residues, robots)
-            found = self.phase_steps[residues, robots] = (_store(self.step_ids, self.plans, plan),
-                                                          after)
-        return found
+        """The id of the configuration that the placement `init_cells` starts in."""
+        configs = self.configs
+        epis = [_store(self.epi_ids, configs.epis, self.robot.initial_epi(r),
+                       "initial_epi", "epistemic state", "robot", r)
+                for r in range(self.n_robots)]
+        env_id = _store(self.env_ids, configs.envs, self.env.make_initial_env(init_cells),
+                        "make_initial_env", "env state", "cells", init_cells)
+        return _store(self.config_ids, configs.keys, (*epis, *(0,) * self.n_robots, env_id, 0))
 
     def step(self, cid: int, sid: int, adv) -> int:
         """The transition function: one global step, step id `sid`, from configuration `cid`.
@@ -265,13 +269,8 @@ class _Transitions:
             for r in movers:
                 actions[r] = self.controls[key[r]]
             new[-2] = self.evolved[(key[-2], *actions, adv)]
-        if lookers:
-            seen = self.emitted[new[-2], adv]
-            for r in lookers:
-                if (obs := seen[r]) is None:
-                    obs = seen[r] = _store(self.ids[1], self.configs.obss,
-                                           self.robot.observe(seen[-1][r]))
-                new[n + r] = obs
+        for r in lookers:
+            new[n + r] = self.observed[new[-2], adv, r]
         if computers:
             explored = grown = self.explored[key[-1]]
             for r in computers:
@@ -282,8 +281,8 @@ class _Transitions:
                     if not cells <= grown:
                         grown = grown | cells
             if grown is not explored:
-                new[-1] = _store(self.ids[3], self.explored, grown)
-        return self.intern(tuple(new))
+                new[-1] = _store(self.explored_ids, self.explored, grown)
+        return _store(self.config_ids, self.configs.keys, tuple(new))
 
 
 def _common_prefix(a: Sequence, b: Sequence) -> int:
@@ -415,16 +414,14 @@ def enumerate_runs(
     shares with the previous path, or to the previous run's first forked step if
     that comes first. A tail window closes a run as a lasso when its configuration
     and phase residues both repeat, and the run's `lasso` is the window's start.
-    Making run `cap` + 1 raises CapExceededError, an empty `env.adversary_choices`
-    ModelDefinitionError, and paths of different lengths, whose runs no position
-    arithmetic could lay end to end, ValueError, as do a `cap` that is not an int >= 0,
-    a schedule entry that is not a `TimePath` and a placement that is not a sequence.
-    `schedules` is read once, so it may be an iterator. With no schedule entry or no
-    placement the system has no run, and so no configuration; each placement is
-    still checked, by `env.make_initial_env` too.
+    Making run `cap` + 1 raises CapExceededError, a machine value that the table must
+    number and cannot hash ModelDefinitionError, and paths of different lengths, whose
+    runs no position arithmetic could lay end to end, ValueError, as do a `cap` that is
+    not an int >= 0, a schedule entry that is not a `TimePath` and a placement that is
+    not a sequence. `schedules` is read once, so it may be an iterator. With no
+    schedule entry or no placement the system has no run, and so no configuration;
+    each placement is still checked, by `env.make_initial_env` too.
     """
-    if not env.adversary_choices:
-        raise ModelDefinitionError("env.adversary_choices is empty, so no step has a successor")
     check_count("cap", cap, 0)
     schedules = list(schedules)
     for path in schedules:
@@ -450,7 +447,7 @@ def enumerate_runs(
         steps = path.steps
         del residues[shared + 1:]
         for robots in steps[shared:]:
-            sid, after = table.phase_step(residues[-1], robots)
+            sid, after = table.phase_steps[residues[-1], robots]
             fired_sids.append(sid)
             fired_residues.append(after)
             residues.append(after)
@@ -512,6 +509,7 @@ def enumerate_runs(
                 row.append(cid)
                 seq.append(adv)
                 start = t + 1
+    runs.configs.explored_of = [table.explored[key[-1]] for key in runs.configs.keys]
     return runs
 
 

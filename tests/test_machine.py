@@ -311,6 +311,14 @@ def env_machine(n_robots):
     (lambda: env_machine(2.0), "n_robots 2.0 is not an int >= 1"),
     (lambda: env_machine(True), "n_robots True is not an int >= 1"),
     (lambda: env_machine(0), "n_robots 0 is not an int >= 1"),
+    (lambda: EnvMachine(1, evolve=None, emit_obs=None, make_initial_env=None),
+     "evolve None is not callable"),
+    (lambda: replace(env_machine(1), emit_obs=()), "emit_obs () is not callable"),
+    (lambda: replace(env_machine(1), make_initial_env="cells"),
+     "make_initial_env 'cells' is not callable"),
+    (lambda: replace(env_machine(1), positions=0), "positions 0 is not callable"),
+    (lambda: replace(env_machine(1), lights=[]), "lights [] is not callable"),
+    (lambda: replace(env_machine(1), adversary_choices=3), "adversary_choices 3 is not iterable"),
     (lambda: RobotMachine(observe=None, step=None, control=None, light=None, initial_epi=None,
                           caps="x"), "observe None is not callable"),
     (lambda: replace(ROBOT, step="step"), "step 'step' is not callable"),
@@ -327,13 +335,30 @@ def env_machine(n_robots):
         "empty-region", "region-outside", "strip-count", "strip-outside",
         "initial-cell-bool", "float-robot-count", "float-broadcast-period", "strip-cell-float",
         "strip-cell-bool", "region-cell-float", "region-cell-bool", "env-robots-float",
-        "env-robots-bool", "env-no-robots", "robot-all-none", "robot-step-str",
-        "robot-control-none", "robot-light-int", "robot-initial-epi-tuple",
-        "robot-footprint-set", "robot-caps-str", "robot-caps-none"])
+        "env-robots-bool", "env-no-robots", "env-all-none", "env-emit-tuple",
+        "env-initial-str", "env-positions-int", "env-lights-list", "env-choices-int",
+        "robot-all-none", "robot-step-str", "robot-control-none", "robot-light-int",
+        "robot-initial-epi-tuple", "robot-footprint-set", "robot-caps-str", "robot-caps-none"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()
     assert type(raised.value) is ValueError
+
+
+@pytest.mark.parametrize("choices, message", [
+    ((), "env.adversary_choices is empty, so no step has a successor"),
+    (iter(()), "env.adversary_choices is empty, so no step has a successor"),
+    ((None, ["freeze", 0]), "env.adversary_choices holds the unhashable choice ['freeze', 0]"),
+], ids=["empty", "empty-iterator", "unhashable"])
+def test_adversary_choices_named(choices, message):
+    with pytest.raises(ModelDefinitionError, match=f"^{re.escape(message)}$"):
+        replace(env_machine(1), adversary_choices=choices)
+
+
+def test_adversary_choices_held_as_a_tuple():
+    env = replace(env_machine(1), adversary_choices=(c for c in (None, ("freeze", 0))))
+    assert env.adversary_choices == (None, ("freeze", 0))
+    assert env.positions is env.lights is None
 
 
 class TestObliviousProperty:

@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import weakref
 from array import array
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, replace
 
 import pytest
@@ -269,9 +270,8 @@ class TestEnumerate:
 
     def test_empty_adversary_named(self):
         robot, env = make_grid_walker(Grid(1, 4), FULL, EXPLORE_SWEEP)
-        env = replace(env, adversary_choices=())
         with pytest.raises(ModelDefinitionError, match=r"^env\.adversary_choices is empty"):
-            enumerate_runs(robot, env, [[0]], gen_schedules(1, 2, FSYNC, fairness_bound=1))
+            replace(env, adversary_choices=())
 
     def test_schedules_read_once(self):
         # a generator gives the runs of its list, on every placement, not only the first
@@ -353,6 +353,29 @@ class TestEnumerate:
         with pytest.raises(ModelDefinitionError, match=re.escape(message)):
             enumerate_runs(listed, env, [[0]], gen_schedules(1, 2, FSYNC, fairness_bound=1))
 
+    @pytest.mark.parametrize("machine, field, message", [
+        ("robot", "step", "step gave the unhashable epistemic state [] for epistemic state "
+                          "{epi!r} and observation {obs!r}"),
+        ("robot", "observe", "observe gave the unhashable observation [] for emission {raw!r}"),
+        ("robot", "initial_epi", "initial_epi gave the unhashable epistemic state [] for robot 0"),
+        ("env", "make_initial_env", "make_initial_env gave the unhashable env state [] for cells "
+                                    "(0,)"),
+        ("env", "evolve", "evolve gave the unhashable env state [] for env state {env!r} and "
+                          "actions {actions!r} and adversary choice None"),
+    ])
+    def test_unhashable_value_named(self, machine, field, message):
+        # each value the walk numbers names the component that gave it, and its arguments
+        robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
+        machines = {"robot": robot, "env": env}
+        machines[machine] = replace(machines[machine], **{field: lambda *args: []})
+        epi, state = robot.initial_epi(0), env.make_initial_env((0,))
+        raw = env.emit_obs(state, None)[0]
+        message = message.format(epi=epi, obs=robot.observe(raw), raw=raw, env=state,
+                                 actions=(robot.control(epi),))
+        with pytest.raises(ModelDefinitionError, match=f"^{re.escape(message)}$"):
+            enumerate_runs(machines["robot"], machines["env"], [[0]],
+                           gen_schedules(1, 2, FSYNC, fairness_bound=1))
+
     def test_type_error_in_evolve_propagates(self):
         robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
         wrapped = replace(robot, control=lambda epi: robot.control(epi))
@@ -402,8 +425,9 @@ class TestEnumerate:
     ], ids=["s1-h5", "myopic-fsync-sweep", "ssync-flood", "kasync-flood"])
     def test_each_component_runs_once_per_distinct_argument(self, scenario):
         robot, env, placements, schedules = scenario()
-        control = robot.control
-        calls = {name: [] for name in ("control", "step", "footprint", "emit_obs", "evolve")}
+        control, emit_obs = robot.control, env.emit_obs
+        calls = {name: [] for name in ("control", "step", "footprint", "emit_obs", "evolve",
+                                       "observe")}
 
         def logged(name, fn):
             def call(*args):
@@ -413,7 +437,8 @@ class TestEnumerate:
 
         robot = replace(robot, control=logged("control", robot.control),
                         step=logged("step", robot.step),
-                        footprint=logged("footprint", robot.footprint))
+                        footprint=logged("footprint", robot.footprint),
+                        observe=logged("observe", robot.observe))
         env = replace(env, emit_obs=logged("emit_obs", env.emit_obs),
                       evolve=logged("evolve", env.evolve))
         runs = enumerate_runs(robot, env, placements, schedules)
@@ -429,12 +454,17 @@ class TestEnumerate:
                         needed["control"].add((before.epis[r],))
                     elif ph == "L":
                         needed["emit_obs"].add((after.env, run.adv_seq[t]))
+                        needed["observe"].add((after.env, run.adv_seq[t], r))
                     else:
                         needed["step"].add((before.epis[r], after.obss[r]))
                         needed["footprint"].add((r, after.obss[r]))
                 if "M" in act.values():
                     actions = move_actions(control, before, act, env.n_robots)
                     needed["evolve"].add((before.env, actions, run.adv_seq[t]))
+        # observe once per distinct (env state, adversary choice, looking robot), on that
+        # robot's emission: different looks may see equal emissions, so count a multiset
+        assert Counter(calls.pop("observe")) == Counter(
+            (emit_obs(state, adv)[r],) for state, adv, r in needed["observe"])
         for name in calls:
             assert len(calls[name]) == len(set(calls[name])), f"{name} repeated an argument"
             assert set(calls[name]) == needed[name], name
@@ -774,8 +804,13 @@ def test_configuration_view_outlives_the_walk_alone(monkeypatch):
         tables.append(weakref.ref(self))
 
     monkeypatch.setattr(runs_module._Transitions, "__init__", recording_init)
-    runs, _ = golden_runs("kasync-flood")
-    assert [table() for table in tables] == [None]
+    # with the collector off, only reference counts free the table: a cycle keeps it
+    gc.disable()
+    try:
+        runs, _ = golden_runs("kasync-flood")
+        assert [table() for table in tables] == [None]
+    finally:
+        gc.enable()
     # its slots, besides its class
     referents = [x for x in gc.get_referents(runs.configs) if x is not runs_module.Configs]
     assert referents and not any(isinstance(x, dict) for x in referents)

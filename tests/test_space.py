@@ -141,8 +141,8 @@ SCALAR_CALLS = {
     "strip-cell": (lambda x: make_grid_walker(GRID, FULL, EXPLORE_SWEEP, strips=[[x]]), False),
     "rendezvous-cell": (lambda x: make_grid_walker(GRID, FULL, GATHER_MIN_REGION,
                                                    rendezvous=[[x]]), False),
-    "env-robots": (lambda x: EnvMachine(x, evolve=None, emit_obs=None, make_initial_env=None),
-                   False),
+    "env-robots": (lambda x: EnvMachine(x, evolve=lambda s, a, adv: s, emit_obs=lambda s, adv: (),
+                                        make_initial_env=tuple), False),
     "initial-cell": (lambda x: make_grid_walker(GRID, FULL, EXPLORE_SWEEP)[1]
                      .make_initial_env([x]), False),
     "path-robots": (lambda x: TimePath(x, ((0,),)), False),
