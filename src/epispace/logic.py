@@ -347,7 +347,7 @@ def _subformulas(f: Formula) -> tuple:
         return (f.left, f.right)
     if isinstance(f, (Not, DKnow, Eventually)):
         return (f.sub,)
-    raise TypeError(f"not a formula: {f!r}")
+    raise FormulaError(f"not a formula: {f!r}")
 
 
 def _label(sys: InterpretedSystem, f: Formula, memo: dict[int, tuple]) -> tuple[bytes, bool]:
@@ -419,6 +419,9 @@ def _atom(sys: InterpretedSystem, f: Atom) -> list:
             marks = sys.points.indicator(points)
         except ValueError as e:
             raise ValueError(f"atom {f.label}: {e}") from None
+        except TypeError:  # from the indicator's error path: `points` is not iterable
+            raise ValueError(f"atom {f.label}: point set {points!r} is not a collection of "
+                             f"points") from None
         made = sys.atom_labels[f.key] = [points, bytes(marks).translate(_MARKED), None]
     return made
 

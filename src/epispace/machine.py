@@ -1,10 +1,12 @@
 """Finite robot and environment state machines for luminous look-compute-move systems.
 
 The environment state is a tuple of (cell, light) per robot; robots read it
-only through the environment's observation emitter. Lights are published
-during MOVE, read during LOOK, and carry whatever a protocol exposes.
-Robot identity is folded into the epistemic state so one machine serves a
-homogeneous fleet.
+only through the environment's observation emitter. A light is the second part
+of the action that `control` returns: each MOVE publishes it, each LOOK reads
+it, and it carries whatever a protocol exposes. A robot's first phase is a MOVE,
+which comes before any COMPUTE and so publishes the light of its initial state;
+the grid environment shows that light from t = 0. Robot identity is folded into
+the epistemic state so one machine serves a homogeneous fleet.
 """
 
 from __future__ import annotations
@@ -74,25 +76,20 @@ class RobotMachine:
     its own LOOK, never the initial observation `None`. `observe` runs only on the
     emission of a robot that LOOKs, so a `table_fn` observe needs no entry for the
     emissions of robots that do not. A component that is not callable (`footprint`
-    may be None), or `caps` that is not a `Capabilities`, raises a `ValueError` that
-    names it.
+    may be None) raises a `ValueError` that names it.
     """
 
     observe: Callable = field(hash=False)          # raw env emission -> observation
     step: Callable = field(hash=False)             # (epi, obs) -> epi
     control: Callable = field(hash=False)          # epi -> action
-    light: Callable = field(hash=False)            # epi -> light value
     initial_epi: Callable = field(hash=False)      # robot id -> epi
-    caps: Capabilities = Capabilities()
     footprint: Callable | None = field(default=None, hash=False)  # (rid, obs) -> frozenset[int]
 
     def __post_init__(self):
-        for name in ("observe", "step", "control", "light", "initial_epi", "footprint"):
+        for name in ("observe", "step", "control", "initial_epi", "footprint"):
             value = getattr(self, name)
             if not (callable(value) or name == "footprint" and value is None):
                 raise ValueError(f"{name} {value!r} is not callable")
-        if not isinstance(self.caps, Capabilities):
-            raise ValueError(f"caps {self.caps!r} is not a Capabilities")
 
 
 @dataclass(frozen=True)
@@ -167,7 +164,7 @@ def _axis_step_toward(grid: Grid, src: int, dst: int):
     return None
 
 
-def _make_env(grid: Grid, caps: Capabilities, n_robots: int, robot: RobotMachine) -> EnvMachine:
+def _make_env(grid: Grid, caps: Capabilities, n_robots: int, lights: tuple) -> EnvMachine:
     # index distance between cells one apart along each axis (row-major, axis 0 most significant)
     strides = [grid.cells_per_axis ** (grid.dim - 1 - axis) for axis in range(grid.dim)]
 
@@ -208,7 +205,7 @@ def _make_env(grid: Grid, caps: Capabilities, n_robots: int, robot: RobotMachine
             raise ValueError(f"need {n_robots} initial cells, got {len(cells)}")
         for c in cells:
             check_count("initial cell", c, 0, grid.n_cells)
-        return tuple((c, robot.light(robot.initial_epi(rid))) for rid, c in enumerate(cells))
+        return tuple(zip(cells, lights))
 
     return EnvMachine(
         n_robots=n_robots,
@@ -243,9 +240,12 @@ def make_grid_walker(
 ) -> tuple[RobotMachine, EnvMachine]:
     """Build one of the named grid protocols: its robot machine and its environment.
 
-    Each protocol's builder gives only its program (`step`, `control`, `light` and
+    Each protocol's builder gives only its program (`step`, `control` and
     `initial_epi`); every protocol observes its raw emission as it is, marks its own
-    cell explored on each COMPUTE, and walks the same grid environment.
+    cell explored on each COMPUTE, and walks the same grid environment. That
+    environment starts each robot with the light its first MOVE publishes, the one
+    `control` gives its initial state, so it shows the initial lights of the robot it
+    is returned with: a robot with another `initial_epi` or `control` needs its own.
 
     strips: per robot, the cells it is responsible for sweeping (exploration
     protocols); defaults to a contiguous partition of the grid.
@@ -279,8 +279,9 @@ def make_grid_walker(
                 if u & v:
                     raise ValueError("rendezvous regions must be pairwise disjoint")
         program = _build_gather(grid, regions, oscillate=protocol == GATHER_OSCILLATE)
-    robot = RobotMachine(observe=lambda raw: raw, caps=caps, footprint=_own_cell, **program)
-    return robot, _make_env(grid, caps, n_robots, robot)
+    lights = tuple(program["control"](program["initial_epi"](r))[1] for r in range(n_robots))
+    robot = RobotMachine(observe=lambda raw: raw, footprint=_own_cell, **program)
+    return robot, _make_env(grid, caps, n_robots, lights)
 
 
 def _build_sweep(grid, caps, n_robots, strips, flood, period):
@@ -318,10 +319,7 @@ def _build_sweep(grid, caps, n_robots, strips, flood, period):
             return (None, light)
         return (_axis_step_toward(grid, pos, target), light)
 
-    def light(epi):
-        return epi[4] if flood else None
-
-    return dict(step=step, control=control, light=light, initial_epi=initial_epi)
+    return dict(step=step, control=control, initial_epi=initial_epi)
 
 
 def _build_gather(grid, regions, oscillate):
@@ -370,31 +368,26 @@ def _build_gather(grid, regions, oscillate):
             return (None, chosen)
         return (_axis_step_toward(grid, pos, target_cell(pos, regions[chosen])), chosen)
 
-    def light(epi):
-        return epi[2]
-
-    return dict(step=step, control=control, light=light, initial_epi=initial_epi)
+    return dict(step=step, control=control, initial_epi=initial_epi)
 
 
-def validate_machine(robot: RobotMachine, runs: Iterable) -> list[str]:
-    """Check the machine on the epistemic states that `runs` reach; empty report = valid.
+def validate_machine(robot: RobotMachine, runs) -> list[str]:
+    """Check `control` on every epistemic state of the system `runs`; empty report = valid.
 
-    Reports each such state that `control` or `light` has no entry for, and an
-    oblivious robot whose light differs across them. `runs` come from
-    `enumerate_runs`; a `table_fn` miss in `step` already raises
-    `ModelDefinitionError` while they are simulated.
+    Reports each state that `control` has no entry for. `runs` is an `enumerate_runs`
+    system, whose table holds each distinct state once, and each at some point, so the
+    check reads the table, not the points; any other value raises a `ValueError`
+    that names it. A `table_fn` miss in `step` already raises `ModelDefinitionError`
+    while the runs are simulated.
     """
+    from .runs import InterpretedSystem  # runs imports this module
+
+    if not isinstance(runs, InterpretedSystem):
+        raise ValueError(f"runs {runs!r} is not an enumerate_runs system")
     report: list[str] = []
-    lights = set()
-    for epi in dict.fromkeys(e for run in runs for state in run.states for e in state.epis):
+    for epi in runs.configs.epis:
         try:
             robot.control(epi)
         except ModelDefinitionError as exc:
             report.append(f"control: {exc}")
-        try:
-            lights.add(robot.light(epi))
-        except ModelDefinitionError as exc:
-            report.append(f"light: {exc}")
-    if robot.caps.memory == "oblivious" and len(lights) > 1:
-        report.append("oblivious robot has a non-constant light map")
     return report

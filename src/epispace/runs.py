@@ -176,16 +176,17 @@ class _Transitions:
 
     The memos, listed only here, are each a `_Memo`. `phase_steps` memoizes
     `scheduler.fire` by (phase residues, robot set), as its plan's step id and the next
-    residues. A new transition's machine calls are memoized by their arguments' ids:
-    `controls` by epi id (to an action id), `stepped` by (epi id, obs id) (to an epi
-    id), `footprints` by (robot, obs id), `evolved` by (env id, action ids...,
-    adversary choice) (to an env id), `emitted` by the (env id, adversary choice) that
-    a LOOK reads (to the emissions as `emit_obs` gave them), and `observed` by (env id,
-    adversary choice, robot) (to an obs id), so `observe` runs only on the emissions of
-    robots that LOOK. A value to number that is not hashable raises
-    `ModelDefinitionError`, naming its component and arguments. The memos fill from
-    closures over the local tables, never over `self`, so no cycle keeps the table
-    alive once the walk returns.
+    residues. `initial_epis` memoizes `initial_epi` by robot (to an epi id), so it runs
+    once per robot, not once per placement. A new transition's machine calls are
+    memoized by their arguments' ids: `controls` by epi id (to an action id), `stepped`
+    by (epi id, obs id) (to an epi id), `footprints` by (robot, obs id), `evolved` by
+    (env id, action ids..., adversary choice) (to an env id), `emitted` by the (env id,
+    adversary choice) that a LOOK reads (to the emissions as `emit_obs` gave them), and
+    `observed` by (env id, adversary choice, robot) (to an obs id), so `observe` runs
+    only on the emissions of robots that LOOK. A value to number that is not hashable
+    raises `ModelDefinitionError`, naming its component and arguments. The memos fill
+    from closures over the local tables, never over `self`, so no cycle keeps the
+    table alive once the walk returns.
 
     `succ` maps each distinct transition to the configuration id it leads to, keyed by
     one int that `enumerate_runs` makes of (config id, step id, adversary choice
@@ -204,15 +205,18 @@ class _Transitions:
         self.plans = plans = []
         actions: list = [None]                   # id 0: no MOVE
         self.config_ids: dict[tuple, int] = {}
-        self.epi_ids = epi_ids = {}
         self.env_ids = env_ids = {}
         self.explored_ids = {frozenset(): 0}
-        obs_ids, action_ids, plan_ids = {None: 0}, {None: 0}, {}
+        epi_ids, obs_ids, action_ids, plan_ids = {}, {None: 0}, {None: 0}, {}
         self.succ: dict[int, int] = {}
 
         def fire_step(firing: tuple) -> tuple[int, tuple]:
             plan, after = fire(*firing)
             return _store(plan_ids, plans, plan), after
+
+        def initial_epi(r: int) -> int:
+            return _store(epi_ids, epis, robot.initial_epi(r), "initial_epi", "epistemic state",
+                          "robot", r)
 
         def control(epi: int) -> int:
             return _store(action_ids, actions, robot.control(epis[epi]),
@@ -239,16 +243,14 @@ class _Transitions:
         def footprint(marking: tuple) -> frozenset[int]:
             return robot.footprint(marking[0], obss[marking[1]])
 
-        (self.phase_steps, self.controls, self.evolved, emitted, self.observed, self.stepped,
-         self.footprints) = map(_Memo, (fire_step, control, evolve, emit, observe, compute,
-                                        footprint))
+        (self.phase_steps, self.initial_epis, self.controls, self.evolved, emitted, self.observed,
+         self.stepped, self.footprints) = map(_Memo, (fire_step, initial_epi, control, evolve, emit,
+                                                      observe, compute, footprint))
 
     def initial(self, init_cells: Sequence[int]) -> int:
         """The id of the configuration that the placement `init_cells` starts in."""
         configs = self.configs
-        epis = [_store(self.epi_ids, configs.epis, self.robot.initial_epi(r),
-                       "initial_epi", "epistemic state", "robot", r)
-                for r in range(self.n_robots)]
+        epis = [self.initial_epis[r] for r in range(self.n_robots)]
         env_id = _store(self.env_ids, configs.envs, self.env.make_initial_env(init_cells),
                         "make_initial_env", "env state", "cells", init_cells)
         return _store(self.config_ids, configs.keys, (*epis, *(0,) * self.n_robots, env_id, 0))

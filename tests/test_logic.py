@@ -227,7 +227,9 @@ SYMBOLS = symbols(Grid(1, 4), n_robots=2, regions={"U1": frozenset({0, 1})})
     (lambda: parse("sp(U9)", SYMBOLS), FormulaError, "unknown region name 'U9' (at offset 3)"),
     (lambda: parse("pos[r1](x3)", SYMBOLS), FormulaError,
      "expected a cell like c3, got 'x3' (at offset 8)"),
-    (lambda: valid(sweep_system()[1], "sp(UX)"), TypeError, "not a formula: 'sp(UX)'"),
+    (lambda: valid(sweep_system()[1], "sp(UX)"), FormulaError, "not a formula: 'sp(UX)'"),
+    (lambda: eval_at(sweep_system()[1], (0, 0), "sp(UX)"), FormulaError,
+     "not a formula: 'sp(UX)'"),
     (lambda: parse(b"sp(U1)", SYMBOLS), FormulaError, "formula text b'sp(U1)' is not a str"),
     (lambda: parse("sp(U1)", None), FormulaError, "symbols None are not a Symbols"),
     (lambda: Symbols({}, {}, 6.0), ValueError, "n_cells 6.0 is not an int >= 1"),
@@ -242,10 +244,15 @@ SYMBOLS = symbols(Grid(1, 4), n_robots=2, regions={"U1": frozenset({0, 1})})
      "robot None is not an int >= 0"),
     (lambda: valid(sweep_system()[1].with_atoms({"a": frozenset({5})}), Atom("a", "a0")),
      ValueError, "atom a0: point 5 outside the system"),
+    (lambda: valid(sweep_system()[1].with_atoms({"a": None}), Atom("a", "a0")),
+     ValueError, "atom a0: point set None is not a collection of points"),
+    (lambda: valid(sweep_system()[1].with_atoms({"a": 5}), Atom("a", "a0")),
+     ValueError, "atom a0: point set 5 is not a collection of points"),
 ], ids=["empty-conjunction", "unclosed-parenthesis", "knowledge-without-name",
-        "unknown-region", "cell-without-c", "valid-on-text", "parse-bytes", "parse-no-symbols",
-        "float-cell-count", "zero-cell-count", "bool-robot-id", "float-region-cell",
-        "bool-region-cell", "dknow-str-robot", "everyone-none-robot", "atom-point-not-a-pair"])
+        "unknown-region", "cell-without-c", "valid-on-text", "eval-at-on-text", "parse-bytes",
+        "parse-no-symbols", "float-cell-count", "zero-cell-count", "bool-robot-id",
+        "float-region-cell", "bool-region-cell", "dknow-str-robot", "everyone-none-robot",
+        "atom-point-not-a-pair", "atom-point-set-none", "atom-point-set-int"])
 def test_named_errors(call, kind, message):
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
         call()

@@ -8,6 +8,7 @@ from epispace.machine import (
     FLOOD_EXPLORE,
     GATHER_MIN_REGION,
     GATHER_OSCILLATE,
+    PROTOCOLS,
     Capabilities,
     EnvMachine,
     ModelDefinitionError,
@@ -64,7 +65,6 @@ class TestLcmPhase:
             observe=lambda raw: raw,
             step=step,
             control=lambda e: None,
-            light=lambda e: None,
             initial_epi=lambda rid: ("e0",),
         )
         env = EnvMachine(
@@ -183,15 +183,22 @@ class TestGather:
             make_grid_walker(grid, FULL, GATHER_MIN_REGION, rendezvous=[[0, 1], [1, 2]])
 
 
-def one_robot_table_machine(epis, light=lambda e: None, caps=Capabilities()):
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_grid_environment_holds_no_robot(protocol):
+    # the environment holds each robot's initial light as data, not the robot's program
+    _, env = make_grid_walker(Grid(1, 4), FULL, protocol, n_robots=2, rendezvous=[[0], [3]])
+    for name in ("evolve", "emit_obs", "make_initial_env", "positions", "lights"):
+        held = [cell.cell_contents for cell in getattr(env, name).__closure__ or ()]
+        assert not any(isinstance(value, RobotMachine) for value in held), name
+
+
+def one_robot_table_machine(epis):
     """A one-robot table machine that steps through `epis` on one observation."""
     robot = RobotMachine(
         observe=lambda raw: raw,
         step=table_fn(dict(zip(((e, "o0") for e in epis), epis[1:])), "step"),
         control=lambda e: None,
-        light=light,
         initial_epi=lambda rid: epis[0],
-        caps=caps,
     )
     env = EnvMachine(
         n_robots=1,
@@ -220,26 +227,12 @@ class TestValidateMachine:
         with pytest.raises(ModelDefinitionError, match=r"step undefined for \(\('e1',\), 'o0'\)"):
             fsync_runs(robot, env, cycles=2)
 
-    def test_missing_light_entry_of_reached_state_named(self):
-        # ("e2",) is in the light table but never reached; ("e1",) is reached but missing
-        light = table_fn({("e0",): None, ("e2",): None}, "light")
-        robot, env = one_robot_table_machine([("e0",), ("e1",)], light=light)
-        report = validate_machine(robot, fsync_runs(robot, env))
-        assert report == ["light: light undefined for ('e1',)"]
-
     def test_missing_control_entry_of_reached_state_named(self):
         # the run's one MOVE reads ("e0",); its COMPUTE reaches ("e1",), which no MOVE reads
         robot, env = one_robot_table_machine([("e0",), ("e1",)])
         control = table_fn({("e0",): None}, "control")
         report = validate_machine(replace(robot, control=control), fsync_runs(robot, env))
         assert report == ["control: control undefined for ('e1',)"]
-
-    def test_oblivious_nonconstant_light_flagged(self):
-        # leaks memory through the light: "a" and "b" are both reached
-        robot, env = one_robot_table_machine(
-            ["a", "b"], light=lambda e: e, caps=Capabilities(memory="oblivious"))
-        report = validate_machine(robot, fsync_runs(robot, env))
-        assert report == ["oblivious robot has a non-constant light map"]
 
     @pytest.mark.parametrize("protocol", [FLOOD_EXPLORE, GATHER_MIN_REGION, GATHER_OSCILLATE])
     def test_protocol_with_memory_rejects_oblivious(self, protocol):
@@ -319,15 +312,13 @@ def env_machine(n_robots):
     (lambda: replace(env_machine(1), positions=0), "positions 0 is not callable"),
     (lambda: replace(env_machine(1), lights=[]), "lights [] is not callable"),
     (lambda: replace(env_machine(1), adversary_choices=3), "adversary_choices 3 is not iterable"),
-    (lambda: RobotMachine(observe=None, step=None, control=None, light=None, initial_epi=None,
-                          caps="x"), "observe None is not callable"),
+    (lambda: RobotMachine(observe=None, step=None, control=None, initial_epi=None),
+     "observe None is not callable"),
     (lambda: replace(ROBOT, step="step"), "step 'step' is not callable"),
     (lambda: replace(ROBOT, control=None), "control None is not callable"),
-    (lambda: replace(ROBOT, light=0), "light 0 is not callable"),
     (lambda: replace(ROBOT, initial_epi=(0,)), "initial_epi (0,) is not callable"),
     (lambda: replace(ROBOT, footprint=frozenset()), "footprint frozenset() is not callable"),
-    (lambda: replace(ROBOT, caps="x"), "caps 'x' is not a Capabilities"),
-    (lambda: replace(ROBOT, caps=None), "caps None is not a Capabilities"),
+    (lambda: validate_machine(ROBOT, [1, 2]), "runs [1, 2] is not an enumerate_runs system"),
 ], ids=["visibility", "movement", "memory", "radius-str", "radius-bool", "min-distance-str",
         "initial-cell-count", "initial-cell-outside",
         "initial-cell-float", "initial-cell-str", "initial-cell-none", "no-robots",
@@ -337,8 +328,8 @@ def env_machine(n_robots):
         "strip-cell-bool", "region-cell-float", "region-cell-bool", "env-robots-float",
         "env-robots-bool", "env-no-robots", "env-all-none", "env-emit-tuple",
         "env-initial-str", "env-positions-int", "env-lights-list", "env-choices-int",
-        "robot-all-none", "robot-step-str", "robot-control-none", "robot-light-int",
-        "robot-initial-epi-tuple", "robot-footprint-set", "robot-caps-str", "robot-caps-none"])
+        "robot-all-none", "robot-step-str", "robot-control-none", "robot-initial-epi-tuple",
+        "robot-footprint-set", "validate-not-a-system"])
 def test_named_errors(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
         call()

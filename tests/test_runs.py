@@ -337,8 +337,7 @@ class TestEnumerate:
     def test_observe_reads_only_the_emissions_of_robots_that_look(self):
         # robot 1 never fires, so its emission, which observe has no entry for, is never read
         robot = RobotMachine(observe=table_fn({"seen": "o"}, "observe"), step=lambda epi, obs: epi,
-                             control=lambda epi: None, light=lambda epi: None,
-                             initial_epi=lambda r: r)
+                             control=lambda epi: None, initial_epi=lambda r: r)
         env = EnvMachine(n_robots=2, evolve=lambda state, actions, adv: state,
                          emit_obs=lambda state, adv: ("seen", "unseen"),
                          make_initial_env=lambda cells: 0)
@@ -427,7 +426,7 @@ class TestEnumerate:
         robot, env, placements, schedules = scenario()
         control, emit_obs = robot.control, env.emit_obs
         calls = {name: [] for name in ("control", "step", "footprint", "emit_obs", "evolve",
-                                       "observe")}
+                                       "observe", "initial_epi", "make_initial_env")}
 
         def logged(name, fn):
             def call(*args):
@@ -438,14 +437,18 @@ class TestEnumerate:
         robot = replace(robot, control=logged("control", robot.control),
                         step=logged("step", robot.step),
                         footprint=logged("footprint", robot.footprint),
-                        observe=logged("observe", robot.observe))
+                        observe=logged("observe", robot.observe),
+                        initial_epi=logged("initial_epi", robot.initial_epi))
         env = replace(env, emit_obs=logged("emit_obs", env.emit_obs),
-                      evolve=logged("evolve", env.evolve))
+                      evolve=logged("evolve", env.evolve),
+                      make_initial_env=logged("make_initial_env", env.make_initial_env))
         runs = enumerate_runs(robot, env, placements, schedules)
 
         # the arguments each component needs, read off the runs
         needed = {name: set() for name in calls}
+        needed["initial_epi"] = {(r,) for r in range(env.n_robots)}
         for run in runs:
+            needed["make_initial_env"].add((run.init_cells,))
             states = run.states
             for t, act in enumerate(phase_maps(run.path)):
                 before, after = states[t], states[t + 1]
@@ -949,7 +952,6 @@ def table_systems(draw):
         observe=table_fn({raw: pick(obss) for raw in range(3)}, "observe"),
         step=table_fn({(e, o): pick(epis) for e in epis for o in obss}, "step"),
         control=table_fn({e: pick(range(n_act)) for e in epis}, "control"),
-        light=table_fn({e: None for e in epis}, "light"),
         initial_epi=table_fn({r: pick(epis) for r in range(n)}, "initial_epi"),
         footprint=draw(st.sampled_from([
             None, table_fn({(r, o): frozenset({r, o}) for r in range(n) for o in obss},
