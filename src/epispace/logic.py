@@ -419,7 +419,7 @@ def _atom(sys: InterpretedSystem, f: Atom) -> list:
             marks = sys.points.indicator(points)
         except ValueError as e:
             raise ValueError(f"atom {f.label}: {e}") from None
-        except TypeError:  # from the indicator's error path: `points` is not iterable
+        except TypeError:  # from the indicator's loop: `points` is not iterable
             raise ValueError(f"atom {f.label}: point set {points!r} is not a collection of "
                              f"points") from None
         made = sys.atom_labels[f.key] = [points, bytes(marks).translate(_MARKED), None]

@@ -12,13 +12,13 @@ successor when it finds the fork, before it walks on along the first successor,
 so where the adversary branches, the runs read run by run may meet a
 configuration before one of lower id. The walk makes a configuration only on a
 run, and a run from every successor it computes, so every configuration of the
-table is at some point of some run. A configuration is a tuple of part ids,
-which `Configs` makes a `StepState` when read: one rule numbers parts and keys
-alike, the first stored of equal values, and one memoizes the machine calls by
-the ids of their arguments (`_Transitions` lists every table and memo). So each
-distinct transition (configuration id, step, adversary choice) is computed once,
-changes only the ids its phases change, and looks its configuration up once. A
-step's LOOKs read the env state after its MOVEs.
+table is at some point of some run. A configuration is a row of part ids, which
+`Configs` makes a `StepState` when read, and the walk's explored set a bit mask:
+one rule numbers parts, cells and keys alike, the first stored of equal values,
+and one memoizes the machine calls by the ids of their arguments (`_Transitions`
+lists every table and memo). So each distinct transition (configuration id, step,
+adversary choice) is computed once, changes only the ids its phases change, and
+looks its configuration up once. A step's LOOKs read the env state after its MOVEs.
 
 A system is a set of runs, and an adversary choice is no part of a
 configuration: a run is its placement, schedule entry and row, and
@@ -44,7 +44,7 @@ from array import array
 from collections.abc import Collection, Iterator, Sequence
 from copy import copy
 from dataclasses import dataclass, field
-from operator import index, itemgetter, ne
+from operator import index, ne
 from typing import Hashable, Iterable, NamedTuple
 
 from .machine import EnvMachine, ModelDefinitionError, RobotMachine
@@ -98,21 +98,21 @@ class SystemRun:
 
 
 class Configs(Sequence):
-    """The configurations of one `enumerate_runs` call, read off their keys: a read-only
+    """The configurations of one `enumerate_runs` call, read off their part ids: a read-only
     sequence whose `configs[cid]` makes configuration `cid`'s `StepState` on each read.
 
-    A configuration's key is a tuple of part ids, `(epi id per robot..., obs id per
-    robot..., env id, explored id)`, into the value lists `epis`, `obss` and `envs`,
-    which hold each distinct value once, the first stored. The walk keeps the explored
-    sets' list, and fills `explored_of` when it ends, one explored set per
-    configuration id, so `InterpretedSystem.explored_at` makes no `StepState`. The
-    view holds only these lists, not the walk's dicts, so those die with the walk.
+    `ids` holds 2n + 2 part ids per configuration, end to end in id order: `(epi id per
+    robot..., obs id per robot..., env id, explored id)`, into the value lists `epis`,
+    `obss` and `envs`, which hold each distinct value once, the first stored. When the
+    walk's tables are gone, `enumerate_runs` writes `ids`, then `explored_of`: per
+    configuration id its explored set, one frozenset per distinct set, so `explored_at`
+    makes no `StepState`. The view holds only these lists, the id array and ints.
     """
 
-    __slots__ = ("keys", "n_robots", "epis", "obss", "envs", "explored_of")
+    __slots__ = ("ids", "n_robots", "epis", "obss", "envs", "explored_of")
 
     def __init__(self, n_robots: int):
-        self.keys: list[tuple[int, ...]] = []
+        self.ids = array("i")
         self.n_robots = n_robots
         self.epis: list = []
         self.obss: list = [None]                 # id 0: no LOOK yet
@@ -120,11 +120,12 @@ class Configs(Sequence):
         self.explored_of: list[frozenset[int]] = []
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.ids) // (2 * self.n_robots + 2)
 
     def __getitem__(self, cid: int) -> StepState:
-        # an int index only
-        key, n = self.keys[index(cid)], self.n_robots
+        # an int index only; IndexError past either end, as a list's
+        cid, n = range(len(self))[index(cid)], self.n_robots
+        key = self.ids[cid * (2 * n + 2):(cid + 1) * (2 * n + 2)]
         return StepState(tuple(map(self.epis.__getitem__, key[:n])),
                          tuple(map(self.obss.__getitem__, key[n:2 * n])),
                          self.envs[key[2 * n]], self.explored_of[cid])
@@ -135,7 +136,7 @@ def _store(ids: dict, values: list, value, *source) -> int:
     numbering rule of the walk's tables. `source` names the machine call that gave
     `value`, for the `ModelDefinitionError` that an unhashable one raises: the
     component, what the value is, then each argument's name and value. Keys, plans and
-    explored sets are always hashable, so they need none."""
+    explored masks are always hashable, so they need none."""
     try:
         vid = ids.setdefault(value, len(values))
     except TypeError:
@@ -168,25 +169,27 @@ class _Transitions:
     Every table follows one of two rules: `_store` numbers values, and `_Memo`
     memoizes calls. Each numbered kind has one value list, holding each distinct value
     once, the first stored, and one dict from value to id: `config_ids` numbers the
-    keys in `configs.keys` (`configs` is the call's `Configs` view, ids in creation
-    order), `epi_ids`, `obs_ids` and `env_ids` the parts in `configs.epis`, `obss` and
-    `envs`, `explored_ids` the explored sets in `explored`, `action_ids` the actions,
-    and `plan_ids` the plans in `plans`, each step's movers, lookers and computers.
-    `enumerate_runs` fills `configs.explored_of` from the keys when the walk ends.
+    keys in `keys`, tuples of part ids laid out as a row of `Configs.ids`, `epi_ids`,
+    `obs_ids` and `env_ids` the parts in `configs.epis`, `obss` and `envs` (`configs` is
+    the call's `Configs` view), `cell_ids` the footprint cells in `cells`, `explored_ids`
+    the explored sets in `explored`, each an int bit mask (bit i for `cells[i]`),
+    `action_ids` the actions, and `plan_ids` the plans in `plans`, each step's movers,
+    lookers and computers. A new explored id records in `grown_from` the id it grew
+    from, so the cells it added are its mask's bits outside its parent's.
 
     The memos, listed only here, are each a `_Memo`. `phase_steps` memoizes
     `scheduler.fire` by (phase residues, robot set), as its plan's step id and the next
     residues. `initial_epis` memoizes `initial_epi` by robot (to an epi id), so it runs
     once per robot, not once per placement. A new transition's machine calls are
     memoized by their arguments' ids: `controls` by epi id (to an action id), `stepped`
-    by (epi id, obs id) (to an epi id), `footprints` by (robot, obs id), `evolved` by
-    (env id, action ids..., adversary choice) (to an env id), `emitted` by the (env id,
-    adversary choice) that a LOOK reads (to the emissions as `emit_obs` gave them), and
-    `observed` by (env id, adversary choice, robot) (to an obs id), so `observe` runs
-    only on the emissions of robots that LOOK. A value to number that is not hashable
-    raises `ModelDefinitionError`, naming its component and arguments. The memos fill
-    from closures over the local tables, never over `self`, so no cycle keeps the
-    table alive once the walk returns.
+    by (epi id, obs id) (to an epi id), `footprints` by (robot, obs id) (to a mask),
+    `evolved` by (env id, action ids..., adversary choice) (to an env id), `emitted` by
+    the (env id, adversary choice) that a LOOK reads (to the emissions as `emit_obs`
+    gave them), and `observed` by (env id, adversary choice, robot) (to an obs id), so
+    `observe` runs only on the emissions of robots that LOOK. A value to number that is
+    not hashable, a footprint cell included, raises `ModelDefinitionError`, naming its
+    component and arguments. The memos fill from closures over the local tables, never
+    over `self`, so no cycle keeps the table alive once the walk returns.
 
     `succ` maps each distinct transition to the configuration id it leads to, keyed by
     one int that `enumerate_runs` makes of (config id, step id, adversary choice
@@ -201,13 +204,16 @@ class _Transitions:
         self.n_robots = env.n_robots
         self.configs = configs = Configs(env.n_robots)
         epis, obss, envs = configs.epis, configs.obss, configs.envs
-        self.explored: list[frozenset[int]] = [frozenset()]  # id 0: nothing explored yet
+        self.keys: list[tuple[int, ...]] = []
+        self.cells = cells = []
+        self.explored = [0]                      # id 0: nothing explored yet
+        self.grown_from = array("i", [0])
         self.plans = plans = []
         actions: list = [None]                   # id 0: no MOVE
         self.config_ids: dict[tuple, int] = {}
         self.env_ids = env_ids = {}
-        self.explored_ids = {frozenset(): 0}
-        epi_ids, obs_ids, action_ids, plan_ids = {}, {None: 0}, {None: 0}, {}
+        self.explored_ids = {0: 0}
+        epi_ids, obs_ids, action_ids, plan_ids, cell_ids = {}, {None: 0}, {None: 0}, {}, {}
         self.succ: dict[int, int] = {}
 
         def fire_step(firing: tuple) -> tuple[int, tuple]:
@@ -240,8 +246,13 @@ class _Transitions:
             return _store(epi_ids, epis, robot.step(epi, obs), "step", "epistemic state",
                           "epistemic state", epi, "observation", obs)
 
-        def footprint(marking: tuple) -> frozenset[int]:
-            return robot.footprint(marking[0], obss[marking[1]])
+        def footprint(marking: tuple) -> int:
+            r, obs = marking[0], obss[marking[1]]
+            mask = 0
+            for cell in robot.footprint(r, obs):
+                mask |= 1 << _store(cell_ids, cells, cell, "footprint", "cell", "robot", r,
+                                    "observation", obs)
+            return mask
 
         (self.phase_steps, self.initial_epis, self.controls, self.evolved, emitted, self.observed,
          self.stepped, self.footprints) = map(_Memo, (fire_step, initial_epi, control, evolve, emit,
@@ -253,7 +264,7 @@ class _Transitions:
         epis = [self.initial_epis[r] for r in range(self.n_robots)]
         env_id = _store(self.env_ids, configs.envs, self.env.make_initial_env(init_cells),
                         "make_initial_env", "env state", "cells", init_cells)
-        return _store(self.config_ids, configs.keys, (*epis, *(0,) * self.n_robots, env_id, 0))
+        return _store(self.config_ids, self.keys, (*epis, *(0,) * self.n_robots, env_id, 0))
 
     def step(self, cid: int, sid: int, adv) -> int:
         """The transition function: one global step, step id `sid`, from configuration `cid`.
@@ -263,7 +274,7 @@ class _Transitions:
         when a footprint adds a cell. Each distinct (`cid`, `sid`, `adv`) is computed
         once: the walk looks it up in `succ`, and calls `step` only on a miss."""
         n = self.n_robots
-        key = self.configs.keys[cid]
+        key = self.keys[cid]
         new = list(key)
         movers, lookers, computers = self.plans[sid]
         if movers:
@@ -279,12 +290,12 @@ class _Transitions:
                 obs = new[n + r]
                 new[r] = self.stepped[key[r], obs]
                 if self.robot.footprint is not None:
-                    cells = self.footprints[r, obs]
-                    if not cells <= grown:
-                        grown = grown | cells
-            if grown is not explored:
-                new[-1] = _store(self.explored_ids, self.explored, grown)
-        return _store(self.config_ids, self.configs.keys, tuple(new))
+                    grown |= self.footprints[r, obs]
+            if grown != explored:
+                new[-1] = eid = _store(self.explored_ids, self.explored, grown)
+                if eid == len(self.grown_from):
+                    self.grown_from.append(key[-1])
+        return _store(self.config_ids, self.keys, tuple(new))
 
 
 def _common_prefix(a: Sequence, b: Sequence) -> int:
@@ -422,7 +433,10 @@ def enumerate_runs(
     not an int >= 0, a schedule entry that is not a `TimePath` and a placement that is
     not a sequence. `schedules` is read once, so it may be an iterator. With no
     schedule entry or no placement the system has no run, and so no configuration;
-    each placement is still checked, by `env.make_initial_env` too.
+    each placement is still checked, by `env.make_initial_env` too. When the walk ends,
+    it drops the table, freeing its dicts and memos, then lays the key tuples out as
+    `configs.ids`, and only then makes the explored sets, each once, from the set it
+    grew from, so that the three never take memory at once.
     """
     check_count("cap", cap, 0)
     schedules = list(schedules)
@@ -511,7 +525,18 @@ def enumerate_runs(
                 row.append(cid)
                 seq.append(adv)
                 start = t + 1
-    runs.configs.explored_of = [table.explored[key[-1]] for key in runs.configs.keys]
+    keys, explored, grown_from, cells = table.keys, table.explored, table.grown_from, table.cells
+    del table, step, succ, succ_get
+    configs, width = runs.configs, 2 * env.n_robots + 2
+    configs.ids.fromlist(list(itertools.chain.from_iterable(keys)))
+    del keys
+    sets = [frozenset()]
+    # the cells of each distinct added mask, read out once: 1,335 for sweep-long's 10,948 sets
+    cells_of = _Memo(lambda mask: tuple(cells[i] for i in range(mask.bit_length())
+                                        if mask >> i & 1))
+    for eid, parent in enumerate(grown_from[1:], 1):
+        sets.append(sets[parent].union(cells_of[explored[eid] ^ explored[parent]]))
+    configs.explored_of = list(map(sets.__getitem__, configs.ids[width - 1::width]))
     return runs
 
 
@@ -558,32 +583,35 @@ class Points(Sequence):
     def indicator(self, points: Collection[Point]) -> bytearray:
         """Per position, one byte: 1 if its point is one of `points`, else 0. ValueError
         names the first of them that is no point of the frame: not a pair of ints, its
-        run index out of range, its t negative, or its t past the rows' end."""
+        run index out of range, its t negative, or its t past the rows' end. One pass,
+        so `points` may be a one-shot iterator."""
         n_runs, length = self.n_runs, self.length
         marks = bytearray(len(self))
         # the test inline, not through `in`: the bounds alone took 5.4 against 10.2 ms on
         # ssync-flood's atom, 16.5 against 28.1 ms on sweep-long's, and the type test
         # adds 1.0 and 2.6 ms (CPython 3.11, shared 2-vCPU VM)
-        try:
-            for run, t in points:
-                if not (type(run) is int and type(t) is int
-                        and 0 <= run < n_runs and 0 <= t < length):
-                    break
-                marks[run * length + t] = 1
-            else:
-                return marks
-        except (TypeError, ValueError):  # a value that is not a pair
-            pass
-        raise ValueError(f"point {next(p for p in points if p not in self)!r} outside the system")
+        for point in points:
+            try:
+                run, t = point
+            except (TypeError, ValueError):  # a value that is not a pair
+                break
+            if not (type(run) is int and type(t) is int
+                    and 0 <= run < n_runs and 0 <= t < length):
+                break
+            marks[run * length + t] = 1
+        else:
+            return marks
+        raise ValueError(f"point {point!r} outside the system")
 
 
 def _number_classes(configs: Configs, group: Sequence[int]) -> list[int]:
     """Class id per configuration id, numbered in id order: configurations share an id
     when they give every robot of the group the same epistemic state, that is the same
-    epi id, read off their keys."""
-    key = itemgetter(*group)
-    numbering: dict[Hashable, int] = {}
-    return [numbering.setdefault(key(k), len(numbering)) for k in configs.keys]
+    epi id, read off `configs.ids` as one strided column per robot."""
+    width = 2 * configs.n_robots + 2
+    numbering: dict[tuple, int] = {}
+    return [numbering.setdefault(key, len(numbering))
+            for key in zip(*(configs.ids[r::width] for r in group))]
 
 
 def build_interpreted_system(runs: InterpretedSystem, env_machine: EnvMachine,

@@ -38,7 +38,7 @@ class CapExceededError(RuntimeError):
     """Raised when a combinatorial family would exceed its configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimePath:
     """One discrete activation schedule: the robots activated at each global step.
 

@@ -248,11 +248,17 @@ SYMBOLS = symbols(Grid(1, 4), n_robots=2, regions={"U1": frozenset({0, 1})})
      ValueError, "atom a0: point set None is not a collection of points"),
     (lambda: valid(sweep_system()[1].with_atoms({"a": 5}), Atom("a", "a0")),
      ValueError, "atom a0: point set 5 is not a collection of points"),
+    (lambda: valid(sweep_system()[1].with_atoms({"a": iter([(0, 0), "x"])}), Atom("a", "a0")),
+     ValueError, "atom a0: point 'x' outside the system"),
+    (lambda: valid(sweep_system()[1].with_atoms({"a": iter([(0, 0), (10**6, 0)])}),
+                   Atom("a", "a0")),
+     ValueError, "atom a0: point (1000000, 0) outside the system"),
 ], ids=["empty-conjunction", "unclosed-parenthesis", "knowledge-without-name",
         "unknown-region", "cell-without-c", "valid-on-text", "eval-at-on-text", "parse-bytes",
         "parse-no-symbols", "float-cell-count", "zero-cell-count", "bool-robot-id",
         "float-region-cell", "bool-region-cell", "dknow-str-robot", "everyone-none-robot",
-        "atom-point-not-a-pair", "atom-point-set-none", "atom-point-set-int"])
+        "atom-point-not-a-pair", "atom-point-set-none", "atom-point-set-int",
+        "atom-iterator-point-not-a-pair", "atom-iterator-run-past-runs"])
 def test_named_errors(call, kind, message):
     with pytest.raises(kind, match=f"^{re.escape(message)}$") as raised:
         call()

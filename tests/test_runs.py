@@ -184,24 +184,27 @@ class TestSimulate:
         for before, after in zip(states, states[1:]):
             assert before.explored <= after.explored
 
-    def test_compute_adding_no_cell_keeps_explored_object(self):
-        # a COMPUTE on explored cells must not copy the explored set: count the unions
+    def test_compute_adding_no_cell_keeps_explored_object(self, monkeypatch):
+        # a COMPUTE on explored cells must not copy the explored set, and each distinct
+        # explored set is made once, from the set it grew from: count the unions
         unions = []
 
-        class Cells(frozenset):
-            def __ror__(self, explored):
+        class Explored(frozenset):
+            def union(self, *others):
                 unions.append(self)
-                return frozenset.__ror__(self, explored)
+                return Explored(frozenset.union(self, *others))
 
         robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
-        robot = replace(robot, footprint=lambda r, obs, own=robot.footprint: Cells(own(r, obs)))
+        monkeypatch.setattr(runs_module, "frozenset", Explored, raising=False)
         run, = enumerate_runs(robot, env, [[0]], gen_schedules(1, 6, FSYNC, fairness_bound=1))
+        monkeypatch.undo()
         states = run.states
         computes = range(len(PHASES) - 1, run.horizon, len(PHASES))
         grew = [t for t in computes if states[t + 1].explored != states[t].explored]
-        assert 0 < len(unions) == len(grew) < len(computes)
+        assert 0 < len(grew) < len(computes)
         for t in set(computes) - set(grew):
             assert states[t + 1].explored is states[t].explored
+        assert len(unions) == len(set(run.table.explored_of) - {frozenset()}) == len(grew)
 
     def test_parked_walker_gets_unit_cycle_lasso(self):
         _, _, _, runs = sweep_runs(cycles=6)
@@ -329,10 +332,11 @@ class TestEnumerate:
                  for state, step, adv in moving}
         assert len(calls) == len(set(calls)) == len(moves) < len(moving)
         assert set(calls) == moves
-        # a configuration is its key of part ids: equal configurations, equal keys
-        keys = {runs.configs.keys[cid] for cid in runs.config_of}
+        # a configuration is its ids: equal configurations, equal rows of part ids
+        width = 2 * env.n_robots + 2
+        rows = {tuple(runs.configs.ids[cid * width:(cid + 1) * width]) for cid in runs.config_of}
         configs = {state for run in runs for state in run.states}
-        assert len(keys) == len(configs) == len(runs.configs) == 1031
+        assert len(rows) == len(configs) == len(runs.configs) == 1031
 
     def test_observe_reads_only_the_emissions_of_robots_that_look(self):
         # robot 1 never fires, so its emission, which observe has no entry for, is never read
@@ -374,6 +378,16 @@ class TestEnumerate:
         with pytest.raises(ModelDefinitionError, match=f"^{re.escape(message)}$"):
             enumerate_runs(machines["robot"], machines["env"], [[0]],
                            gen_schedules(1, 2, FSYNC, fairness_bound=1))
+
+    def test_unhashable_footprint_cell_named(self):
+        # the walk numbers a footprint's cells, so an unhashable cell is named like any value
+        robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
+        schedules = gen_schedules(1, 3, FSYNC, fairness_bound=1)
+        obs = enumerate_runs(robot, env, [[0]], schedules)[0].states[2].obss[0]
+        listed = replace(robot, footprint=lambda r, obs: [[]])
+        message = f"footprint gave the unhashable cell [] for robot 0 and observation {obs!r}"
+        with pytest.raises(ModelDefinitionError, match=f"^{re.escape(message)}$"):
+            enumerate_runs(listed, env, [[0]], schedules)
 
     def test_type_error_in_evolve_propagates(self):
         robot, env = make_grid_walker(Grid(1, 4), MYOPIC, EXPLORE_SWEEP)
@@ -754,13 +768,18 @@ def test_golden_traces(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_tables_store_each_part_once(name):
-    # a configuration is a key of part ids into value lists that hold each value once,
+    # a configuration is a row of part ids into value lists that hold each value once,
     # so equal parts are one id and one object; equal explored sets are one object too
     runs, _ = golden_runs(name)
     configs = runs.configs
     assert all(run.table is configs for run in runs)
-    for values in (configs.keys, configs.epis, configs.obss, configs.envs):
+    for values in (configs.epis, configs.obss, configs.envs):
         assert len(set(values)) == len(values)
+    # equal configurations, equal rows: each configuration has one row, and no two share it
+    width = 2 * configs.n_robots + 2
+    rows = {configs[cid]: tuple(configs.ids[cid * width:(cid + 1) * width])
+            for cid in range(len(configs))}
+    assert len(set(rows.values())) == len(rows) == len(configs)
     first = {}
     assert all(first.setdefault(cells, cells) is cells for cells in configs.explored_of)
     assert [state.explored for state in configs] == configs.explored_of
@@ -797,7 +816,7 @@ def test_one_table_lookup_per_computed_transition(monkeypatch, name):
 
 
 def test_configuration_view_outlives_the_walk_alone(monkeypatch):
-    # once enumerate_runs returns, its configurations are the key list and value lists:
+    # once enumerate_runs returns, its configurations are the id array and value lists:
     # the walk's dicts (configuration ids, transitions, memos) are garbage
     tables = []
     init = runs_module._Transitions.__init__
@@ -817,7 +836,42 @@ def test_configuration_view_outlives_the_walk_alone(monkeypatch):
     # its slots, besides its class
     referents = [x for x in gc.get_referents(runs.configs) if x is not runs_module.Configs]
     assert referents and not any(isinstance(x, dict) for x in referents)
-    assert {type(x) for x in referents} == {list, int}
+    assert {type(x) for x in referents} == {list, array, int}
+
+
+def test_walk_numbers_explored_sets_as_int_masks(monkeypatch):
+    # the walk's explored table holds bit masks over its numbered footprint cells, and
+    # no set: each configuration's explored set is its mask's cells
+    tables = []
+    init = runs_module._Transitions.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        tables.append(self)
+
+    monkeypatch.setattr(runs_module._Transitions, "__init__", recording_init)
+    runs, _ = golden_runs("fsync-sweep")
+    table, = tables
+    assert len(table.explored) > 1
+    for values in (table.explored, table.explored_ids, table.explored_ids.values(),
+                   table.grown_from, table.footprints.values()):
+        assert all(type(value) is int for value in values)
+    width = 2 * runs.configs.n_robots + 2
+    for explored_id, cells in zip(runs.configs.ids[width - 1::width], runs.configs.explored_of):
+        assert table.explored[explored_id] == sum(1 << table.cells.index(c) for c in cells)
+
+
+def test_configurations_index_as_a_list():
+    # as list indexing: a negative index counts from the end, and one past either end
+    # raises IndexError
+    runs, _ = golden_runs("ssync-flood")
+    configs = runs.configs
+    n = len(configs)
+    states = [configs[cid] for cid in range(n)]
+    assert [configs[k] for k in range(-n, n)] == states * 2
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            configs[k]
 
 
 def brute_lasso(run):
